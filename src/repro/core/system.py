@@ -21,7 +21,7 @@ from ..ffts.plancache import split_radix_plan, wavelet_plan
 from ..ffts.pruning import PruningSpec
 from ..hrv.bands import STANDARD_BANDS, band_powers
 from ..hrv.detection import DetectionResult, SinusArrhythmiaDetector
-from ..hrv.metrics import lf_hf_ratio
+from ..hrv.metrics import lf_hf_ratio, window_lf_hf_ratios
 from ..hrv.rr import RRSeries
 from ..lomb.fast import FastLomb
 from ..lomb.welch import WelchLomb, WelchLombResult
@@ -150,17 +150,16 @@ class _BasePSA:
     def _finalize(self, welch: WelchLombResult) -> PSAResult:
         """Clinical post-processing of one recording's Welch result.
 
-        Shared by :meth:`analyze` and :meth:`analyze_cohort`, so the
-        fleet path reports exactly what the single-recording path does.
+        Every finalize path runs through here: :meth:`analyze`,
+        :meth:`analyze_cohort`, streaming-session and hub finalize, and
+        so the gateway's ``result`` frame.  Each therefore reports
+        exactly what the single-recording path does.  The per-window
+        LF/HF ratios are computed in one pass and the detector decides
+        from them.
         """
         averaged = welch.averaged_spectrum()
-        ratios = np.array(
-            [
-                lf_hf_ratio(row, frequencies=welch.frequencies)
-                for row in welch.spectrogram
-            ]
-        )
-        detection = self._detector.classify_windows(welch)
+        ratios = window_lf_hf_ratios(welch.spectrogram, welch.frequencies)
+        detection = self._detector.classify_ratios(ratios)
         return PSAResult(
             welch=welch,
             lf_hf=lf_hf_ratio(averaged),

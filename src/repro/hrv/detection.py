@@ -16,7 +16,7 @@ import numpy as np
 
 from .._validation import require_positive
 from ..errors import SignalError
-from .metrics import lf_hf_ratio
+from .metrics import lf_hf_ratio, window_lf_hf_ratios
 
 __all__ = ["DetectionResult", "SinusArrhythmiaDetector"]
 
@@ -76,19 +76,28 @@ class SinusArrhythmiaDetector:
     def classify_windows(self, welch_result) -> DetectionResult:
         """Screen a Welch-Lomb result window by window.
 
-        The decision uses the mean of the per-window LF/HF ratios, which
-        is how the paper aggregates its hourly time-frequency
-        distributions (Section VI.A).
+        The per-window LF/HF ratios come from one pass of
+        :func:`~repro.hrv.metrics.window_lf_hf_ratios`, the function PSA
+        result assembly uses too, and :meth:`classify_ratios` decides
+        from them.
         """
         spectrogram = np.asarray(welch_result.spectrogram, dtype=np.float64)
         if spectrogram.ndim != 2 or spectrogram.shape[0] < 1:
             raise SignalError("welch_result has no analysable windows")
-        ratios = np.array(
-            [
-                lf_hf_ratio(row, frequencies=welch_result.frequencies)
-                for row in spectrogram
-            ]
+        return self.classify_ratios(
+            window_lf_hf_ratios(spectrogram, welch_result.frequencies)
         )
+
+    def classify_ratios(self, window_ratios) -> DetectionResult:
+        """Screen precomputed per-window LF/HF ratios.
+
+        The decision uses the mean of the ratios, which is how the paper
+        aggregates its hourly time-frequency distributions (Section
+        VI.A).  The result keeps its own copy of *window_ratios*.
+        """
+        ratios = np.array(window_ratios, dtype=np.float64)
+        if ratios.ndim != 1 or ratios.size < 1:
+            raise SignalError("no window ratios to screen")
         mean_ratio = float(ratios.mean())
         return DetectionResult(
             is_arrhythmia=bool(mean_ratio < self.threshold),

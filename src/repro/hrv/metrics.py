@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SignalError
-from .bands import HF_BAND, LF_BAND, band_power
+from .bands import HF_BAND, LF_BAND, _unpack, band_power
 from .rr import RRSeries
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "pnn50",
     "sdsd",
     "time_domain_summary",
+    "window_lf_hf_ratios",
     "window_metrics_batch",
 ]
 
@@ -54,6 +55,44 @@ def lf_hf_ratio(spectrum, frequencies=None) -> float:
     if hfp <= 0:
         raise SignalError("HF band power is zero; LF/HF ratio undefined")
     return lfp / hfp
+
+
+def window_lf_hf_ratios(spectrogram, frequencies) -> np.ndarray:
+    """Per-window LF/HF ratios of a ``(n_windows, n_frequencies)`` spectrogram.
+
+    One pass over a recording's time-frequency distribution: the grid
+    is validated, and its bin width and LF/HF masks derived, once for
+    all rows.  The result equals ``[lf_hf_ratio(row,
+    frequencies=frequencies) for row in spectrogram]`` bit for bit, and
+    the first offending row raises the :class:`SignalError` that loop
+    would.  Each row is summed with the same 1-D ``np.sum`` as
+    :func:`lf_hf_ratio`: a whole-matrix ``axis=1`` sum rounds
+    differently in the last bit.
+    """
+    power = np.asarray(spectrogram, dtype=np.float64)
+    if power.ndim != 2:
+        raise SignalError(
+            f"spectrogram must be two-dimensional, got shape {power.shape}"
+        )
+    ratios = np.empty(power.shape[0])
+    if not ratios.size:
+        return ratios
+    # Row 0 goes through the per-spectrum checks, which test a row's
+    # values before the grid's size; later rows only need their values.
+    freqs, _ = _unpack(power[0], frequencies)
+    finite = np.isfinite(power).all(axis=1)
+    df = float(np.median(np.diff(freqs)))
+    lf_rows = power[:, LF_BAND.contains(freqs)]
+    hf_rows = power[:, HF_BAND.contains(freqs)]
+    for i, (lf, hf) in enumerate(zip(lf_rows, hf_rows)):
+        if not finite[i]:
+            raise SignalError("power contains non-finite values")
+        lfp = float(np.sum(lf) * df)
+        hfp = float(np.sum(hf) * df)
+        if hfp <= 0:
+            raise SignalError("HF band power is zero; LF/HF ratio undefined")
+        ratios[i] = lfp / hfp
+    return ratios
 
 
 def ratio_error(approximate: float, reference: float) -> float:

@@ -2,18 +2,32 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from repro import (
     ConventionalPSA,
+    EngineConfig,
     PSAConfig,
     PruningSpec,
     QualityScalablePSA,
+    TachogramSpec,
     make_cohort,
 )
+from repro.ecg.rr_synthesis import generate_tachogram
+from repro.engine import build_system
 from repro.errors import ConfigurationError, SignalError
-from repro.hrv import RRSeries
+from repro.hrv import (
+    HF_BAND,
+    RRSeries,
+    SinusArrhythmiaDetector,
+    filter_artifacts,
+    lf_hf_ratio,
+)
+from repro.hrv.metrics import window_lf_hf_ratios
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +186,94 @@ class TestWindowRatiosMonitoring:
     def test_window_ratios_all_below_one_for_rsa(self, rsa_recording):
         result = ConventionalPSA().analyze(rsa_recording)
         assert np.mean(result.window_ratios < 1.0) > 0.9
+
+
+#: Both PSA systems: the conventional one, and the quality-scalable one
+#: at every level of the paper's quality ladder.
+SYSTEMS = [("conventional", "exact")] + [
+    ("quality-scalable", level)
+    for level in ("exact", "band", "set1", "set2", "set3")
+]
+
+
+@pytest.fixture(scope="module")
+def cleaned_holter():
+    """Three hours with ectopic beats, artifact-corrected."""
+    raw = generate_tachogram(TachogramSpec(ectopic_rate=0.02, seed=11), 10800.0)
+    return filter_artifacts(raw).series
+
+
+def _per_spectrum_ratios(welch):
+    """The reference: one :func:`lf_hf_ratio` call per window."""
+    return np.array(
+        [
+            lf_hf_ratio(row, frequencies=welch.frequencies)
+            for row in welch.spectrogram
+        ]
+    )
+
+
+def _with_row_fault(welch, row, fault):
+    """*welch* with one spectrogram row's HF band zeroed or a bin NaN."""
+    spectrogram = welch.spectrogram.copy()
+    if fault == "zero_hf":
+        spectrogram[row, HF_BAND.contains(welch.frequencies)] = 0.0
+    else:
+        spectrogram[row, 3] = np.nan
+    return dataclasses.replace(welch, spectrogram=spectrogram)
+
+
+class TestResultAssemblyRatios:
+    """Result assembly's one-pass per-window LF/HF ratios."""
+
+    @pytest.mark.parametrize("kind, level", SYSTEMS)
+    def test_bit_identical_to_per_spectrum_loop(
+        self, cleaned_holter, kind, level
+    ):
+        config = EngineConfig.for_mode(level).replace(system=kind)
+        result = build_system(config).analyze(cleaned_holter)
+        welch = result.welch
+        assert cleaned_holter.corrected.any()
+        assert len({s.n_samples for s in welch.window_spectra}) > 1
+        reference = _per_spectrum_ratios(welch)
+        one_pass = window_lf_hf_ratios(welch.spectrogram, welch.frequencies)
+        assert one_pass.tobytes() == reference.tobytes()
+        assert result.window_ratios.tobytes() == reference.tobytes()
+        detection = result.detection
+        assert detection.window_ratios.tobytes() == reference.tobytes()
+        assert detection.ratio == float(reference.mean())
+        assert detection.is_arrhythmia == (
+            float(reference.mean()) < detection.threshold
+        )
+        screened = SinusArrhythmiaDetector().classify_windows(welch)
+        assert screened.window_ratios.tobytes() == reference.tobytes()
+        assert screened.ratio == detection.ratio
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("zero_hf", "HF band power is zero; LF/HF ratio undefined"),
+            ("nan", "power contains non-finite values"),
+        ],
+    )
+    def test_errors_unchanged(self, rsa_recording, fault, message):
+        system = ConventionalPSA()
+        bad = _with_row_fault(system.analyze(rsa_recording).welch, 2, fault)
+        pattern = re.escape(message)
+        with pytest.raises(SignalError, match=pattern):
+            _per_spectrum_ratios(bad)
+        with pytest.raises(SignalError, match=pattern):
+            SinusArrhythmiaDetector().classify_windows(bad)
+        with pytest.raises(SignalError, match=pattern):
+            system._finalize(bad)
+
+    def test_result_and_detection_ratios_are_separate(self, rsa_recording):
+        result = ConventionalPSA().analyze(rsa_recording)
+        own, detected = result.window_ratios, result.detection.window_ratios
+        assert not np.shares_memory(own, detected)
+        before = detected.copy()
+        own[0] = -1.0
+        assert detected.tobytes() == before.tobytes()
+        before = own.copy()
+        detected[1] = -2.0
+        assert own.tobytes() == before.tobytes()

@@ -26,6 +26,7 @@ from repro.hrv import (
     sdnn,
     time_domain_summary,
 )
+from repro.hrv.metrics import window_lf_hf_ratios
 
 
 def _series(rng, n=200, mean=0.85, jitter=0.02):
@@ -214,6 +215,81 @@ class TestMetrics:
         assert np.isclose(b, a * scale, rtol=1e-9)
 
 
+def _raised(fn) -> str:
+    """The message of the :class:`SignalError` *fn* raises."""
+    with pytest.raises(SignalError) as info:
+        fn()
+    return str(info.value)
+
+
+class TestWindowLfHfRatios:
+    """The one-pass ratios against the per-spectrum lf_hf_ratio loop."""
+
+    @staticmethod
+    def _reference(spectrogram, frequencies):
+        return np.array(
+            [lf_hf_ratio(row, frequencies=frequencies) for row in spectrogram]
+        )
+
+    @staticmethod
+    def _spectrogram(rng):
+        freqs = np.linspace(0.0, 0.4, 96)
+        return freqs, rng.random((12, freqs.size))
+
+    def test_no_windows_no_ratios(self):
+        ratios = window_lf_hf_ratios(np.empty((0, 8)), np.linspace(0, 0.4, 8))
+        assert ratios.shape == (0,) and ratios.dtype == np.float64
+
+    def test_rejects_one_dimensional_input(self):
+        with pytest.raises(SignalError, match="two-dimensional"):
+            window_lf_hf_ratios(np.ones(8), np.linspace(0, 0.4, 8))
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            [(0, "nan")],
+            [(7, "inf")],
+            [(2, "zero_hf"), (5, "nan")],
+            [(2, "nan"), (5, "zero_hf")],
+        ],
+    )
+    def test_first_offending_row_raises_as_loop_does(self, rng, faults):
+        freqs, spectrogram = self._spectrogram(rng)
+        for row, fault in faults:
+            if fault == "zero_hf":
+                spectrogram[row, HF_BAND.contains(freqs)] = 0.0
+            else:
+                spectrogram[row, 5] = np.nan if fault == "nan" else np.inf
+        assert _raised(
+            lambda: window_lf_hf_ratios(spectrogram, freqs)
+        ) == _raised(lambda: self._reference(spectrogram, freqs))
+
+    @pytest.mark.parametrize(
+        "case",
+        ["short", "long", "nan", "one_bin", "two_dimensional", "nan_row0_short"],
+    )
+    def test_grid_errors_as_loop_raises_them(self, rng, case):
+        freqs, spectrogram = self._spectrogram(rng)
+        if case == "short":
+            freqs = freqs[:-1]
+        elif case == "long":
+            freqs = np.append(freqs, 0.5)
+        elif case == "nan":
+            freqs = freqs.copy()
+            freqs[4] = np.nan
+        elif case == "one_bin":
+            freqs, spectrogram = freqs[:1], spectrogram[:, :1]
+        elif case == "two_dimensional":
+            freqs = freqs[None, :]
+        else:
+            # A row's values are checked before the grid's size.
+            spectrogram[0, 1] = np.nan
+            freqs = freqs[:-1]
+        assert _raised(
+            lambda: window_lf_hf_ratios(spectrogram, freqs)
+        ) == _raised(lambda: self._reference(spectrogram, freqs))
+
+
 class TestPreprocessing:
     def test_clean_series_untouched(self, rng):
         series = _series(rng, jitter=0.01)
@@ -308,6 +384,16 @@ class TestDetection:
         decision = SinusArrhythmiaDetector().classify_windows(result)
         assert decision.is_arrhythmia
         assert decision.window_ratios.size == result.n_windows
+
+    def test_classify_ratios_decides_on_mean_of_own_copy(self):
+        ratios = np.array([0.5, 0.7, 1.5])
+        result = SinusArrhythmiaDetector().classify_ratios(ratios)
+        assert result.ratio == float(ratios.mean())
+        assert result.is_arrhythmia
+        ratios[0] = 10.0
+        assert result.window_ratios[0] == 0.5
+        with pytest.raises(SignalError, match="no window ratios"):
+            SinusArrhythmiaDetector().classify_ratios([])
 
     def test_threshold_validation(self):
         with pytest.raises(Exception):

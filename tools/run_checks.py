@@ -22,7 +22,11 @@ Runs, in order:
    frame-by-frame through the streaming QRS detector and artifact
    preprocessor, bit-identical to the batch path on both PSA systems,
 8. the five benchmark smoke tests (streaming, throughput, fleet,
-   service, ingest) that exercise the measurement harnesses end to end.
+   service, ingest) that exercise the measurement harnesses end to end,
+9. the repository benchmark's own tests (``perfbench/test_perfbench.py``):
+   every workload's tiny mode through ``perfbench/run.py``, end-to-end
+   and traced.  Step 1 collects ``tests`` only, so this is the one step
+   that runs them.
 
 Each step streams its own output; the gate prints a pass/fail summary
 table and exits non-zero if *any* step failed (later steps still run, so
@@ -120,6 +124,16 @@ STEPS: list[tuple[str, list[str]]] = [
             "pytest",
             "-q",
             "tests/test_bench_ingest_smoke.py",
+        ],
+    ),
+    (
+        "bench smoke: perfbench",
+        [
+            sys.executable,
+            "-m",
+            "pytest",
+            "-q",
+            "perfbench/test_perfbench.py",
         ],
     ),
 ]
