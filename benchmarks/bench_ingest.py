@@ -17,8 +17,9 @@ never drift away from the exactness contract they advertise.
 
 Reported per system and path: wall time, ECG samples/sec, beats/sec,
 windows/sec, plus the streaming:batch throughput ratio (the cost of
-incrementality).  Results land in ``BENCH_ingest.json`` at the
-repository root.
+incrementality).  The document records the host (CPU count, Python,
+NumPy and SciPy versions) the numbers were measured on.  Results land
+in ``BENCH_ingest.json`` at the repository root.
 
 Run with:  python benchmarks/bench_ingest.py [--subjects N]
            [--minutes M] [--frame SAMPLES] [--repeats R]
@@ -31,7 +32,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import platform
 import sys
 import time
 
@@ -40,6 +43,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 from repro.ecg import make_cohort, synthesize_ecg  # noqa: E402
 from repro.engine import Engine, EngineConfig  # noqa: E402
@@ -165,6 +169,12 @@ def run_ingest_benchmark(
 
     return {
         "benchmark": "ingest",
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "workload": {
             "n_subjects": n_subjects,
             "duration_minutes": duration_minutes,

@@ -21,6 +21,13 @@ Two detectors share that machinery:
   not reproduce :class:`QrsDetector` bit-for-bit, because zero-phase
   filtering and globally-seeded thresholds are whole-record quantities
   no bounded-latency detector can know.
+
+Both run the same per-detector filter state, built once in
+:class:`QrsDetector` rather than per call: the zero-phase filter's
+initial conditions and pad length (``sosfiltfilt``'s own, replayed op
+for op so every sample is bit-identical to it), the integration kernel
+and the refinement half-window.  Peak refinement is one array pass
+over all accepted beats.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 from .._validation import as_1d_float_array, require_positive
@@ -71,6 +79,9 @@ class QrsDetector:
         Minimum spacing between beats in seconds.
     """
 
+    #: Half-window (seconds) of the parabolic peak refinement.
+    _REFINE_HALF_SECONDS = 0.05
+
     def __init__(
         self,
         sampling_rate: float = 250.0,
@@ -95,16 +106,49 @@ class QrsDetector:
         self._sos = sps.butter(
             2, [self.band[0] / nyq, self.band[1] / nyq], btype="band", output="sos"
         )
+        # What sps.sosfiltfilt would recompute on every call: the steady
+        # state initial conditions and the default ("odd") pad length.
+        self._zi = sps.sosfilt_zi(self._sos)
+        ntaps = 2 * self._sos.shape[0] + 1 - min(
+            (self._sos[:, 2] == 0).sum(), (self._sos[:, 5] == 0).sum()
+        )
+        self._padlen = 3 * int(ntaps)
+        window = max(int(self.integration_window * self.fs), 1)
+        self._kernel = np.ones(window) / window
+        self._refine_half = int(self._REFINE_HALF_SECONDS * self.fs)
 
     # ------------------------------------------------------------------
 
+    def _zero_phase(self, x: np.ndarray) -> np.ndarray:
+        """``sps.sosfiltfilt(self._sos, x)``, bit for bit.
+
+        The same operations in the same order — odd extension, forward
+        pass seeded with ``zi * ext[0]``, backward pass over the
+        reversed output seeded with ``zi * y[-1]``, trim — with the
+        design-time pieces taken from the detector instead of rebuilt.
+        """
+        edge = self._padlen
+        if x.size <= edge:
+            raise ValueError(
+                "The length of the input vector x must be greater than "
+                f"padlen, which is {edge}."
+            )
+        ext = np.concatenate(
+            (
+                2 * x[:1] - x[edge:0:-1],
+                x,
+                2 * x[-1:] - x[-2 : -(edge + 2) : -1],
+            )
+        )
+        y, _ = sps.sosfilt(self._sos, ext, zi=self._zi * ext[:1])
+        y, _ = sps.sosfilt(self._sos, y[::-1], zi=self._zi * y[-1:])
+        return y[::-1][edge:-edge]
+
     def _feature_signal(self, ecg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        filtered = sps.sosfiltfilt(self._sos, ecg)
+        filtered = self._zero_phase(ecg)
         derivative = np.gradient(filtered) * self.fs
         squared = derivative**2
-        window = max(int(self.integration_window * self.fs), 1)
-        kernel = np.ones(window) / window
-        integrated = np.convolve(squared, kernel, mode="same")
+        integrated = np.convolve(squared, self._kernel, mode="same")
         return filtered, integrated
 
     def detect(self, times, ecg) -> QrsResult:
@@ -155,25 +199,34 @@ class QrsDetector:
         )
 
     def _refine_peaks(self, filtered: np.ndarray, beats: np.ndarray) -> np.ndarray:
-        """Sub-sample peak localisation by parabolic interpolation."""
-        half = int(0.05 * self.fs)
-        refined = np.empty(beats.size, dtype=np.float64)
-        for i, b in enumerate(beats):
-            lo, hi = max(b - half, 0), min(b + half + 1, filtered.size)
-            local = np.abs(filtered[lo:hi])
-            peak = lo + int(np.argmax(local))
-            if 0 < peak < filtered.size - 1:
-                y0, y1, y2 = (
-                    abs(filtered[peak - 1]),
-                    abs(filtered[peak]),
-                    abs(filtered[peak + 1]),
-                )
-                denom = y0 - 2 * y1 + y2
-                shift = 0.5 * (y0 - y2) / denom if abs(denom) > 1e-12 else 0.0
-                refined[i] = peak + float(np.clip(shift, -0.5, 0.5))
-            else:
-                refined[i] = float(peak)
-        return refined
+        """Sub-sample peak localisation by parabolic interpolation.
+
+        Each beat's peak is the first maximum of ``|filtered|`` within
+        ``refine_half`` samples (clipped at the record edges); interior
+        peaks then move by the vertex of the parabola through their
+        neighbours, at most half a sample.
+        """
+        half = self._refine_half
+        n = filtered.size
+        magnitude = np.abs(filtered)
+        # |x| >= 0 > -1: the padding never wins an argmax, so each
+        # window's first maximum is the clipped window's first maximum.
+        padded = np.concatenate(
+            (np.full(half, -1.0), magnitude, np.full(half, -1.0))
+        )
+        windows = sliding_window_view(padded, 2 * half + 1)[beats]
+        peaks = beats - half + np.argmax(windows, axis=1)
+        interior = (peaks > 0) & (peaks < n - 1)
+        at = np.where(interior, peaks, 1)
+        y0 = magnitude[at - 1]
+        y1 = magnitude[at]
+        y2 = magnitude[at + 1]
+        denom = y0 - 2 * y1 + y2
+        shift = np.zeros(peaks.size)
+        np.divide(
+            0.5 * (y0 - y2), denom, out=shift, where=np.abs(denom) > 1e-12
+        )
+        return np.where(interior, peaks + np.clip(shift, -0.5, 0.5), peaks)
 
 
 class StreamingQrsDetector:
@@ -203,10 +256,6 @@ class StreamingQrsDetector:
     candidate's context is ever truncated mid-record.
     """
 
-    #: Half-window (seconds) of the parabolic refinement in
-    #: :meth:`QrsDetector._refine_peaks`.
-    _REFINE_HALF_SECONDS = 0.05
-
     #: Tolerance (in sample periods) for frames to count as continuing
     #: the uniform grid the detector was opened on.
     _GRID_TOLERANCE = 0.25
@@ -235,7 +284,7 @@ class StreamingQrsDetector:
         needed = max(
             self.refractory,
             self.integration_window,
-            self._REFINE_HALF_SECONDS,
+            QrsDetector._REFINE_HALF_SECONDS,
         )
         if margin_seconds < needed:
             raise SignalError(
@@ -276,7 +325,7 @@ class StreamingQrsDetector:
 
     # ------------------------------------------------------------------
 
-    def _process_block(self, block: int) -> list[float]:
+    def _process_block(self, block: int) -> np.ndarray:
         """Detect beats inside one block; return their instants."""
         lo = block * self._block
         hi = min((block + 1) * self._block, self._count)
@@ -284,7 +333,7 @@ class StreamingQrsDetector:
         ctx_hi = min(self._count, hi + self._margin)
         context = self._buffer[ctx_lo - self._offset : ctx_hi - self._offset]
         if context.size < 2:
-            return []
+            return np.empty(0, dtype=np.float64)
         filtered, feature = self._batch._feature_signal(context)
         candidates, _ = sps.find_peaks(
             feature, distance=self._refractory_samples
@@ -293,35 +342,36 @@ class StreamingQrsDetector:
             (candidates >= lo - ctx_lo) & (candidates < hi - ctx_lo)
         ]
         if interior.size == 0:
-            return []
+            return np.empty(0, dtype=np.float64)
+        heights = feature[interior]
         if self._spki is None:
-            self._spki = float(np.percentile(feature[interior], 75))
-            self._npki = float(np.percentile(feature[interior], 25))
+            self._spki = float(np.percentile(heights, 75))
+            self._npki = float(np.percentile(heights, 25))
+        spki, npki, last_beat = self._spki, self._npki, self._last_beat
         accepted: list[int] = []
-        for idx in interior:
-            threshold = self._npki + 0.25 * (self._spki - self._npki)
-            absolute = ctx_lo + int(idx)
+        for idx, height in zip(interior.tolist(), heights.tolist()):
+            threshold = npki + 0.25 * (spki - npki)
+            absolute = ctx_lo + idx
             if (
-                feature[idx] >= threshold
-                and absolute - self._last_beat >= self._refractory_samples
+                height >= threshold
+                and absolute - last_beat >= self._refractory_samples
             ):
-                accepted.append(int(idx))
-                self._last_beat = absolute
-                self._spki = 0.125 * feature[idx] + 0.875 * self._spki
+                accepted.append(idx)
+                last_beat = absolute
+                spki = 0.125 * height + 0.875 * spki
             else:
-                self._npki = 0.125 * feature[idx] + 0.875 * self._npki
+                npki = 0.125 * height + 0.875 * npki
+        self._spki, self._npki, self._last_beat = spki, npki, last_beat
         if not accepted:
-            return []
+            return np.empty(0, dtype=np.float64)
         refined = self._batch._refine_peaks(
             filtered, np.asarray(accepted, dtype=np.int64)
         )
         self._n_beats += refined.size
-        return [
-            self._t0 + (ctx_lo + float(r)) / self.fs for r in refined
-        ]
+        return self._t0 + (ctx_lo + refined) / self.fs
 
     def _drain(self, final: bool) -> np.ndarray:
-        beats: list[float] = []
+        beats: list[np.ndarray] = []
         while True:
             block_end = (self._next_block + 1) * self._block
             if final:
@@ -329,21 +379,25 @@ class StreamingQrsDetector:
                     break
             elif block_end + self._margin > self._count:
                 break
-            beats.extend(self._process_block(self._next_block))
+            beats.append(self._process_block(self._next_block))
             self._next_block += 1
             # Retire samples the next block's left margin cannot reach.
             keep_from = max(0, self._next_block * self._block - self._margin)
             if keep_from > self._offset:
                 self._buffer = self._buffer[keep_from - self._offset :]
                 self._offset = keep_from
-        return np.asarray(beats, dtype=np.float64)
+        if not beats:
+            return np.empty(0, dtype=np.float64)
+        return np.concatenate(beats)
 
     def push(self, times, ecg) -> np.ndarray:
         """Ingest one ECG frame; return newly finalized beat instants.
 
         Frames must continue the uniform sample grid the first frame
         established (``times[k] = t0 + k / fs``) — gaps or resampling
-        would silently shift every downstream RR interval.
+        would silently shift every downstream RR interval — and carry
+        finite times and samples.  A rejected frame raises
+        :class:`SignalError` and leaves the detector untouched.
         """
         if self._finalized:
             raise SignalError("detector already finalized")
@@ -356,9 +410,12 @@ class StreamingQrsDetector:
             )
         if t.size == 0:
             return np.empty(0, dtype=np.float64)
-        if self._t0 is None:
-            self._t0 = float(t[0])
-        expected = self._t0 + (
+        if not np.isfinite(x).all():
+            raise SignalError("ECG frame contains non-finite samples")
+        if not np.isfinite(t).all():
+            raise SignalError("ECG frame contains non-finite sample times")
+        t0 = float(t[0]) if self._t0 is None else self._t0
+        expected = t0 + (
             self._count + np.arange(t.size, dtype=np.float64)
         ) / self.fs
         if np.max(np.abs(t - expected)) > self._GRID_TOLERANCE / self.fs:
@@ -366,6 +423,7 @@ class StreamingQrsDetector:
                 "ECG frame does not continue the uniform sample grid "
                 f"(fs={self.fs} Hz) the stream started on"
             )
+        self._t0 = t0
         self._buffer = np.concatenate([self._buffer, x])
         self._count += x.size
         return self._drain(final=False)

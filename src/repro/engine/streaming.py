@@ -560,4 +560,9 @@ class StreamingSession:
                 metrics=self._metrics,
             )
             self._result = self._engine.system._finalize(welch_result)
+        # No window can slice the samples any more; a finalized session
+        # kept for later reads must not pin them.
+        self._dropped += self._n
+        self._n = 0
+        self._times = self._values = self._corrected = np.empty(0)
         return self._result

@@ -14,9 +14,16 @@ Two shapes of the same rule live here:
   ``StreamingSession.feed``.  It resolves each interval the moment its
   centred median window is complete (``half`` beats of lookahead) and
   is **provably equal** to the batch path: both flag and replace with
-  ``np.median`` over the *original* intervals under the same reflective
-  padding, so a record pushed through in arbitrary chunk sizes yields
-  bit-identical cleaned values and corrected masks.
+  the centred median of the *original* intervals under the same
+  reflective padding, so a record pushed through in arbitrary chunk
+  sizes yields bit-identical cleaned values and corrected masks.
+
+Both take every median they need in one ``np.median`` call over the
+rows of a window matrix: the batch path views the padded intervals
+through a sliding window, the stream gathers the rows of the positions
+it resolves.  For the odd windows the rule allows, each row's median is
+its middle order statistic, exactly what ``np.median`` returns for that
+window alone (NaN when the window holds one).
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .._validation import require_in_range, require_positive
 from ..errors import SignalError
@@ -56,6 +64,28 @@ class ArtifactReport:
     fraction_corrected: float
 
 
+def _flag_ectopics(
+    rr: np.ndarray, window: int, tolerance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(flagged, medians)``: the ectopic mask and the local medians.
+
+    Row ``i`` of the sliding window view over the reflect-padded series
+    is the window centred on interval ``i``.
+    """
+    if window < 3 or window % 2 == 0:
+        raise SignalError(f"window must be an odd integer >= 3, got {window}")
+    require_in_range(tolerance, 0.01, 1.0, "tolerance")
+    if rr.size < window:
+        raise SignalError(
+            f"series of {rr.size} beats shorter than window {window}"
+        )
+    half = window // 2
+    padded = np.concatenate([rr[half:0:-1], rr, rr[-2 : -half - 2 : -1]])
+    medians = np.median(sliding_window_view(padded, window), axis=1)
+    deviation = np.abs(rr - medians) / medians
+    return deviation > tolerance, medians
+
+
 def detect_ectopic_mask(
     intervals: np.ndarray, window: int = 11, tolerance: float = 0.2
 ) -> np.ndarray:
@@ -66,20 +96,7 @@ def detect_ectopic_mask(
     the classic ectopic/artifact rule for tachograms.
     """
     rr = np.asarray(intervals, dtype=np.float64)
-    if window < 3 or window % 2 == 0:
-        raise SignalError(f"window must be an odd integer >= 3, got {window}")
-    require_in_range(tolerance, 0.01, 1.0, "tolerance")
-    if rr.size < window:
-        raise SignalError(
-            f"series of {rr.size} beats shorter than window {window}"
-        )
-    half = window // 2
-    padded = np.concatenate([rr[half:0:-1], rr, rr[-2 : -half - 2 : -1]])
-    medians = np.empty_like(rr)
-    for i in range(rr.size):
-        medians[i] = np.median(padded[i : i + window])
-    deviation = np.abs(rr - medians) / medians
-    return deviation > tolerance
+    return _flag_ectopics(rr, window, tolerance)[0]
 
 
 def filter_artifacts(
@@ -97,7 +114,7 @@ def filter_artifacts(
     than merely noisy.
     """
     require_positive(max_fraction, "max_fraction")
-    flagged = detect_ectopic_mask(series.intervals, window, tolerance)
+    flagged, medians = _flag_ectopics(series.intervals, window, tolerance)
     fraction = float(np.count_nonzero(flagged)) / series.n_beats
     if fraction > max_fraction:
         raise SignalError(
@@ -110,13 +127,9 @@ def filter_artifacts(
             corrected_indices=np.array([], dtype=np.int64),
             fraction_corrected=0.0,
         )
-    cleaned = series.intervals.copy()
-    half = window // 2
-    padded = np.concatenate(
-        [cleaned[half:0:-1], cleaned, cleaned[-2 : -half - 2 : -1]]
-    )
-    for i in np.flatnonzero(flagged):
-        cleaned[i] = np.median(padded[i : i + window])
+    # The replacement is the detection median: both are taken over the
+    # original intervals, before any replacement lands.
+    cleaned = np.where(flagged, medians, series.intervals)
     return ArtifactReport(
         series=RRSeries(
             times=series.times, intervals=cleaned, corrected=flagged
@@ -138,15 +151,15 @@ class StreamingPreprocessor:
     batch path's global rules (minimum length, flagged-fraction cap).
 
     Equality with :func:`filter_artifacts` is structural: the batch
-    replacement median is computed over the *pre-replacement* intervals
-    (its padded buffer is built before any replacement lands), so the
-    detection median and the replacement value coincide — one
-    ``np.median`` per position over the original values, which is
-    exactly what this class computes.  The only behavioural divergence
-    is failure timing: the batch path rejects an unusable recording
-    before emitting anything, while the stream has necessarily already
-    emitted cleaned beats when :meth:`finalize` discovers the total
-    flagged fraction exceeded ``max_fraction`` and raises.
+    replacement median is computed over the *pre-replacement* intervals,
+    so the detection median and the replacement value coincide — the
+    centred median of the original values over the same reflected
+    windows, which is exactly what this class computes.  The only
+    behavioural divergence is failure timing: the batch path rejects an
+    unusable recording before emitting anything, while the stream has
+    necessarily already emitted cleaned beats when :meth:`finalize`
+    discovers the total flagged fraction exceeded ``max_fraction`` and
+    raises.
     """
 
     def __init__(
@@ -184,57 +197,53 @@ class StreamingPreprocessor:
         """Intervals flagged (and replaced) among the resolved ones."""
         return self._n_flagged
 
-    def _median_at(self, i: int, n_total: int | None) -> float:
-        """Centred median of the original intervals around position *i*.
-
-        Reflective indexing reproduces the batch path's padded buffer:
-        ``j < 0 -> -j`` at the start, ``j >= n -> 2n - 2 - j`` at the
-        end (only applicable once the record length *n* is known).
-        """
-        idx = np.arange(i - self._half, i + self._half + 1)
-        idx = np.abs(idx)
-        if n_total is not None:
-            over = idx >= n_total
-            idx[over] = 2 * n_total - 2 - idx[over]
-        return float(np.median(self._rr[idx - self._offset]))
-
     def _resolve(self, last: int):
         """Resolve positions ``self._next .. last`` (absolute, inclusive)."""
+        first = self._next
         last = min(last, self._count - 1)
-        out_t: list[float] = []
-        out_rr: list[float] = []
-        out_c: list[bool] = []
-        n_total = self._count if self._finalized else None
-        while self._next <= last:
-            i = self._next
-            med = self._median_at(i, n_total)
-            raw = float(self._rr[i - self._offset])
-            flagged = abs(raw - med) / med > self._tolerance
-            out_t.append(float(self._times[i - self._t_offset]))
-            out_rr.append(med if flagged else raw)
-            out_c.append(bool(flagged))
-            self._n_flagged += flagged
-            self._next += 1
+        if last < first:
+            return (
+                np.empty(0, dtype=np.float64),
+                np.empty(0, dtype=np.float64),
+                np.empty(0, dtype=bool),
+            )
+        # Row k holds the absolute indices of position first + k's
+        # window, reflected as the batch path pads: ``j < 0 -> -j`` at
+        # the start, ``j >= n -> 2n - 2 - j`` at the end (only once the
+        # record length *n* is known).  A gather, not a sliding window
+        # view: the view's set-up would cost more than the few-beat
+        # pushes of a live stream.
+        idx = np.abs(
+            np.arange(first, last + 1)[:, None]
+            + np.arange(-self._half, self._half + 1)
+        )
+        if self._finalized:
+            n = self._count
+            idx = np.where(idx >= n, 2 * n - 2 - idx, idx)
+        medians = np.median(self._rr[idx - self._offset], axis=1)
+        raw = self._rr[first - self._offset : last + 1 - self._offset]
+        flagged = np.abs(raw - medians) / medians > self._tolerance
+        times = self._times[first - self._t_offset : last + 1 - self._t_offset]
+        self._n_flagged += int(np.count_nonzero(flagged))
+        self._next = last + 1
         # Drop context the next resolutions can no longer reach: a
         # position needs originals back to ``i - half`` only.
         keep_from = max(0, self._next - self._half)
         if keep_from > self._offset:
             self._rr = self._rr[keep_from - self._offset :]
             self._offset = keep_from
-        if self._next > self._t_offset:
-            self._times = self._times[self._next - self._t_offset :]
-            self._t_offset = self._next
-        return (
-            np.asarray(out_t, dtype=np.float64),
-            np.asarray(out_rr, dtype=np.float64),
-            np.asarray(out_c, dtype=bool),
-        )
+        self._times = self._times[self._next - self._t_offset :]
+        self._t_offset = self._next
+        return times.copy(), np.where(flagged, medians, raw), flagged
 
     def push(self, times, intervals):
         """Ingest one chunk; return the newly resolved cleaned beats.
 
         Returns ``(times, cleaned, corrected)`` arrays (possibly empty
-        while the median window is still filling).
+        while the median window is still filling).  Times and intervals
+        must be finite and intervals positive — the domain
+        :class:`~repro.hrv.rr.RRSeries` enforces on the batch path; a
+        rejected chunk raises :class:`SignalError` and changes nothing.
         """
         if self._finalized:
             raise SignalError("preprocessor already finalized")
@@ -244,6 +253,14 @@ class StreamingPreprocessor:
             raise SignalError(
                 "push needs matching 1-D times and intervals, got shapes "
                 f"{t.shape} and {rr.shape}"
+            )
+        # NaN fails every comparison, so the extremes catch it too.
+        if rr.size and not (
+            np.isfinite(t).all() and 0.0 < rr.min() and rr.max() < np.inf
+        ):
+            raise SignalError(
+                "pushed beats need finite times and finite, positive RR "
+                "intervals"
             )
         self._times = np.concatenate([self._times, t])
         self._rr = np.concatenate([self._rr, rr])

@@ -34,6 +34,9 @@ def test_ingest_benchmark_smoke(tmp_path):
     document = bench.run_ingest_benchmark(
         n_subjects=2, duration_minutes=5.0, repeats=1
     )
+    host = document["host"]
+    assert host["cpu_count"] >= 1
+    assert all(host[key] for key in ("python", "numpy", "scipy"))
     workload = document["workload"]
     assert workload["n_subjects"] == 2
     assert workload["n_ecg_samples"] > 0
@@ -78,5 +81,6 @@ def test_committed_bench_document_is_current():
     committed = BENCHMARKS.parent / "BENCH_ingest.json"
     document = json.loads(committed.read_text())
     assert document["benchmark"] == "ingest"
+    assert document["host"]["cpu_count"] >= 1
     for entry in document["systems"].values():
         assert entry["bit_identical"] is True

@@ -372,6 +372,11 @@ class TestRest:
             done = rest_windows(gateway.address, "dev-token", "s1")
             assert done["finalized"]
             assert len(done["windows"]) == expected["n_windows"]
+            # The session serving this read kept its windows, not the
+            # samples they were computed from.
+            session = gateway.server._tenants["default"].hub.session("s1")
+            assert session.n_samples == rr.times.size
+            assert session.buffered_samples == 0
             grid_len = len(expected["frequencies"])
             for window in done["windows"]:
                 # Raw emissions: full-length windows sit on the common

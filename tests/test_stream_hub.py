@@ -308,6 +308,27 @@ class TestHubProtocol:
             result = hub.finalize("good")
         assert_identical(batch, result)
 
+    def test_finalize_all_releases_sample_buffers(self, recordings):
+        """Finalized hub sessions stay registered without their samples."""
+        subjects = ("rsa-00", "rsa-01")
+        with Engine(EngineConfig(provider="numpy")) as engine:
+            hub = engine.open_hub()
+            for subject in subjects:
+                rr = recordings[subject]
+                hub.feed(subject, rr.times, rr.intervals)
+            results = hub.finalize_all()
+            for subject in subjects:
+                session = hub.session(subject)
+                assert session.n_samples == recordings[subject].times.size
+                assert session.buffered_samples == 0
+                assert session._times.size == 0
+                assert hub.finalize(subject) is results[subject]
+                with pytest.raises(SignalError, match="finalized"):
+                    hub.feed(subject, [1e6], [0.8])
+                assert_identical(
+                    engine.analyze(recordings[subject]), results[subject]
+                )
+
     def test_sparse_hub_session_memory_stays_bounded(self, recordings):
         """A subject that never completes a window must still compact."""
         rr = recordings["rsa-00"]

@@ -298,6 +298,26 @@ class TestBoundedMemory:
             streamed = session.finalize()
         _assert_identical(batch, streamed)
 
+    def test_finalize_releases_sample_buffers(self):
+        """A finalized session keeps its result, not its samples."""
+        t = np.arange(0.0, 900.0, 0.85)
+        x = 0.85 + 0.03 * np.sin(2 * np.pi * 0.2 * t)
+        with Engine(EngineConfig(provider="numpy")) as engine:
+            batch = engine.analyze(RRSeries(times=t, intervals=x))
+            session = engine.open_stream()
+            session.feed(t, x)
+            assert session.buffered_samples > 0
+            result = session.finalize()
+            assert session.n_samples == t.size
+            assert session.buffered_samples == 0
+            assert session._times.size == session._values.size == 0
+            assert session._corrected.size == 0
+            assert session.finalize() is result
+            with pytest.raises(SignalError, match="finalized"):
+                session.feed(t[-1] + 1.0, 0.85)
+            assert session.n_samples == t.size
+        _assert_identical(batch, result)
+
 
 class TestStreamingPruningSpecifics:
     def test_dynamic_threshold_spec_round_trips_through_stream(
