@@ -23,8 +23,8 @@ The sharded spectrograms must be **bit-identical** to the batched ones
 (``max_rel_diff_spectrogram == 0.0``) and the per-recording operation
 counts equal; both are verified on every run.  Results — including the
 host's CPU count, start method and tuned chunk size, which bound what
-sharding can deliver — are written to ``BENCH_fleet.json`` at the
-repository root.
+sharding can deliver, and the Python, NumPy and SciPy versions — are
+written to ``BENCH_fleet.json`` at the repository root.
 
 Run with:  python benchmarks/bench_fleet.py [--patients P] [--hours H]
            [--jobs J] [--repeats R]
@@ -39,6 +39,7 @@ import argparse
 import json
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -49,6 +50,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 from repro.core.config import PSAConfig  # noqa: E402
 from repro.core.system import ConventionalPSA, QualityScalablePSA  # noqa: E402
@@ -300,6 +302,9 @@ def run_fleet_benchmark(
         "benchmark": "fleet sharded vs batched vs sequential cohort execution",
         "host": {
             "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "jobs": jobs,
             "start_method": start_method,
             "chunk_windows": chunk_windows,

@@ -19,6 +19,7 @@ __all__ = [
     "require_positive",
     "require_in_range",
     "is_power_of_two",
+    "span_bounds",
 ]
 
 
@@ -101,3 +102,50 @@ def as_2d_complex_array(x, name: str = "x", width: int | None = None) -> np.ndar
     if not np.all(np.isfinite(arr)):
         raise SignalError(f"{name} contains non-finite values")
     return arr
+
+
+def span_bounds(
+    spans, length: int, allow_empty: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``(lo, hi)`` index spans into an array of *length* samples.
+
+    Every span must be a pair of integers with ``0 <= lo < hi <=
+    length`` (``lo <= hi`` when *allow_empty*).  Returns the ``lo`` and
+    ``hi`` columns as int64 vectors; the :class:`SignalError` names the
+    first span that breaks the rule, so a malformed span batch fails
+    before any kernel work instead of silently slicing from the end
+    (negative bounds) or past it.
+    """
+    try:
+        arr = np.asarray(spans)
+    except ValueError:  # ragged: some span is not a pair
+        arr = None
+    if arr is not None and arr.ndim in (1, 2) and arr.shape[0] == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    if arr is None or arr.shape[1:] != (2,) or arr.dtype.kind not in "iu":
+        for i, span in enumerate(spans):
+            if not _is_integer_pair(span):
+                raise SignalError(
+                    f"span {i} {span!r} is not an integer (lo, hi) pair"
+                )
+        raise SignalError("spans must be integer (lo, hi) pairs")
+    arr = arr.astype(np.int64, copy=False)
+    lo, hi = arr[:, 0], arr[:, 1]
+    bad = (lo < 0) | (hi > length) | (hi - lo < (0 if allow_empty else 1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        rule = "lo <= hi" if allow_empty else "lo < hi"
+        raise SignalError(
+            f"span {i} ({int(lo[i])}, {int(hi[i])}) breaks "
+            f"0 <= {rule} <= {length}"
+        )
+    return lo, hi
+
+
+def _is_integer_pair(span) -> bool:
+    try:
+        pair = np.asarray(span)
+    except ValueError:
+        return False
+    return pair.shape == (2,) and pair.dtype.kind in "iu"

@@ -9,12 +9,15 @@ functions over an :class:`RRSeries` and as the per-window
 :class:`WindowMetrics` record that rides next to each Welch window's
 spectrum through every execution layer.
 
-:func:`window_metrics_batch` is deliberately *composition-independent*:
-each window is reduced over its own contiguous float64 slice (mean,
-``std(ddof=1)``, ``diff``), never through prefix sums shared across
-windows, so the same span produces bit-identical metrics whether it is
-analysed alone, inside a session batch, or concatenated into a hub's
-heterogeneous mega-batch.
+:func:`window_metrics_batch` is deliberately *composition-independent*.
+It gathers the windows of each beat count into one C-contiguous
+``(rows, n)`` block and reduces along the rows; numpy sums each row of
+such a block with the same pairwise summation as the 1-D call on the
+window's own slice.  Grouping only decides which rows share a numpy
+call, never a row's arithmetic — no prefix sums shared across windows,
+no padding — so the same span produces bit-identical metrics whether
+it is analysed alone, inside a session batch, or concatenated into a
+hub's heterogeneous mega-batch.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._validation import span_bounds
 from ..errors import SignalError
 from .bands import HF_BAND, LF_BAND, _unpack, band_power
 from .rr import RRSeries
@@ -65,34 +69,42 @@ def window_lf_hf_ratios(spectrogram, frequencies) -> np.ndarray:
     all rows.  The result equals ``[lf_hf_ratio(row,
     frequencies=frequencies) for row in spectrogram]`` bit for bit, and
     the first offending row raises the :class:`SignalError` that loop
-    would.  Each row is summed with the same 1-D ``np.sum`` as
-    :func:`lf_hf_ratio`: a whole-matrix ``axis=1`` sum rounds
-    differently in the last bit.
+    would (within a row, non-finite values before a zero HF band).
+
+    The band sums run along the rows of C-contiguous copies of the band
+    columns, which numpy sums with the same pairwise summation as the
+    1-D ``np.sum`` of :func:`lf_hf_ratio`.  The boolean column selection
+    itself is *not* C-contiguous, and summing it along ``axis=1`` would
+    round differently in the last bit.
     """
     power = np.asarray(spectrogram, dtype=np.float64)
     if power.ndim != 2:
         raise SignalError(
             f"spectrogram must be two-dimensional, got shape {power.shape}"
         )
-    ratios = np.empty(power.shape[0])
-    if not ratios.size:
-        return ratios
+    rows = power.shape[0]
+    if not rows:
+        return np.empty(0)
     # Row 0 goes through the per-spectrum checks, which test a row's
     # values before the grid's size; later rows only need their values.
     freqs, _ = _unpack(power[0], frequencies)
     finite = np.isfinite(power).all(axis=1)
+    # Rows from the first non-finite one on are never summed: that row
+    # raises, unless a zero HF band raises before it.
+    stop = rows if finite.all() else int(np.argmin(finite))
     df = float(np.median(np.diff(freqs)))
-    lf_rows = power[:, LF_BAND.contains(freqs)]
-    hf_rows = power[:, HF_BAND.contains(freqs)]
-    for i, (lf, hf) in enumerate(zip(lf_rows, hf_rows)):
-        if not finite[i]:
-            raise SignalError("power contains non-finite values")
-        lfp = float(np.sum(lf) * df)
-        hfp = float(np.sum(hf) * df)
-        if hfp <= 0:
-            raise SignalError("HF band power is zero; LF/HF ratio undefined")
-        ratios[i] = lfp / hfp
-    return ratios
+    lfp = _band_row_sums(power[:stop], LF_BAND.contains(freqs)) * df
+    hfp = _band_row_sums(power[:stop], HF_BAND.contains(freqs)) * df
+    if np.any(hfp <= 0):
+        raise SignalError("HF band power is zero; LF/HF ratio undefined")
+    if stop < rows:
+        raise SignalError("power contains non-finite values")
+    return lfp / hfp
+
+
+def _band_row_sums(power: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Each row's sum over the *band* columns, as the 1-D ``np.sum``."""
+    return np.ascontiguousarray(power[:, band]).sum(axis=1)
 
 
 def ratio_error(approximate: float, reference: float) -> float:
@@ -240,28 +252,45 @@ class WindowMetrics:
         )
 
 
-def _longest_run(mask: np.ndarray) -> int:
-    """Length of the longest run of nonzero entries in ``mask``."""
-    nonzero = mask != 0.0
-    if not nonzero.any():
-        return 0
-    padded = np.concatenate(([False], nonzero, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    return int(np.max(edges[1::2] - edges[0::2]))
+def _rows(source: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """C-contiguous ``(len(starts), n)`` block of ``source[s:s + n]`` rows."""
+    if starts.size == 1:
+        start = int(starts[0])
+        return source[None, start : start + n]
+    return source[starts[:, None] + np.arange(n)]
+
+
+def _has_run(nonzero: np.ndarray, length: int) -> np.ndarray:
+    """Per row: does ``nonzero`` hold ``length`` consecutive true entries?"""
+    width = nonzero.shape[1] - length + 1
+    if width <= 0:
+        return np.zeros(nonzero.shape[0], dtype=bool)
+    run = nonzero[:, :width]
+    for shift in range(1, length):
+        run = run & nonzero[:, shift : shift + width]
+    return run.any(axis=1)
 
 
 def window_metrics_batch(values, spans, corrected=None):
     """Per-window time-domain metrics over Welch window spans.
 
     ``values`` are RR intervals in seconds; ``spans`` the same
-    ``(lo, hi)`` index pairs the Lomb kernel analyses; ``corrected`` an
-    optional 0/1 mask (any real dtype) marking interpolated beats.
-    Returns one :class:`WindowMetrics` per span.
+    ``(lo, hi)`` index pairs the Lomb kernel analyses, each with ``0 <=
+    lo <= hi <= len(values)`` (a :class:`SignalError` names the first
+    span that is not); ``corrected`` an optional 0/1 mask (any real
+    dtype) marking interpolated beats.  Returns one
+    :class:`WindowMetrics` per span; zero- and one-beat spans report
+    zeros for the statistics they cannot support.
 
-    Every reduction runs over the window's own contiguous slice, so the
-    result for a span never depends on which other spans share the
-    batch — the property the bit-identity guarantee across execution
-    paths rests on.
+    Spans are reduced in groups of equal beat count, each gathered into
+    one C-contiguous ``(rows, n)`` block.  Every statistic replays the
+    operation sequence of the 1-D call it stands for (``np.mean`` is a
+    row sum divided by ``n``; ``np.std(ddof=1)`` subtracts that mean,
+    squares, sums and divides by ``n - 1`` before the square root), so
+    each window's result is bit-identical to reducing its own slice
+    and never depends on which other spans share the batch — the
+    property the bit-identity guarantee across execution paths rests
+    on.
     """
     rr = np.ascontiguousarray(values, dtype=np.float64)
     mask = None
@@ -272,43 +301,54 @@ def window_metrics_batch(values, spans, corrected=None):
                 f"corrected mask length {mask.shape} does not match "
                 f"intervals {rr.shape}"
             )
-    out = []
-    for lo, hi in spans:
-        rr_ms = rr[lo:hi] * 1000.0
-        n = int(rr_ms.size)
-        mean_rr = float(np.mean(rr_ms)) if n else 0.0
-        sdnn_ms = float(np.std(rr_ms, ddof=1)) if n >= 2 else 0.0
-        diffs = np.diff(rr_ms)
-        if diffs.size:
-            rmssd_ms = float(np.sqrt(np.mean(diffs * diffs)))
-            abs_diffs = np.abs(diffs)
-            p50 = float(np.count_nonzero(abs_diffs > 50.0)) / diffs.size
-            p20 = float(np.count_nonzero(abs_diffs > 20.0)) / diffs.size
-        else:
-            rmssd_ms, p50, p20 = 0.0, 0.0, 0.0
-        if mask is not None and n:
-            window_mask = mask[lo:hi]
-            fraction = float(np.mean(window_mask))
-            run = _longest_run(window_mask)
-        else:
-            fraction, run = 0.0, 0
-        flags = 0
-        if n < FEW_BEATS_THRESHOLD:
-            flags |= FLAG_FEW_BEATS
-        if fraction > HIGH_CORRECTED_FRACTION:
-            flags |= FLAG_HIGH_CORRECTED
-        if run >= ARTIFACT_RUN_LENGTH:
-            flags |= FLAG_ARTIFACT_RUN
-        out.append(
-            WindowMetrics(
-                n_beats=n,
-                mean_rr_ms=mean_rr,
-                sdnn_ms=sdnn_ms,
-                rmssd_ms=rmssd_ms,
-                pnn50=p50,
-                pnn20=p20,
-                corrected_fraction=fraction,
-                flags=flags,
+    lo, hi = span_bounds(spans, rr.size, allow_empty=True)
+    rows = lo.size
+    if not rows:
+        return ()
+    # Groups are runs of equal beat count in sorted order: each group's
+    # results land in its sorted columns, and the records go back into
+    # span order at the end.
+    lengths = hi - lo
+    order = np.argsort(lengths, kind="stable")
+    n_beats = lengths[order]
+    counts = n_beats.tolist()
+    bounds = [0]
+    bounds += [i for i in range(1, rows) if counts[i] != counts[i - 1]]
+    bounds.append(rows)
+    stats = np.zeros((6, rows))
+    mean_rr, sdnn_ms, rmssd_ms, p50, p20, fraction = stats
+    artifact_run = np.zeros(rows, dtype=bool)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        n = counts[a]
+        if n == 0:
+            continue
+        starts = lo[order[a:b]]
+        rr_ms = _rows(rr, starts, n) * 1000.0
+        mean = np.divide(rr_ms.sum(axis=1), n, out=mean_rr[a:b])
+        if mask is not None:
+            window_mask = _rows(mask, starts, n)
+            np.divide(window_mask.sum(axis=1), n, out=fraction[a:b])
+            artifact_run[a:b] = _has_run(
+                window_mask != 0.0, ARTIFACT_RUN_LENGTH
             )
-        )
+        if n < 2:
+            continue
+        centered = rr_ms - mean[:, None]
+        np.square(centered, out=centered)
+        np.divide(centered.sum(axis=1), n - 1, out=sdnn_ms[a:b])
+        diffs = rr_ms[:, 1:] - rr_ms[:, :-1]
+        np.divide((diffs * diffs).sum(axis=1), n - 1, out=rmssd_ms[a:b])
+        abs_diffs = np.abs(diffs, out=diffs)
+        np.divide((abs_diffs > 50.0).sum(axis=1), n - 1, out=p50[a:b])
+        np.divide((abs_diffs > 20.0).sum(axis=1), n - 1, out=p20[a:b])
+    np.sqrt(stats[1:3], out=stats[1:3])
+    flags = (n_beats < FEW_BEATS_THRESHOLD) * FLAG_FEW_BEATS
+    flags |= (fraction > HIGH_CORRECTED_FRACTION) * FLAG_HIGH_CORRECTED
+    flags |= artifact_run * FLAG_ARTIFACT_RUN
+    # tolist() keeps n_beats and flags Python ints and the statistics
+    # Python floats, as the wire form and JSON digests expect.
+    records = map(WindowMetrics, counts, *stats.tolist(), flags.tolist())
+    out = [None] * rows
+    for i, record in zip(order.tolist(), records):
+        out[i] = record
     return tuple(out)

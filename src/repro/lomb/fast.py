@@ -221,6 +221,27 @@ class _WindowPlan:
     pos_window: np.ndarray
 
 
+def _row_means(x: np.ndarray, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mean of each row's first ``ns[i]`` samples, written into ``out``.
+
+    Bit-identical to the sequential path's 1-D ``x[i, :ns[i]].mean()``:
+    numpy sums each row of a matrix whose rows are contiguous along
+    axis 1 with the same pairwise summation as the 1-D call (only rows
+    that are not contiguous — a boolean column selection comes back
+    F-ordered — would round differently).  So an equal-length group
+    (every uniform recording) takes one reduction, and ragged rows are
+    reduced per sample count over exactly their own samples: padding
+    never enters a sum, and the centred samples — dynamic-pruning
+    decisions included — stay bit-identical.
+    """
+    if (ns == x.shape[1]).all():
+        return x.mean(axis=1, out=out)
+    for n in set(ns.tolist()):
+        group = ns == n
+        out[group] = x[group, :n].sum(axis=1) / n
+    return out
+
+
 class FastLomb:
     """Press-Rybicki Fast-Lomb analyser with a fixed-size FFT workspace.
 
@@ -721,11 +742,12 @@ class FastLomb:
 
         ``t_pad`` / ``x_pad`` may be strided views (the
         ``sliding_window_view`` fast path) — they are read, never
-        written.  Window means stay per-row ``ndarray.mean`` calls so
-        the centred samples — and hence dynamic-pruning decisions and
-        operation counts — are bit-identical to the sequential path;
-        variances are re-derived from the centred batch (they only
-        scale the output power).
+        written.  Window means are row reductions over each window's
+        own samples, bit-identical to the sequential path's 1-D
+        ``x.mean()``, so the centred samples — and hence dynamic-pruning
+        decisions and operation counts — match it exactly; variances
+        are re-derived from the centred batch (they only scale the
+        output power).
 
         Every intermediate (masks, workspaces, FFT outputs, the dozen
         Lomb-combine temporaries) is leased from the active workspace
@@ -742,17 +764,7 @@ class FastLomb:
         dfs = np.array([meta[2] for meta in metas])
         with scratch() as ws:
             means, variances = ws.take_block(2, (rows,))
-            if np.all(ns == max_n):
-                # Equal-length group (every uniform recording): one axis
-                # reduction replaces the per-row loop.  numpy's pairwise
-                # summation over the reduction axis is the same per row
-                # as the 1-D call, so the means — and everything
-                # downstream, dynamic-pruning decisions included — stay
-                # bit-identical.
-                x_pad.mean(axis=1, out=means)
-            else:
-                for i in range(rows):
-                    means[i] = x_pad[i, : ns[i]].mean()
+            _row_means(x_pad, ns, means)
             valid, invalid = ws.take_block(2, (rows, max_n), np.bool_)
             centered, pos_data, pos_window, valid_f = ws.take_block(
                 4, (rows, max_n)

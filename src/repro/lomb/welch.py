@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .._validation import as_1d_float_array
+from .._validation import as_1d_float_array, span_bounds
 from ..errors import ConfigurationError, SignalError
 from ..ffts.opcount import OpCounts
 from ..hrv.metrics import WindowMetrics, window_metrics_batch
@@ -273,9 +273,16 @@ def analyze_spans_quality(
     Lomb kernel analyses, so spectra and metrics can never disagree
     about which beats a window held.  ``corrected`` is the optional
     0/1 interpolated-beat mask aligned with ``values``.
+
+    Spans arrive from the wire as well as from the planners, so each
+    must be an integer pair with ``0 <= lo < hi <= len(values)``; the
+    first one that is not raises a :class:`SignalError` before any
+    kernel work.
     """
+    span_bounds(spans, len(values))
     spectra = analyze_spans(analyzer, times, values, spans, count_ops)
-    metrics = window_metrics_batch(values, spans, corrected=corrected)
+    with _profile_span("metrics"):
+        metrics = window_metrics_batch(values, spans, corrected=corrected)
     return spectra, metrics
 
 
@@ -545,9 +552,10 @@ class WelchLomb:
                 self.analyzer.periodogram(tw, xw, count_ops=count_ops)
                 for tw, xw in plan.window_arrays()
             ]
-        metrics = window_metrics_batch(
-            plan.values, plan.spans, corrected=plan.corrected
-        )
+        with _profile_span("metrics"):
+            metrics = window_metrics_batch(
+                plan.values, plan.spans, corrected=plan.corrected
+            )
         return assemble_result(
             spectra, plan.centers, plan.skipped, count_ops, metrics=metrics
         )

@@ -5,7 +5,8 @@ steady-state flushes spend their time in math, not in the allocator.
 This module makes that claim *observable*: named timing (and optionally
 allocation) spans around the pipeline stages
 
-``extirpolate`` → ``fft`` → ``lomb_combine`` → ``assemble`` → ``hub_flush``
+``extirpolate`` → ``fft`` → ``lomb_combine`` → ``metrics`` → ``assemble``
+→ ``hub_flush``
 
 surfaced through ``python -m repro profile`` and the ``profile=`` knob
 on :class:`~repro.engine.EngineConfig`.
@@ -39,7 +40,9 @@ __all__ = [
 
 #: Canonical stage names, in pipeline order (report rows keep first-seen
 #: order, so canonical stages render in this order when present).
-STAGES = ("extirpolate", "fft", "lomb_combine", "assemble", "hub_flush")
+STAGES = (
+    "extirpolate", "fft", "lomb_combine", "metrics", "assemble", "hub_flush",
+)
 
 
 class _NullSpan:

@@ -35,8 +35,11 @@ def test_fleet_benchmark_smoke(tmp_path):
         n_patients=2, duration_hours=0.2, jobs=2, repeats=1, workers=1
     )
     assert document["workload"]["n_windows_total"] >= 6
-    assert document["host"]["cpu_count"] >= 1
-    assert document["host"]["jobs"] == 2
+    host = document["host"]
+    assert host["cpu_count"] >= 1
+    assert host["jobs"] == 2
+    for key in ("python", "numpy", "scipy"):
+        assert isinstance(host[key], str) and host[key]
     systems = document["systems"]
     assert set(systems) == {
         "conventional_split_radix",

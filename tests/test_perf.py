@@ -255,6 +255,19 @@ class TestEngineIntegration:
         )
         assert all(row["calls"] > 0 for row in report.values())
 
+    def test_profiled_hub_flush_reports_metrics(self):
+        rr = _synthetic_rr()
+        with Engine(EngineConfig(profile=True)) as engine:
+            hub = engine.open_hub()
+            hub.feed("s", rr.times, rr.intervals)
+            emitted = hub.flush()
+            report = engine.profiler.report()
+            hub.close()
+        assert sum(map(len, emitted.values())) > 0
+        assert report["hub_flush"]["calls"] == 1
+        assert report["metrics"]["calls"] >= 1
+        assert report["metrics"]["seconds"] <= report["hub_flush"]["seconds"]
+
     def test_profile_off_engine_has_no_profiler(self):
         with Engine(EngineConfig()) as engine:
             assert engine.profiler is None
