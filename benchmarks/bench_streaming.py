@@ -28,8 +28,11 @@ numbers.  A ``shedding`` section (``--slo``) replays the hub under a
 deterministic synthetic overload with the SLO controller off vs on and
 reports the steady-state p95, the fraction of windows analysed at
 degraded quality, and the controller's step counts — the SLO-defense
-claim in numbers.  Results land in ``BENCH_streaming.json`` at the
-repository root.
+claim in numbers.  Its latencies come from
+:class:`~repro.testing.FlushLatencyFault`'s cost model, not host time,
+so the section is labelled ``"modelled": true``.  Results land in
+``BENCH_streaming.json`` at the repository root, with the host's CPU
+count and Python, NumPy and SciPy versions.
 
 Run with:  python benchmarks/bench_streaming.py [--subjects N]
            [--minutes M] [--burst-seconds S] [--jobs J] [--repeats R]
@@ -44,6 +47,7 @@ import argparse
 import json
 import os
 import pathlib
+import platform
 import sys
 import time
 
@@ -52,6 +56,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 from repro.ecg.rr_synthesis import TachogramSpec, generate_tachogram  # noqa: E402
 from repro.engine import Engine, EngineConfig  # noqa: E402
@@ -366,6 +371,9 @@ def _measure_shedding(jobs, recordings, rounds, target_ms: float) -> dict:
     off_p95 = off["steady_p95_ms"]
     on_p95 = on["steady_p95_ms"]
     return {
+        # Flush latencies here are FlushLatencyFault's cost model, not
+        # host time.
+        "modelled": True,
         "slo": slo.to_dict(),
         "overload": {
             "cost_ms_per_full_window": SHED_COST_MS,
@@ -492,7 +500,13 @@ def run_streaming_benchmark(
         "benchmark": (
             "streaming cohort: multiplexed hub vs independent sessions"
         ),
-        "host": {"cpu_count": os.cpu_count(), "jobs": jobs},
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "jobs": jobs,
+        },
         "workload": {
             "n_subjects": n_subjects,
             "duration_minutes": duration_minutes,
@@ -589,7 +603,7 @@ def main(argv=None) -> None:
         on = shedding["controller_on"]
         off = shedding["controller_off"]
         print(
-            f"SLO defense (target "
+            f"SLO defense, modelled latencies (target "
             f"{shedding['slo']['target_p95_ms']:.0f} ms): steady p95 "
             f"{on['steady_p95_ms']:.1f} ms with controller vs "
             f"{off['steady_p95_ms']:.1f} ms without "

@@ -34,8 +34,8 @@ Degradation changes *which analyzer* computes a window, never how:
 windows of a subject at level L are analysed by the exact engine a
 homogeneous level-L config would build, so every emission stays
 bit-identical (spectrum and op counts) to that homogeneous run — the
-hub groups its pending set by effective level and runs one span batch
-per group through the usual choke point (see
+hub runs its whole pending set as one span batch through the usual
+choke point, with each span's FFT stage on its level's analyzer (see
 :meth:`StreamHub._analyze_pending`).
 """
 

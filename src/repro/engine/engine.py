@@ -273,7 +273,7 @@ class Engine:
         return cached
 
     def _analyze_spans_batch(
-        self, times, values, spans, count_ops: bool, variant=None,
+        self, times, values, spans, count_ops: bool, variants=None,
         corrected=None,
     ):
         """Run one span batch under this engine's execution policy.
@@ -282,11 +282,14 @@ class Engine:
         pinned provider/chunk, or dispatched over the persistent fleet
         pool when the resolved job count calls for workers — both
         bit-identical by the batch-composition-independence invariant.
-        ``variant`` selects a degraded quality level's kernels (a
-        ``(system_kind, PruningSpec)`` pair); ``None`` runs the base
-        config.  ``corrected`` is the optional interpolated-beat 0/1
-        mask aligned with ``values``.  Returns ``(spectra, metrics)``
-        with one :class:`~repro.hrv.metrics.WindowMetrics` per span.
+        ``variants`` names each span's quality level (``None`` for the
+        base config, else a ``(system_kind, PruningSpec)`` ladder rung);
+        ``None`` runs every span at the base config.  In-process, the
+        whole batch is one kernel call whose FFT stage runs once per
+        level present.  ``corrected`` is the optional interpolated-beat
+        0/1 mask aligned with ``values``.  Returns ``(spectra,
+        metrics)`` with one :class:`~repro.hrv.metrics.WindowMetrics`
+        per span.
         """
         if self.resolved.jobs > 1 or self.resolved.workers:
             # Workers own per-process arenas (installed by init_worker);
@@ -299,12 +302,19 @@ class Engine:
                     stack.enter_context(profile_scope(self._profiler))
                 return self._ensure_fleet().run_spans(
                     times, values, spans, count_ops=count_ops,
-                    variant=variant, corrected=corrected,
+                    variants=variants, corrected=corrected,
                 )
+        owners = None
+        if variants is not None:
+            analyzers = {
+                variant: self._system_for_variant(variant).welch.analyzer
+                for variant in set(variants)
+            }
+            owners = [analyzers[variant] for variant in variants]
         with self._pinned():
             return analyze_spans_quality(
-                self._system_for_variant(variant).welch.analyzer,
-                times, values, spans, count_ops, corrected=corrected,
+                self._system.welch.analyzer, times, values, spans,
+                count_ops, corrected=corrected, owners=owners,
             )
 
     def execution_stats(self) -> dict:

@@ -24,6 +24,11 @@ rely on), hence every subject's :meth:`finalize` stays bit-identical
 whole-recording :meth:`Engine.analyze`, regardless of how feeds from
 different subjects interleave.
 
+Subjects the quality controller has shed to different ladder levels
+still share the one batch.  A level changes only the Fast-Lomb FFT
+stage, so each span carries its level and the kernel runs the FFT once
+per level present and every other stage once over all spans.
+
 Typical ward-monitor use::
 
     with Engine(config) as engine:
@@ -290,15 +295,16 @@ class StreamHub:
     # ------------------------------------------------------------------
 
     def flush(self) -> dict:
-        """Analyse every pending window in one shared batch per level.
+        """Analyse every pending window in one shared batch.
 
         Returns ``{subject_id: [WindowEmission, ...]}`` for the subjects
-        that emitted, in feed order per subject.  The batch runs through
-        the engine: in-process under its pinned provider/chunk, or over
-        its persistent fleet pool when it resolved ``jobs > 1``.  When a
-        quality controller is attached, the flush's latency and backlog
-        feed its control loop — its decisions take effect from the
-        *next* flush.
+        that emitted, in feed order per subject.  The batch mixes every
+        subject's quality level.  It runs through the engine: in-process
+        under its pinned provider/chunk as one kernel call, whose FFT
+        stage runs once per level present, or over its persistent fleet
+        pool when it resolved ``jobs > 1``.  When a quality controller
+        is attached, the flush's latency and backlog feed its control
+        loop — its decisions take effect from the *next* flush.
         """
         backlog = len(self._pending)
         t0 = self._clock()
@@ -323,83 +329,67 @@ class StreamHub:
         self.last_flush_levels = {}
         if not pending:
             return {}
-        # Group the pending windows by the owning session's *effective*
-        # quality level: each group is one span batch under that level's
-        # kernels through the usual choke point.  Grouping only changes
-        # batch composition, which per-window kernels are independent
-        # of — a subject at level L here is bit-identical to the same
-        # windows under a homogeneous level-L engine.
-        levels: list = []
-        by_level: dict[int, list[int]] = {}
-        for i, (session, _, _, _) in enumerate(pending):
-            variant, level = session._effective_variant()
-            levels.append((variant, level))
-            by_level.setdefault(level, []).append(i)
-        self.last_flush_levels = {
-            level: len(indices) for level, indices in by_level.items()
-        }
-        spectra: list = [None] * len(pending)
-        metrics: list = [None] * len(pending)
-        for level in sorted(by_level):
-            indices = by_level[level]
-            variant = levels[indices[0]][0]
-            group = [pending[i] for i in indices]
-            # Concatenate the group's sample slices back to back — the
-            # same copies the batch kernel makes per window.  The
-            # concatenation buffers lease from the engine's arena, so at
-            # steady state each flush reuses the previous round's
-            # storage; the analysis only reads them and every escaping
-            # spectrum is freshly allocated, so releasing on exit is
-            # safe.
-            edges = np.zeros(len(group) + 1, dtype=np.int64)
-            np.cumsum([hi - lo for _, _, lo, hi in group], out=edges[1:])
-            total = int(edges[-1])
-            spans = tuple(
-                (int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])
-            )
-            with Scratch(self._engine.arena) as ws:
-                t_cat = ws.take((total,))
-                x_cat = ws.take((total,))
-                c_cat = ws.take((total,))
+        engine = self._engine
+        # Every pending window joins one span batch, whatever its
+        # subject's quality level: each span carries its session's
+        # *effective* level, and the kernel runs every stage but the FFT
+        # once over all spans and the FFT once per level present.
+        # Per-window kernels are independent of batch composition, so a
+        # subject at level L here is bit-identical to the same windows
+        # under a homogeneous level-L engine.
+        with Scratch(engine.arena) as ws:
+            with engine._profile_span("concat"):
+                variants: list = []
+                levels: list[int] = []
+                histogram: dict[int, int] = {}
+                for session, _, _, _ in pending:
+                    variant, level = session._effective_variant()
+                    variants.append(variant)
+                    levels.append(level)
+                    histogram[level] = histogram.get(level, 0) + 1
+                self.last_flush_levels = histogram
+                # Concatenate the sample slices back to back — the same
+                # copies the batch kernel makes per window.  The buffers
+                # lease from the engine's arena, so at steady state each
+                # flush reuses the previous round's storage; the
+                # analysis only reads them and every escaping spectrum
+                # is freshly allocated, so releasing on exit is safe.
+                edges = np.zeros(len(pending) + 1, dtype=np.int64)
+                np.cumsum(
+                    [hi - lo for _, _, lo, hi in pending], out=edges[1:]
+                )
+                bounds = edges.tolist()
+                spans = tuple(zip(bounds[:-1], bounds[1:]))
+                t_cat = ws.take((bounds[-1],))
+                x_cat = ws.take((bounds[-1],))
+                c_cat = ws.take((bounds[-1],))
                 for (session, _, lo, hi), dst_lo, dst_hi in zip(
-                    group, edges[:-1], edges[1:]
+                    pending, bounds[:-1], bounds[1:]
                 ):
                     t_cat[dst_lo:dst_hi] = session._times[lo:hi]
                     x_cat[dst_lo:dst_hi] = session._values[lo:hi]
                     c_cat[dst_lo:dst_hi] = session._corrected[lo:hi]
-                group_spectra, group_metrics = (
-                    self._engine._analyze_spans_batch(
-                        t_cat,
-                        x_cat,
-                        spans,
-                        self._count_ops,
-                        variant=variant,
-                        corrected=c_cat,
-                    )
-                )
-            for i, spectrum, window in zip(
-                indices, group_spectra, group_metrics
-            ):
-                spectra[i] = spectrum
-                metrics[i] = window
-        # Record in original feed order regardless of grouping, so each
-        # subject's emission indices and delivery order are exactly what
-        # a homogeneous hub would produce.
-        emitted: dict = {}
-        touched: dict = {}
-        for (session, start, lo, hi), spectrum, window, (_, level) in zip(
-            pending, spectra, metrics, levels
-        ):
-            emission = session._record(
-                start, lo, hi, spectrum, window, quality=level
+            spectra, metrics = engine._analyze_spans_batch(
+                t_cat, x_cat, spans, self._count_ops,
+                variants=variants, corrected=c_cat,
             )
-            emitted.setdefault(session.subject_id, []).append(emission)
-            touched[id(session)] = session
-        for session in touched.values():
-            # flush always takes a session's *whole* deferred set, so
-            # nothing references its buffer anymore: safe to compact.
-            session._deferred = 0
-            session._compact()
+        with engine._profile_span("record"):
+            emitted: dict = {}
+            touched: dict = {}
+            for (session, start, lo, hi), spectrum, window, level in zip(
+                pending, spectra, metrics, levels
+            ):
+                emission = session._record(
+                    start, lo, hi, spectrum, window, quality=level
+                )
+                emitted.setdefault(session.subject_id, []).append(emission)
+                touched[id(session)] = session
+            for session in touched.values():
+                # flush always takes a session's *whole* deferred set,
+                # so nothing references its buffer anymore: safe to
+                # compact.
+                session._deferred = 0
+                session._compact()
         return emitted
 
     # ------------------------------------------------------------------

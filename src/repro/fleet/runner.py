@@ -729,22 +729,32 @@ class FleetRunner:
         return collected  # every slot filled: imap yields one per task
 
     @staticmethod
-    def _flatten_collected(collected) -> tuple[list, tuple]:
-        """Concatenate per-slice packed results back into span order."""
-        spectra = [
+    def _flatten_collected(collected, slices) -> tuple[list, tuple]:
+        """Scatter per-slice packed results back into span order.
+
+        ``slices`` holds each slice's ``(variant, span indices)``, in
+        the order of ``collected``.
+        """
+        order = [i for _variant, indices in slices for i in indices]
+        spectra: list = [None] * len(order)
+        metrics: list = [None] * len(order)
+        flat_spectra = (
             spectrum
             for packed, _metrics in collected
             for spectrum in unpack_spectra(packed)
-        ]
-        metrics = tuple(
+        )
+        flat_metrics = (
             window
             for _packed, packed_metrics in collected
             for window in unpack_metrics(packed_metrics)
         )
-        return spectra, metrics
+        for i, spectrum, window in zip(order, flat_spectra, flat_metrics):
+            spectra[i] = spectrum
+            metrics[i] = window
+        return spectra, tuple(metrics)
 
     def run_spans(
-        self, times, values, spans, count_ops: bool = False, variant=None,
+        self, times, values, spans, count_ops: bool = False, variants=None,
         corrected=None,
     ) -> tuple[list, tuple]:
         """Analyse one flat span batch, dispatching over the pool.
@@ -753,22 +763,26 @@ class FleetRunner:
         validated sample array pair — typically many subjects' completed
         windows concatenated back to back — and ``spans`` are its
         ``[start, stop)`` window ranges.  With ``n_jobs > 1`` the spans
-        are split into contiguous slices over the **persistent** worker
-        pool (created on first use, shared with :meth:`run`), the
-        arrays travel once through the shm transport, and the spectra
-        come back in span order; ``n_jobs == 1`` (or a batch too small
-        to split) runs in-process.  Either way the result is
-        bit-identical to a single in-process
+        are split into slices over the **persistent** worker pool
+        (created on first use, shared with :meth:`run`), the arrays
+        travel once through the shm transport, and the spectra come
+        back in span order; ``n_jobs == 1`` (or a batch too small to
+        split) runs in-process.  Either way the result is bit-identical
+        to a single in-process
         :func:`~repro.lomb.welch.analyze_spans_quality` call: every
         kernel is batch-composition-independent and every process is
         pinned to the same provider and chunk size.
 
-        ``variant`` runs the whole batch at a degraded quality level (a
-        ``(system_kind, PruningSpec)`` ladder rung): every slice
-        carries the variant to its executor, and each executor resolves
-        it against its own cached variant engine — so a level-M batch
-        is bit-identical across the in-process, shm-pool and socket
-        transports, exactly like the base engine.
+        ``variants`` names each span's quality level: ``None`` for the
+        base engine, else a ``(system_kind, PruningSpec)`` ladder rung
+        (``variants=None`` runs every span at the base).  In-process the
+        whole batch is one kernel call with per-span FFT owners.  Pool
+        and socket slices each hold one level: the spans are grouped by
+        variant, each group is sliced, and every slice carries its
+        variant to an executor that resolves it against its own cached
+        variant engine — so a level-M span is bit-identical across the
+        in-process, shm-pool and socket transports, exactly like the
+        base engine.
 
         ``corrected`` is the optional interpolated-beat 0/1 mask
         aligned with ``values``; it travels to the executors exactly
@@ -778,22 +792,44 @@ class FleetRunner:
         spans = tuple(spans)
         if not spans:
             return [], ()
+        if variants is None:
+            variants = (None,) * len(spans)
+        elif len(variants) != len(spans):
+            raise ConfigurationError(
+                f"{len(variants)} variants for {len(spans)} spans"
+            )
         chunk, provider = self._resolve_execution()
         n_slots = self.n_jobs + len(self.workers)
-        n_slices = max(
-            1, min(n_slots, len(spans) // MIN_SPANS_PER_SLICE)
-        )
-        if n_slices == 1:
+
+        def n_slices(n_spans: int) -> int:
+            return max(1, min(n_slots, n_spans // MIN_SPANS_PER_SLICE))
+
+        if n_slices(len(spans)) == 1:
             # n_jobs == 1, or a batch too small to split: a single
             # pool slice would pay shm setup + IPC per flush for work
             # the (identically pinned, hence bit-identical) in-process
             # call does cheaper.
+            analyzers = {
+                variant: self._variant_welch(variant).analyzer
+                for variant in set(variants)
+            }
             with pinned_execution(provider, chunk):
                 return analyze_spans_quality(
-                    self._variant_welch(variant).analyzer,
-                    times, values, spans, count_ops, corrected=corrected,
+                    self.welch.analyzer, times, values, spans, count_ops,
+                    corrected=corrected,
+                    owners=[analyzers[variant] for variant in variants],
                 )
-        bounds = [len(spans) * i // n_slices for i in range(n_slices + 1)]
+        by_variant: dict = {}
+        for i, variant in enumerate(variants):
+            by_variant.setdefault(variant, []).append(i)
+        slices: list[tuple] = []
+        for variant, indices in by_variant.items():
+            k = n_slices(len(indices))
+            bounds = [len(indices) * i // k for i in range(k + 1)]
+            slices.extend(
+                (variant, indices[lo:hi])
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            )
         if self.workers:
             arrays = [np.asarray(times), np.asarray(values)]
             corrected_key = None
@@ -805,21 +841,19 @@ class FleetRunner:
                     task_id=batch_id,
                     times_key=0,
                     values_key=1,
-                    spans=spans[lo:hi],
+                    spans=tuple(spans[i] for i in indices),
                     count_ops=count_ops,
                     variant=variant,
                     corrected_key=corrected_key,
                 )
-                for batch_id, (lo, hi) in enumerate(
-                    zip(bounds[:-1], bounds[1:])
-                )
+                for batch_id, (variant, indices) in enumerate(slices)
             ]
             collected, _ = self._run_scheduled(
                 arrays, wire_tasks, chunk, provider
             )
-            return self._flatten_collected(collected)
+            return self._flatten_collected(collected, slices)
         pool = self._ensure_pool(chunk, provider)
-        collected: list[tuple | None] = [None] * n_slices
+        collected: list[tuple | None] = [None] * len(slices)
         with SharedRecordingStore() as store:
             times_ref = store.put(times)
             values_ref = store.put(values)
@@ -831,14 +865,12 @@ class FleetRunner:
                     batch_id=batch_id,
                     times_ref=times_ref,
                     values_ref=values_ref,
-                    spans=spans[lo:hi],
+                    spans=tuple(spans[i] for i in indices),
                     count_ops=count_ops,
                     variant=variant,
                     corrected_ref=corrected_ref,
                 )
-                for batch_id, (lo, hi) in enumerate(
-                    zip(bounds[:-1], bounds[1:])
-                )
+                for batch_id, (variant, indices) in enumerate(slices)
             ]
             try:
                 self._collect_unordered(
@@ -847,7 +879,7 @@ class FleetRunner:
             except BaseException:
                 self._discard_pool()
                 raise
-        return self._flatten_collected(collected)
+        return self._flatten_collected(collected, slices)
 
     # -- distributed scheduling ----------------------------------------
 

@@ -24,6 +24,12 @@ Two execution paths produce the same spectra:
   ``(n_windows, nout)`` array operations.  Backends without a batch
   entry point fall back to sequential per-window calls.
 
+Only the FFT stage depends on the backend, which is all a quality level
+changes (the paper's Fig. 1a).  So one batch can mix levels: an optional
+``owners`` argument names each window's FFT owner — the analyser of its
+ladder rung — and the batch runs every other stage once over all rows
+and the FFT once per owner over that owner's rows.
+
 Two execution fast paths sit on top (both produce ``np.allclose``
 spectra and identical modelled op counts):
 
@@ -240,6 +246,23 @@ def _row_means(x: np.ndarray, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
         group = ns == n
         out[group] = x[group, :n].sum(axis=1) / n
     return out
+
+
+#: Settings every FFT owner of a batch must share with the analyser that
+#: runs the batch's other stages (they fix the frequency grid, the
+#: extirpolation and the combine's normalisation).
+_SHARED_WITH_OWNERS = (
+    "workspace_size", "oversample", "max_frequency", "order", "scaling",
+)
+
+
+def _owner_runs(owners: list, ranks: np.ndarray) -> list[tuple]:
+    """``(owner, lo, hi)`` row ranges of a chunk whose rows sort by owner."""
+    cuts = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
+    edges = [0, *cuts.tolist(), ranks.size]
+    return [
+        (owners[ranks[lo]], lo, hi) for lo, hi in zip(edges[:-1], edges[1:])
+    ]
 
 
 class FastLomb:
@@ -507,8 +530,74 @@ class FastLomb:
     # Batched execution
     # ------------------------------------------------------------------
 
+    def _batch_capable(self, count_ops: bool) -> bool:
+        """Whether the dense kernel can drive this analyser's backend.
+
+        The fused real path only calls ``rfft_batch`` (guaranteed at
+        construction); the packed path needs ``transform_batch`` and,
+        when counting, ``transform_batch_with_counts`` too.
+        """
+        if self.fused_real:
+            return True
+        names = ["transform_batch"]
+        if count_ops:
+            names.append("transform_batch_with_counts")
+        return all(hasattr(self.backend, name) for name in names)
+
+    def _owner_ranks(
+        self, owners, n: int
+    ) -> tuple[list["FastLomb"], np.ndarray]:
+        """Distinct FFT owners of an *n*-window batch, and each window's.
+
+        ``owners`` is ``None`` (this analyser owns every window) or one
+        :class:`FastLomb` per window.  An owner contributes only the FFT
+        stage — its backend, fused-real choice, band-drop gains and
+        operation counts; every other stage runs once on this analyser
+        over all rows.  So each owner must share this analyser's
+        workspace size, oversample, max frequency, order and scaling,
+        and one that does not raises :class:`ConfigurationError` before
+        any kernel work.  Returns ``(distinct owners, ranks)``, where
+        ``ranks[i]`` indexes window ``i``'s owner.
+        """
+        if owners is None:
+            return [self], np.zeros(n, dtype=np.intp)
+        owners = list(owners)
+        if len(owners) != n:
+            raise ConfigurationError(
+                f"{len(owners)} FFT owners for {n} windows"
+            )
+        index: dict[int, int] = {}
+        distinct: list[FastLomb] = []
+        for owner in owners:
+            if id(owner) not in index:
+                self._check_owner(owner)
+                index[id(owner)] = len(distinct)
+                distinct.append(owner)
+        ranks = np.fromiter(
+            (index[id(owner)] for owner in owners), dtype=np.intp, count=n
+        )
+        return distinct, ranks
+
+    def _check_owner(self, owner) -> None:
+        if not isinstance(owner, FastLomb):
+            raise ConfigurationError(
+                f"FFT owners must be FastLomb analysers, got "
+                f"{type(owner).__name__}"
+            )
+        for name in _SHARED_WITH_OWNERS:
+            mine, theirs = getattr(self, name), getattr(owner, name)
+            if theirs != mine:
+                raise ConfigurationError(
+                    f"FFT owner {name} {theirs!r} differs from the "
+                    f"analyser's {mine!r}"
+                )
+
     def periodogram_batch(
-        self, windows, count_ops: bool = False, validate: bool = True
+        self,
+        windows,
+        count_ops: bool = False,
+        validate: bool = True,
+        owners=None,
     ) -> list[LombSpectrum]:
         """Fast-Lomb periodograms of many windows in one batched pass.
 
@@ -522,48 +611,52 @@ class FastLomb:
             Per-window array validation; pass ``False`` only when the
             caller has already validated the parent recording (the Welch
             driver does).
+        owners:
+            Optional per-window FFT owners, one :class:`FastLomb` per
+            window (``None``: this analyser owns them all).  Window
+            ``i`` runs the FFT stage on ``owners[i]`` and every other
+            stage here, so one call serves windows of several quality
+            levels, and each window's spectrum and counts equal those
+            of a batch call on ``owners[i]`` alone, byte for byte.
 
         Windows are grouped by frequency-grid length ``nout`` (windows of
         different durations probe different grids) and each group runs as
         dense ``(n_windows, N)`` array operations: one flattened
-        scatter-add extirpolation, one call into the backend's
-        ``transform_batch`` and a fully vectorised Lomb combine.  Results
-        are returned in input order and match :meth:`periodogram`
-        window-for-window (same spectra, same operation counts).
+        scatter-add extirpolation, one FFT call per owner and a fully
+        vectorised Lomb combine.  Results are returned in input order
+        and match :meth:`periodogram` window-for-window (same spectra,
+        same operation counts).
 
-        Backends that do not implement ``transform_batch`` are driven
-        through the sequential path transparently.
+        When some owner's backend does not implement the batch entry
+        points, every window is driven through its owner's sequential
+        :meth:`periodogram` instead.
         """
         pairs = list(windows)
-        # The count_ops branch needs the counting batch entry point too;
-        # kernels implementing only part of the batch protocol fall back
-        # to the sequential path, as the module docstring promises.  On
-        # the fused real path the dense kernel only ever calls
-        # rfft_batch (guaranteed at construction), so no fallback is
-        # needed — mirroring periodogram_batch_matrix.
-        batch_methods = ["transform_batch"]
-        if count_ops:
-            batch_methods.append("transform_batch_with_counts")
-        if not self.fused_real and not all(
-            hasattr(self.backend, name) for name in batch_methods
-        ):
+        distinct, ranks = self._owner_ranks(owners, len(pairs))
+        if not all(owner._batch_capable(count_ops) for owner in distinct):
             return [
-                self.periodogram(t, x, count_ops=count_ops) for t, x in pairs
+                distinct[rank].periodogram(t, x, count_ops=count_ops)
+                for rank, (t, x) in zip(ranks.tolist(), pairs)
             ]
         arrays: list[tuple[np.ndarray, np.ndarray]] = []
         metas: list[tuple[int, float, float, int]] = []
-        for times, values in pairs:
+        groups: dict[int, list[int]] = {}
+        for i, (times, values) in enumerate(pairs):
             t, x, duration, df, nout = self._window_inputs(
                 times, values, validate
             )
             arrays.append((t, x))
             metas.append((t.size, duration, df, nout))
-        groups: dict[int, list[int]] = {}
-        for i, meta in enumerate(metas):
-            groups.setdefault(meta[3], []).append(i)
+            groups.setdefault(nout, []).append(i)
         results: list[LombSpectrum | None] = [None] * len(pairs)
         chunk_windows = get_batch_chunk_windows(self.workspace_size)
+        by_rank = ranks.tolist()
         for nout, indices in groups.items():
+            # Rows of one owner sit together, so every chunk makes one
+            # FFT call per owner over a contiguous row range; rows are
+            # independent, so their order inside a group changes no
+            # result (and the sort is stable).
+            indices.sort(key=by_rank.__getitem__)
             # Bounded sub-batches keep the dense intermediates inside the
             # CPU caches; one monolithic multi-hour batch is measurably
             # slower than cache-sized chunks (rows are independent, so
@@ -575,13 +668,14 @@ class FastLomb:
                     [metas[i] for i in chunk],
                     nout,
                     count_ops,
+                    _owner_runs(distinct, ranks[chunk]),
                 )
                 for i, spectrum in zip(chunk, spectra):
                     results[i] = spectrum
         return results
 
     def periodogram_batch_matrix(
-        self, times, values, count_ops: bool = False
+        self, times, values, count_ops: bool = False, owners=None
     ) -> list[LombSpectrum]:
         """Batched Fast-Lomb over a dense, equal-length window matrix.
 
@@ -593,7 +687,8 @@ class FastLomb:
         :meth:`periodogram_batch` without per-window slicing, padding
         or copying.  Results match the pair-based path row-for-row
         (same spectra, same operation counts); the caller is expected
-        to have validated the parent recording.
+        to have validated the parent recording.  ``owners`` assigns
+        per-row FFT owners exactly as in :meth:`periodogram_batch`.
         """
         t_mat = np.asarray(times, dtype=np.float64)
         x_mat = np.asarray(values, dtype=np.float64)
@@ -607,18 +702,14 @@ class FastLomb:
             return []
         if width < 4:
             raise SignalError("windows too short: need at least 4 samples")
-        # Same capability fallback as periodogram_batch: backends that
-        # only implement the sequential protocol (and are not on the
-        # fused real path) are driven window-by-window.
-        batch_methods = ["transform_batch"]
-        if count_ops:
-            batch_methods.append("transform_batch_with_counts")
-        if not self.fused_real and not all(
-            hasattr(self.backend, name) for name in batch_methods
-        ):
+        distinct, ranks = self._owner_ranks(owners, rows)
+        # Same capability fallback as periodogram_batch.
+        if not all(owner._batch_capable(count_ops) for owner in distinct):
             return [
-                self.periodogram(t_mat[i], x_mat[i], count_ops=count_ops)
-                for i in range(rows)
+                distinct[rank].periodogram(
+                    t_mat[i], x_mat[i], count_ops=count_ops
+                )
+                for i, rank in enumerate(ranks.tolist())
             ]
         durations = t_mat[:, -1] - t_mat[:, 0]
         if np.any(durations <= 0):
@@ -633,13 +724,14 @@ class FastLomb:
         chunk_windows = get_batch_chunk_windows(self.workspace_size)
         for nout in np.unique(nouts):
             indices = np.flatnonzero(nouts == nout)
+            indices = indices[np.argsort(ranks[indices], kind="stable")]
             for lo in range(0, indices.size, chunk_windows):
                 chunk = indices[lo : lo + chunk_windows]
-                # Contiguous runs keep the strided views intact (the
-                # overwhelmingly common case: one frequency grid for
-                # the whole recording); a fragmented group falls back
-                # to a gather copy of just those rows.
-                if chunk.size == chunk[-1] - chunk[0] + 1:
+                # Ascending contiguous runs keep the strided views intact
+                # (the overwhelmingly common case: one frequency grid
+                # and one owner for the whole recording); anything else
+                # falls back to a gather copy of just those rows.
+                if (np.diff(chunk) == 1).all():
                     sel: slice | np.ndarray = slice(
                         int(chunk[0]), int(chunk[-1]) + 1
                     )
@@ -652,6 +744,7 @@ class FastLomb:
                     [metas[i] for i in chunk],
                     int(nout),
                     count_ops,
+                    _owner_runs(distinct, ranks[chunk]),
                 )
                 for i, spectrum in zip(chunk, spectra):
                     results[i] = spectrum
@@ -692,6 +785,7 @@ class FastLomb:
         metas: list[tuple[int, float, float, int]],
         nout: int,
         count_ops: bool,
+        runs: list[tuple["FastLomb", int, int]],
     ) -> list[LombSpectrum]:
         """Batched pipeline for windows sharing one frequency-grid length.
 
@@ -726,7 +820,7 @@ class FastLomb:
                 t_pad[i, :k] = t
                 x_pad[i, :k] = x
             return self._periodogram_group_dense(
-                t_pad, x_pad, ns, metas, nout, count_ops
+                t_pad, x_pad, ns, metas, nout, count_ops, runs
             )
 
     def _periodogram_group_dense(
@@ -737,6 +831,7 @@ class FastLomb:
         metas: list[tuple[int, float, float, int]],
         nout: int,
         count_ops: bool,
+        runs: list[tuple["FastLomb", int, int]],
     ) -> list[LombSpectrum]:
         """Dense ``(rows, max_n)`` kernel shared by both batch entries.
 
@@ -748,6 +843,13 @@ class FastLomb:
         decisions and operation counts — match it exactly; variances
         are re-derived from the centred batch (they only scale the
         output power).
+
+        ``runs`` are the ``(owner, lo, hi)`` row ranges of each FFT
+        owner (:meth:`_owner_ranks`).  Moments, workspace positions,
+        both extirpolations and the Lomb combine run once over all
+        rows; only the FFT stage (:meth:`_fft_rows`) runs per owner,
+        over that owner's rows.  Every stage is row-independent, so a
+        row's result does not depend on which rows share its batch.
 
         Every intermediate (masks, workspaces, FFT outputs, the dozen
         Lomb-combine temporaries) is leased from the active workspace
@@ -763,37 +865,40 @@ class FastLomb:
         rows, max_n = t_pad.shape
         dfs = np.array([meta[2] for meta in metas])
         with scratch() as ws:
-            means, variances = ws.take_block(2, (rows,))
-            _row_means(x_pad, ns, means)
-            valid, invalid = ws.take_block(2, (rows, max_n), np.bool_)
-            centered, pos_data, pos_window, valid_f = ws.take_block(
-                4, (rows, max_n)
-            )
-            np.less(np.arange(max_n)[None, :], ns[:, None], out=valid)
-            np.subtract(x_pad, means[:, None], out=centered)
-            np.logical_not(valid, out=invalid)
-            np.copyto(centered, 0.0, where=invalid)
-            # Per-row dot products over the exact (unpadded) slices: a
-            # padded reduction would round differently depending on the
-            # batch's pad width, making results depend on how windows
-            # were grouped into batches — which would break the fleet
-            # engine's bit-identical shard merging.
-            for i in range(rows):
-                c = centered[i, : ns[i]]
-                variances[i] = c @ c
-            np.divide(variances, ns - 1, out=variances)
-            if np.any(variances <= 0):
-                raise SignalError("window has zero variance")
-            # Padded slots sit at t = 0 and clip to position 0; the
-            # lengths mask keeps them out of the workspaces regardless.
-            np.subtract(t_pad, t_pad[:, :1], out=pos_data)
-            np.multiply(pos_data, (ndim * dfs)[:, None], out=pos_data)
-            np.clip(
-                pos_data, 0.0, np.nextafter(float(ndim), 0.0), out=pos_data
-            )
-            np.multiply(pos_data, 2.0, out=pos_window)
-            np.mod(pos_window, float(ndim), out=pos_window)
-            np.copyto(valid_f, valid)
+            with _profile_span("prepare"):
+                means, variances = ws.take_block(2, (rows,))
+                _row_means(x_pad, ns, means)
+                valid, invalid = ws.take_block(2, (rows, max_n), np.bool_)
+                centered, pos_data, pos_window, valid_f = ws.take_block(
+                    4, (rows, max_n)
+                )
+                np.less(np.arange(max_n)[None, :], ns[:, None], out=valid)
+                np.subtract(x_pad, means[:, None], out=centered)
+                np.logical_not(valid, out=invalid)
+                np.copyto(centered, 0.0, where=invalid)
+                # Per-row dot products over the exact (unpadded) slices:
+                # a padded reduction would round differently depending
+                # on the batch's pad width, making results depend on how
+                # windows were grouped into batches — which would break
+                # the fleet engine's bit-identical shard merging.
+                for i in range(rows):
+                    c = centered[i, : ns[i]]
+                    variances[i] = c @ c
+                np.divide(variances, ns - 1, out=variances)
+                if np.any(variances <= 0):
+                    raise SignalError("window has zero variance")
+                # Padded slots sit at t = 0 and clip to position 0; the
+                # lengths mask keeps them out of the workspaces
+                # regardless.
+                np.subtract(t_pad, t_pad[:, :1], out=pos_data)
+                np.multiply(pos_data, (ndim * dfs)[:, None], out=pos_data)
+                np.clip(
+                    pos_data, 0.0, np.nextafter(float(ndim), 0.0),
+                    out=pos_data,
+                )
+                np.multiply(pos_data, 2.0, out=pos_window)
+                np.mod(pos_window, float(ndim), out=pos_window)
+                np.copyto(valid_f, valid)
             wk1, wk2 = ws.take_block(2, (rows, ndim))
             with _profile_span("extirpolate"):
                 extirpolate_batch(
@@ -803,75 +908,24 @@ class FastLomb:
                     valid_f, pos_window, ndim, self.order, lengths=ns, out=wk2
                 )
 
-            m = np.arange(1, nout + 1)
-            # Providers advertise out= support; anything else (the
-            # explicit oracle, the pruned wavelet kernel, third-party
-            # providers with the pre-out= signature) transparently
-            # keeps its fresh-allocation behaviour.
-            backend_out = getattr(self.backend, "supports_out", False)
+            # Bins 1..nout of the data and window spectra: each owner
+            # fills its own rows, and the combine reads every row.
+            data_ft, win_ft = ws.take_block(2, (rows, nout), np.complex128)
+            fft_counts: list[OpCounts] = []
+            row_owners: list[FastLomb] = []
             with _profile_span("fft"):
-                if self.fused_real:
-                    # Fused real path (see :meth:`periodogram`): two
-                    # batched rffts instead of pack + complex FFT +
-                    # unpack.  ``m`` is contiguous, so the bin
-                    # selections are strided views, not gather copies.
-                    half = ndim // 2 + 1
-                    if backend_out:
-                        r1_buf, r2_buf = ws.take_block(
-                            2, (rows, half), np.complex128
-                        )
-                        r1 = self.backend.rfft_batch(wk1, out=r1_buf)
-                        r2 = self.backend.rfft_batch(wk2, out=r2_buf)
-                    else:
-                        r1 = self.backend.rfft_batch(wk1)
-                        r2 = self.backend.rfft_batch(wk2)
-                    data_ft = r1[:, 1 : nout + 1]
-                    win_ft = r2[:, 1 : nout + 1]
-                    fft_counts = (
-                        (self.backend.static_counts(),) * rows
-                        if count_ops
-                        else None
+                for owner, lo, hi in runs:
+                    counts = owner._fft_rows(
+                        ws,
+                        wk1[lo:hi],
+                        wk2[lo:hi],
+                        data_ft[lo:hi],
+                        win_ft[lo:hi],
+                        count_ops,
                     )
-                else:
-                    packed = ws.take((rows, ndim), np.complex128)
-                    packed.real[:] = wk1
-                    packed.imag[:] = wk2
                     if count_ops:
-                        spectrum, fft_counts = (
-                            self.backend.transform_batch_with_counts(packed)
-                        )
-                    else:
-                        if backend_out:
-                            spectrum = self.backend.transform_batch(
-                                packed,
-                                out=ws.take((rows, ndim), np.complex128),
-                            )
-                        else:
-                            spectrum = self.backend.transform_batch(packed)
-                        fft_counts = None
-
-                    # z_pos covers bins 1..nout; z_neg their mirrors
-                    # ndim-1 down to ndim-nout — both as views.
-                    z_pos = spectrum[:, 1 : nout + 1]
-                    z_neg = spectrum[:, ndim - 1 : ndim - nout - 1 : -1]
-                    gains = self._backend_gains()
-                    if gains is not None:
-                        zp, zn = ws.take_block(2, (rows, nout), np.complex128)
-                        np.multiply(z_pos, gains[1 : nout + 1], out=zp)
-                        np.multiply(
-                            z_neg,
-                            gains[ndim - 1 : ndim - nout - 1 : -1],
-                            out=zn,
-                        )
-                        z_pos, z_neg = zp, zn
-                    conj_neg, data_ft, win_ft = ws.take_block(
-                        3, (rows, nout), np.complex128
-                    )
-                    np.conjugate(z_neg, out=conj_neg)
-                    np.add(z_pos, conj_neg, out=data_ft)
-                    np.multiply(data_ft, 0.5, out=data_ft)
-                    np.subtract(z_pos, conj_neg, out=win_ft)
-                    np.multiply(win_ft, -0.5j, out=win_ft)
+                        fft_counts.extend(counts)
+                        row_owners.extend([owner] * (hi - lo))
 
             with _profile_span("lomb_combine"):
                 (
@@ -936,13 +990,15 @@ class FastLomb:
                 else:
                     np.divide(raw, nn, out=power)
 
+            m = np.arange(1, nout + 1)
             spectra: list[LombSpectrum] = []
             for i, meta in enumerate(metas):
                 n, duration, df, _nout = meta
                 counts = None
                 if count_ops:
                     counts = sum(
-                        self._non_fft_counts(n, nout).values(), fft_counts[i]
+                        row_owners[i]._non_fft_counts(n, nout).values(),
+                        fft_counts[i],
                     )
                 spectra.append(
                     LombSpectrum(
@@ -956,6 +1012,78 @@ class FastLomb:
                     )
                 )
         return spectra
+
+    def _fft_rows(
+        self,
+        ws,
+        wk1: np.ndarray,
+        wk2: np.ndarray,
+        data_ft: np.ndarray,
+        win_ft: np.ndarray,
+        count_ops: bool,
+    ) -> tuple[OpCounts, ...] | None:
+        """The dense kernel's FFT stage over the rows this analyser owns.
+
+        The one stage that depends on the backend.  Writes bins
+        ``1..nout`` of the data and window spectra of ``wk1`` / ``wk2``
+        into the ``(rows, nout)`` complex ``data_ft`` / ``win_ft`` and
+        returns the per-row FFT :class:`OpCounts`, or ``None`` unless
+        counting.  Temporaries lease from ``ws``.
+        """
+        rows, nout = data_ft.shape
+        ndim = self.workspace_size
+        # Providers advertise out= support; anything else (the explicit
+        # oracle, the pruned wavelet kernel, third-party providers with
+        # the pre-out= signature) keeps its fresh-allocation behaviour.
+        backend_out = getattr(self.backend, "supports_out", False)
+        if self.fused_real:
+            # Fused real path (see :meth:`periodogram`): two batched
+            # rffts instead of pack + complex FFT + unpack.
+            half = ndim // 2 + 1
+            for wk, ft in ((wk1, data_ft), (wk2, win_ft)):
+                if backend_out:
+                    spectrum = self.backend.rfft_batch(
+                        wk, out=ws.take((rows, half), np.complex128)
+                    )
+                else:
+                    spectrum = self.backend.rfft_batch(wk)
+                np.copyto(ft, spectrum[:, 1 : nout + 1])
+            if count_ops:
+                return (self.backend.static_counts(),) * rows
+            return None
+        packed = ws.take((rows, ndim), np.complex128)
+        packed.real[:] = wk1
+        packed.imag[:] = wk2
+        fft_counts = None
+        if count_ops:
+            spectrum, fft_counts = self.backend.transform_batch_with_counts(
+                packed
+            )
+        elif backend_out:
+            spectrum = self.backend.transform_batch(
+                packed, out=ws.take((rows, ndim), np.complex128)
+            )
+        else:
+            spectrum = self.backend.transform_batch(packed)
+        # z_pos covers bins 1..nout; z_neg their mirrors ndim-1 down to
+        # ndim-nout — both as views.
+        z_pos = spectrum[:, 1 : nout + 1]
+        z_neg = spectrum[:, ndim - 1 : ndim - nout - 1 : -1]
+        gains = self._backend_gains()
+        if gains is not None:
+            zp, zn = ws.take_block(2, (rows, nout), np.complex128)
+            np.multiply(z_pos, gains[1 : nout + 1], out=zp)
+            np.multiply(
+                z_neg, gains[ndim - 1 : ndim - nout - 1 : -1], out=zn
+            )
+            z_pos, z_neg = zp, zn
+        conj_neg = ws.take((rows, nout), np.complex128)
+        np.conjugate(z_neg, out=conj_neg)
+        np.add(z_pos, conj_neg, out=data_ft)
+        np.multiply(data_ft, 0.5, out=data_ft)
+        np.subtract(z_pos, conj_neg, out=win_ft)
+        np.multiply(win_ft, -0.5j, out=win_ft)
+        return fft_counts
 
     # ------------------------------------------------------------------
 

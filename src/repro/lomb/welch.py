@@ -231,6 +231,7 @@ def analyze_spans(
     values: np.ndarray,
     spans,
     count_ops: bool = False,
+    owners=None,
 ) -> list[LombSpectrum]:
     """Batch-analyse the given window spans of one validated recording.
 
@@ -240,7 +241,9 @@ def analyze_spans(
     the identical pipeline.  Uniform span layouts go through the
     zero-copy :func:`uniform_window_matrix` fast path; everything else
     slices per-window views and drives
-    :meth:`~repro.lomb.fast.FastLomb.periodogram_batch`.
+    :meth:`~repro.lomb.fast.FastLomb.periodogram_batch`.  ``owners``
+    optionally names each span's FFT owner (see
+    :meth:`~repro.lomb.fast.FastLomb.periodogram_batch`).
     """
     matrix = (
         uniform_window_matrix(times, values, spans)
@@ -249,11 +252,11 @@ def analyze_spans(
     )
     if matrix is not None:
         return analyzer.periodogram_batch_matrix(
-            matrix[0], matrix[1], count_ops=count_ops
+            matrix[0], matrix[1], count_ops=count_ops, owners=owners
         )
     windows = [(times[start:stop], values[start:stop]) for start, stop in spans]
     return analyzer.periodogram_batch(
-        windows, count_ops=count_ops, validate=False
+        windows, count_ops=count_ops, validate=False, owners=owners
     )
 
 
@@ -264,6 +267,7 @@ def analyze_spans_quality(
     spans,
     count_ops: bool = False,
     corrected: np.ndarray | None = None,
+    owners=None,
 ) -> tuple[list[LombSpectrum], tuple[WindowMetrics, ...]]:
     """:func:`analyze_spans` plus per-window time-domain metrics.
 
@@ -274,13 +278,28 @@ def analyze_spans_quality(
     about which beats a window held.  ``corrected`` is the optional
     0/1 interpolated-beat mask aligned with ``values``.
 
-    Spans arrive from the wire as well as from the planners, so each
-    must be an integer pair with ``0 <= lo < hi <= len(values)``; the
-    first one that is not raises a :class:`SignalError` before any
-    kernel work.
+    ``owners`` optionally names each span's FFT owner — the
+    :class:`FastLomb` of its quality level — so one call analyses a
+    batch that mixes levels: ``analyzer`` runs every stage but the FFT
+    once over all spans, each owner runs the FFT over its own spans,
+    and every span's result equals a call on its owner alone, byte for
+    byte.  ``None`` runs every span on ``analyzer``.
+
+    Spans and sample arrays arrive from the wire as well as from the
+    planners.  ``times`` and ``values`` must be 1-D and of equal
+    length, and each span an integer pair with ``0 <= lo < hi <=
+    len(values)``; the first violation raises a :class:`SignalError`
+    before any kernel work.
     """
+    if np.ndim(times) != 1 or np.shape(times) != np.shape(values):
+        raise SignalError(
+            "times and values must be 1-D arrays of equal length, got "
+            f"shapes {np.shape(times)} and {np.shape(values)}"
+        )
     span_bounds(spans, len(values))
-    spectra = analyze_spans(analyzer, times, values, spans, count_ops)
+    spectra = analyze_spans(
+        analyzer, times, values, spans, count_ops, owners=owners
+    )
     with _profile_span("metrics"):
         metrics = window_metrics_batch(values, spans, corrected=corrected)
     return spectra, metrics

@@ -5,11 +5,14 @@ steady-state flushes spend their time in math, not in the allocator.
 This module makes that claim *observable*: named timing (and optionally
 allocation) spans around the pipeline stages
 
-``extirpolate`` → ``fft`` → ``lomb_combine`` → ``metrics`` → ``assemble``
-→ ``hub_flush``
+``concat`` → ``prepare`` → ``extirpolate`` → ``fft`` → ``lomb_combine``
+→ ``metrics`` → ``record`` → ``assemble`` → ``hub_flush``
 
 surfaced through ``python -m repro profile`` and the ``profile=`` knob
-on :class:`~repro.engine.EngineConfig`.
+on :class:`~repro.engine.EngineConfig`.  ``concat`` and ``record`` are
+the hub's gather of pending windows and its emission recording;
+``prepare`` is the dense kernel's window moments and workspace
+positions.
 
 The cardinal constraint is *near-zero overhead when disabled*: the hot
 path calls :func:`span` per kernel invocation, so the disabled path must
@@ -41,7 +44,8 @@ __all__ = [
 #: Canonical stage names, in pipeline order (report rows keep first-seen
 #: order, so canonical stages render in this order when present).
 STAGES = (
-    "extirpolate", "fft", "lomb_combine", "metrics", "assemble", "hub_flush",
+    "concat", "prepare", "extirpolate", "fft", "lomb_combine", "metrics",
+    "record", "assemble", "hub_flush",
 )
 
 

@@ -39,6 +39,9 @@ def test_streaming_benchmark_smoke(tmp_path):
         repeats=1,
         slo_target_ms=30.0,
     )
+    host = document["host"]
+    assert host["cpu_count"] >= 1
+    assert {"python", "numpy", "scipy"} <= set(host)
     workload = document["workload"]
     assert workload["n_subjects"] == 3
     assert workload["n_windows_total"] >= 9
@@ -75,6 +78,8 @@ def test_streaming_benchmark_smoke(tmp_path):
     # controller must shed quality and pull the steady-state p95 below
     # the uncontrolled replay's.
     shedding = document["shedding"]
+    # Its latencies are the fault harness's cost model, not host time.
+    assert shedding["modelled"] is True
     off, on = shedding["controller_off"], shedding["controller_on"]
     assert off["windows"] == on["windows"] > 0
     assert off["shed_windows"] == 0

@@ -377,6 +377,39 @@ class TestRunSpansMultiprocess:
             np.testing.assert_array_equal(got.power, want.power)
             assert got.counts == want.counts
 
+    def test_interleaved_variants_come_back_in_span_order(self):
+        """Pool slices hold one level each; results keep span order."""
+        from repro.engine import EngineConfig
+        from repro.engine.controller import degradation_ladder
+        from repro.engine.engine import build_system
+
+        config = EngineConfig(system="quality-scalable", provider="numpy")
+        welch = build_system(config).welch
+        rr = _cohort(n=1, seconds=2400.0)[0]
+        plan = welch.plan_windows(rr.times, rr.intervals)
+        rungs = [None] + [
+            (rung.system, rung.pruning) for rung in degradation_ladder(config)
+        ][1:]
+        variants = [rungs[i % len(rungs)] for i in range(plan.n_windows)]
+        single = FleetRunner(
+            welch=welch, n_jobs=1, provider="numpy", config=config
+        )
+        reference, ref_metrics = single.run_spans(
+            plan.times, plan.values, plan.spans, count_ops=True,
+            variants=variants,
+        )
+        with FleetRunner(
+            welch=welch, n_jobs=2, provider="numpy", config=config
+        ) as runner:
+            spectra, metrics = runner.run_spans(
+                plan.times, plan.values, plan.spans, count_ops=True,
+                variants=variants,
+            )
+        assert metrics == ref_metrics
+        for got, want in zip(spectra, reference):
+            assert got.power.tobytes() == want.power.tobytes()
+            assert got.counts == want.counts
+
 
 @pytest.mark.slow
 class TestPoolLifecycle:

@@ -2,12 +2,14 @@
 
 The tentpole invariant of quality-adaptive shedding: a subject pinned
 at ladder level M inside a *heterogeneous* flush (other subjects at
-other levels, all analysed grouped-by-level through the one
-``analyze_spans`` choke point) must emit windows bit-identical —
-spectra **and** executed :class:`OpCounts` — to the same samples run
-through a hub homogeneously at level M.  Checked for both PSA systems,
-every registered provider, and all three transports (in-process,
-shm pool, socket daemon).
+other levels, all analysed in one ``analyze_spans_quality`` call whose
+FFT stage runs once per level) must emit windows bit-identical —
+spectra, executed :class:`OpCounts`, centres and window metrics — to
+the same samples run through a hub homogeneously at level M.  Checked
+with one subject on every ladder rung for both PSA systems and every
+registered provider, and on three rungs across all three transports
+(in-process, shm pool, socket daemon), where pool and socket slices
+each hold one level.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ from repro.engine import Engine, EngineConfig, SLOSpec
 from repro.ffts.providers.registry import available_providers
 from repro.fleet.remote import WorkerDaemon
 
-LEVELS = {"mon-a": 0, "mon-b": 2, "mon-c": 3}
+#: One subject on every rung of the five-level ladder.
+LEVELS = {"mon-a": 0, "mon-b": 2, "mon-c": 3, "mon-d": 1, "mon-e": 4}
+
+#: The slow transport matrix keeps three rungs to bound its run time.
+TRANSPORT_LEVELS = {"mon-a": 0, "mon-b": 2, "mon-c": 3}
 
 
 def _providers():
@@ -58,9 +64,11 @@ def assert_emissions_identical(got, want):
     for g, w in zip(got, want):
         assert g.quality == w.quality
         assert g.start == w.start
+        assert g.center == w.center
         assert np.array_equal(g.spectrum.frequencies, w.spectrum.frequencies)
         assert np.array_equal(g.spectrum.power, w.spectrum.power)
         assert g.spectrum.counts == w.spectrum.counts
+        assert g.metrics.to_dict() == w.metrics.to_dict()
 
 
 class TestHeterogeneousBitIdentity:
@@ -76,6 +84,24 @@ class TestHeterogeneousBitIdentity:
             homogeneous = run_hub(config, {subject: level})
             assert_emissions_identical(mixed[subject], homogeneous[subject])
             assert all(e.quality == level for e in mixed[subject])
+
+    def test_mixed_flush_is_one_kernel_call(self, monkeypatch):
+        """All five levels share one analyze_spans_quality call."""
+        import repro.engine.engine as engine_module
+
+        calls = []
+        kernel = engine_module.analyze_spans_quality
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[3]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "analyze_spans_quality", counting)
+        config = EngineConfig(system="quality-scalable", slo=SLOSpec())
+        mixed = run_hub(config, LEVELS)
+        qualities = {e.quality for emitted in mixed.values() for e in emitted}
+        assert qualities == set(range(5))
+        assert calls == [sum(map(len, mixed.values()))]
 
     def test_levels_change_which_spectra_emerge(self):
         """Sanity: degraded levels actually produce different spectra."""
@@ -106,15 +132,15 @@ class TestTransportsAgree:
 
     def test_in_process_pool_socket(self, shared_daemon):
         config = EngineConfig(system="quality-scalable", slo=SLOSpec())
-        reference = run_hub(config, LEVELS, beats=self.BEATS)
+        reference = run_hub(config, TRANSPORT_LEVELS, beats=self.BEATS)
         pool = run_hub(
-            config.replace(jobs=2), LEVELS, beats=self.BEATS
+            config.replace(jobs=2), TRANSPORT_LEVELS, beats=self.BEATS
         )
         socket_cfg = config.replace(
             jobs=1, workers=(shared_daemon.address,)
         )
-        remote = run_hub(socket_cfg, LEVELS, beats=self.BEATS)
-        for subject in LEVELS:
+        remote = run_hub(socket_cfg, TRANSPORT_LEVELS, beats=self.BEATS)
+        for subject in TRANSPORT_LEVELS:
             assert len(reference[subject]) >= 16  # really sliced
             assert_emissions_identical(pool[subject], reference[subject])
             assert_emissions_identical(remote[subject], reference[subject])

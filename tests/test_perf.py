@@ -18,6 +18,7 @@ from repro.engine import Engine, EngineConfig
 from repro.hrv.rr import RRSeries
 from repro.perf.profiler import (
     NULL_SPAN,
+    STAGES,
     StageProfiler,
     get_active_profiler,
     profile_scope,
@@ -267,6 +268,19 @@ class TestEngineIntegration:
         assert report["hub_flush"]["calls"] == 1
         assert report["metrics"]["calls"] >= 1
         assert report["metrics"]["seconds"] <= report["hub_flush"]["seconds"]
+
+    def test_profiled_hub_flush_names_gather_prepare_and_record(self):
+        rr = _synthetic_rr()
+        with Engine(EngineConfig(profile=True)) as engine:
+            hub = engine.open_hub()
+            hub.feed("s", rr.times, rr.intervals)
+            hub.flush()
+            report = engine.profiler.report()
+            hub.close()
+        for stage in ("concat", "prepare", "record"):
+            assert stage in STAGES
+            assert report[stage]["calls"] >= 1
+            assert report[stage]["seconds"] <= report["hub_flush"]["seconds"]
 
     def test_profile_off_engine_has_no_profiler(self):
         with Engine(EngineConfig()) as engine:

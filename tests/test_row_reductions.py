@@ -438,3 +438,78 @@ class TestMalformedSpans:
                 )
             finally:
                 worker.close()
+
+
+# ----------------------------------------------------------------------
+# Mismatched sample arrays
+# ----------------------------------------------------------------------
+
+#: ``(times, values)`` shapes the choke point must refuse.  Before the
+#: check, a short ``times`` failed with an untyped broadcast ValueError
+#: inside the kernel and a 2-D ``times`` with a TypeError.
+BAD_ARRAYS = ("times_short", "values_short", "times_2d", "values_2d")
+
+
+def _bad_arrays(times, values, name):
+    return {
+        "times_short": (times[:-20], values),
+        "values_short": (times, values[:-20]),
+        "times_2d": (times.reshape(2, -1), values),
+        "values_2d": (times, values.reshape(2, -1)),
+    }[name]
+
+
+class TestMismatchedSampleArrays:
+    @pytest.mark.parametrize("name", BAD_ARRAYS)
+    def test_choke_point_raises_typed_error(self, recording_920, name):
+        times, values = _bad_arrays(*recording_920, name)
+        with pytest.raises(SignalError, match="must be 1-D arrays of equal"):
+            analyze_spans_quality(
+                _UntouchedKernel(), times, values, [(0, 150)]
+            )
+
+    @pytest.mark.slow
+    def test_worker_daemon_returns_task_error(self, recording_920):
+        previous = get_active_arena()
+        try:
+            self._daemon_round_trip(*recording_920)
+        finally:
+            set_active_arena(previous)
+
+    @staticmethod
+    def _daemon_round_trip(times, values):
+        config = EngineConfig(provider="numpy")
+        resolved = config.resolve()
+        good = [(0, 150), (75, 240)]
+        with WorkerDaemon() as daemon:
+            daemon.start()
+            worker = RemoteWorker(daemon.address, timeout=10.0)
+            worker.connect(
+                {
+                    "config": config.to_dict(),
+                    "provider": resolved.provider,
+                    "chunk_windows": resolved.chunk_windows,
+                }
+            )
+            try:
+                worker.ensure_array(0, times)
+                worker.ensure_array(1, values)
+                for task_id, name in enumerate(BAD_ARRAYS):
+                    bad_t, bad_x = _bad_arrays(times, values, name)
+                    worker.ensure_array(2 + 2 * task_id, bad_t)
+                    worker.ensure_array(3 + 2 * task_id, bad_x)
+                    with pytest.raises(
+                        RemoteTaskError,
+                        match="SignalError: times and values must be 1-D",
+                    ):
+                        worker.run_task(
+                            task_id, 2 + 2 * task_id, 3 + 2 * task_id,
+                            [(0, 150)], False,
+                        )
+                # The connection survives a rejected task.
+                _packed, metrics = worker.run_task(9, 0, 1, good, False)
+                assert unpack_metrics(metrics) == window_metrics_batch(
+                    values, good
+                )
+            finally:
+                worker.close()
