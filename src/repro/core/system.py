@@ -9,7 +9,6 @@ DWT-based kernel, plus the energy-evaluation hooks of Section VI
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +28,6 @@ from ..platform.node import ComparisonReport, SensorNodeModel
 from .config import PSAConfig
 
 __all__ = ["PSAResult", "ConventionalPSA", "QualityScalablePSA"]
-
-#: Sentinel distinguishing "kwarg not passed" from any real value, so the
-#: legacy execution kwargs can warn exactly when they are used.
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class PSAResult:
@@ -116,33 +110,20 @@ class _BasePSA:
         """The windowed Welch-Lomb engine driving this system."""
         return self._welch
 
-    def analyze(
-        self, rr: RRSeries, count_ops: bool = False, batched=_UNSET
-    ) -> PSAResult:
+    def analyze(self, rr: RRSeries, count_ops: bool = False) -> PSAResult:
         """Run the full PSA over an RR recording.
 
-        Execution settings (provider, chunk size, batching) live on the
-        engine facade (:mod:`repro.engine`); passing ``batched=`` here
-        is deprecated — the per-window sequential oracle remains
-        reachable through
+        Execution settings (provider, chunk size) live on the engine
+        facade (:mod:`repro.engine`); the per-window sequential oracle
+        is
         :meth:`WelchLomb.analyze_windows(batched=False) <repro.lomb.welch.WelchLomb.analyze_windows>`.
         """
         if not isinstance(rr, RRSeries):
             raise SignalError("analyze expects an RRSeries")
-        if batched is _UNSET:
-            batched = True
-        else:
-            warnings.warn(
-                "analyze(batched=...) is deprecated; use the repro.engine "
-                "facade to choose execution settings",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         welch = self._welch.analyze_windows(
             rr.times,
             rr.intervals,
             count_ops=count_ops,
-            batched=bool(batched),
             corrected=rr.corrected,
         )
         return self._finalize(welch)
@@ -199,42 +180,25 @@ class _BasePSA:
         )
 
     def analyze_cohort(
-        self,
-        recordings,
-        count_ops: bool = False,
-        jobs=_UNSET,
-        provider=_UNSET,
+        self, recordings, count_ops: bool = False
     ) -> list[PSAResult]:
         """Run the full PSA over many recordings with the fleet engine.
 
         Thin delegating wrapper over the engine facade: the cohort runs
         through :meth:`repro.engine.Engine.analyze_cohort` on a
-        transient engine wrapping this system, so spectra, averages and
-        operation counts are identical to per-recording :meth:`analyze`
-        calls.  Passing ``jobs=`` / ``provider=`` here is deprecated —
-        those are :class:`~repro.engine.EngineConfig` fields now
-        (``Engine(EngineConfig(jobs=..., provider=...))``), kept working
-        through this shim.
+        transient single-process engine wrapping this system, so
+        spectra, averages and operation counts are identical to
+        per-recording :meth:`analyze` calls.  Execution settings are
+        :class:`~repro.engine.EngineConfig` fields
+        (``Engine(EngineConfig(jobs=..., provider=...))``).
         """
-        if jobs is not _UNSET or provider is not _UNSET:
-            warnings.warn(
-                "analyze_cohort(jobs=..., provider=...) is deprecated; "
-                "these moved to EngineConfig — use "
-                "repro.engine.Engine(EngineConfig(jobs=..., provider=...))"
-                ".analyze_cohort(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        jobs = 1 if jobs is _UNSET else jobs
-        provider = None if provider is _UNSET else provider
         rr_list = list(recordings)
         for rr in rr_list:
             if not isinstance(rr, RRSeries):
                 raise SignalError("analyze_cohort expects RRSeries recordings")
         from ..engine.engine import Engine
 
-        config = self.to_engine_config(jobs=jobs, provider=provider)
-        with Engine(config, system=self) as engine:
+        with Engine(self.to_engine_config(), system=self) as engine:
             return engine.analyze_cohort(rr_list, count_ops=count_ops)
 
     def window_counts(self, n_beats: int | None = None) -> OpCounts:

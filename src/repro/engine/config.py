@@ -281,12 +281,7 @@ class EngineConfig:
         """Plain-data (JSON-ready) representation of this config."""
         return {
             "system": self.system,
-            "pruning": {
-                "band_drop": self.pruning.band_drop,
-                "twiddle_fraction": self.pruning.twiddle_fraction,
-                "dynamic": self.pruning.dynamic,
-                "dynamic_threshold": self.pruning.dynamic_threshold,
-            },
+            "pruning": self.pruning.to_dict(),
             "psa": {
                 "fft_size": self.psa.fft_size,
                 "window_seconds": self.psa.window_seconds,
@@ -346,10 +341,7 @@ class EngineConfig:
 
             kwargs["slo"] = SLOSpec.from_dict(data["slo"])
         if "pruning" in data:
-            pruning = data["pruning"]
-            if not isinstance(pruning, dict):
-                raise ConfigurationError("pruning must be a mapping")
-            kwargs["pruning"] = PruningSpec(**pruning)
+            kwargs["pruning"] = PruningSpec.from_dict(data["pruning"])
         if "psa" in data:
             psa = data["psa"]
             if not isinstance(psa, dict):

@@ -34,7 +34,7 @@ from contextlib import ExitStack, contextmanager
 
 from ..core.system import ConventionalPSA, PSAResult, QualityScalablePSA
 from ..errors import ConfigurationError
-from ..ffts.plancache import warm_execution_caches
+from ..ffts.plancache import _BoundedCache, warm_execution_caches
 from ..hrv.rr import RRSeries
 from ..lomb.fast import pinned_execution
 from ..lomb.welch import analyze_spans_quality
@@ -58,6 +58,33 @@ def build_system(config: EngineConfig):
     else:
         system = QualityScalablePSA(config.psa, pruning=config.pruning)
     system.bands = config.bands
+    return system
+
+
+#: The process's quality-variant PSA systems, keyed by ``(config,
+#: variant)``.  Bounded: a worker daemon builds them from the configs its
+#: clients send.
+_VARIANT_SYSTEMS = _BoundedCache(maxsize=32)
+
+
+def variant_system(config: EngineConfig, variant):
+    """The PSA system ``config`` describes at one quality variant.
+
+    A variant is a ``(system_kind, PruningSpec)`` pair, one rung of the
+    hub's degradation ladder, and its system is
+    ``build_system(config.replace(system=..., pruning=...))``.  The
+    engine, the fleet runner and the fleet task executor all resolve
+    variants here, so a process builds each one once (kernels come from
+    the shared plan caches) and every path runs the same objects.
+    """
+    key = (config, variant)
+    system = _VARIANT_SYSTEMS.get(key)
+    if system is None:
+        system_kind, pruning = variant
+        system = build_system(
+            config.replace(system=system_kind, pruning=pruning)
+        )
+        _VARIANT_SYSTEMS.put(key, system)
     return system
 
 
@@ -107,11 +134,6 @@ class Engine:
                 analyzer.workspace_size, analyzer.order, self.resolved.provider
             )
         self._fleet = None
-        # Quality variants: PSA systems for degraded ladder levels the
-        # SLO controller sheds hub subjects to, built lazily (cheap
-        # after the first — kernels come from the shared plan caches)
-        # and keyed by (system kind, pruning spec).
-        self._variants: dict = {}
         # The engine owns its workspace arena (shared by every workload
         # it serves, like the plan caches) and its per-stage profiler;
         # both are installed scope-wise around workloads by _pinned().
@@ -192,9 +214,8 @@ class Engine:
     def _profile_span(self, stage: str):
         """A span on this engine's profiler (no-op when profiling is off).
 
-        For engine-owned stages that run *outside* :meth:`_pinned`
-        (the hub's flush wrapper dispatches to the fleet pool without
-        installing process-wide state).
+        For engine-owned stages that run *outside* :meth:`_pinned`:
+        the hub's flush wrapper and its concat and record steps.
         """
         if self._profiler is None:
             return NULL_SPAN
@@ -216,8 +237,8 @@ class Engine:
         fork/initialise cost once; :meth:`close` releases it.
         """
         runner = self._ensure_fleet()
-        welch_results = runner.run(list(recordings), count_ops=count_ops)
         with self._pinned():
+            welch_results = runner.run(list(recordings), count_ops=count_ops)
             return [self._system._finalize(welch) for welch in welch_results]
 
     def open_stream(self, count_ops: bool = False):
@@ -250,27 +271,16 @@ class Engine:
         """The PSA system for one quality variant (``None`` = base).
 
         A variant is a ``(system_kind, PruningSpec)`` pair — a rung of
-        the hub's degradation ladder.  Degraded systems are built
-        lazily from ``config.replace(...)`` and cached, so shedding a
-        subject costs one plan-cache hit, not a rebuild; the pair *is*
-        the identity of the computation, which is what makes a pinned
-        mode-M subject bit-identical to a homogeneous mode-M engine.
+        the hub's degradation ladder — resolved through the process-wide
+        :func:`variant_system` memo.  The pair *is* the identity of the
+        computation, which is what makes a pinned mode-M subject
+        bit-identical to a homogeneous mode-M engine.
         """
-        if variant is None:
-            return self._system
-        system_kind, pruning = variant
-        if (
-            system_kind == self.config.system
-            and pruning == self.config.pruning
+        if variant is None or variant == (
+            self.config.system, self.config.pruning
         ):
             return self._system
-        cached = self._variants.get(variant)
-        if cached is None:
-            cached = build_system(
-                self.config.replace(system=system_kind, pruning=pruning)
-            )
-            self._variants[variant] = cached
-        return cached
+        return variant_system(self.config, variant)
 
     def _analyze_spans_batch(
         self, times, values, spans, count_ops: bool, variants=None,
@@ -291,27 +301,19 @@ class Engine:
         metrics)`` with one :class:`~repro.hrv.metrics.WindowMetrics`
         per span.
         """
-        if self.resolved.jobs > 1 or self.resolved.workers:
-            # Workers own per-process arenas (installed by init_worker);
-            # the arena scope here covers the runner's in-process
-            # small-batch path, which executes in this process.
-            with ExitStack() as stack:
-                if self._arena is not None:
-                    stack.enter_context(arena_scope(self._arena))
-                if self._profiler is not None:
-                    stack.enter_context(profile_scope(self._profiler))
+        with self._pinned():
+            if self.resolved.jobs > 1 or self.resolved.workers:
                 return self._ensure_fleet().run_spans(
                     times, values, spans, count_ops=count_ops,
                     variants=variants, corrected=corrected,
                 )
-        owners = None
-        if variants is not None:
-            analyzers = {
-                variant: self._system_for_variant(variant).welch.analyzer
-                for variant in set(variants)
-            }
-            owners = [analyzers[variant] for variant in variants]
-        with self._pinned():
+            owners = None
+            if variants is not None:
+                analyzers = {
+                    variant: self._system_for_variant(variant).welch.analyzer
+                    for variant in set(variants)
+                }
+                owners = [analyzers[variant] for variant in variants]
             return analyze_spans_quality(
                 self._system.welch.analyzer, times, values, spans,
                 count_ops, corrected=corrected, owners=owners,

@@ -19,7 +19,7 @@ compare instructions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -102,6 +102,20 @@ class PruningSpec:
     def is_exact(self) -> bool:
         """True when no approximation at all is configured."""
         return not self.band_drop and self.twiddle_fraction == 0.0
+
+    def to_dict(self) -> dict:
+        """Plain-data form, as engine configs and fleet wire variants carry it.
+
+        :meth:`from_dict` inverts it.
+        """
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data) -> "PruningSpec":
+        """Rebuild a spec from :meth:`to_dict` output."""
+        if not isinstance(data, dict):
+            raise ConfigurationError("pruning must be a mapping")
+        return cls(**data)
 
     def with_dynamic_threshold(self, threshold: float) -> "PruningSpec":
         """Return a copy carrying a calibrated dynamic threshold."""

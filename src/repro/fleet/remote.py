@@ -1,7 +1,8 @@
 """Cross-machine fleet: the worker daemon and its client handle.
 
 The shared-memory transport (:mod:`repro.fleet.shm`) stops at the host
-boundary; this module puts the same shard protocol on a socket:
+boundary; this module carries the fleet's one task shape,
+:class:`~repro.fleet.worker.SpanTask`, over a socket:
 
 * :class:`WorkerDaemon` — ``python -m repro worker --listen HOST:PORT``.
   One daemon is one remote execution slot.  A connecting scheduler
@@ -11,11 +12,12 @@ boundary; this module puts the same shard protocol on a socket:
   the identical execution state (same system geometry, same pinned
   provider — never re-resolved, because two hosts may auto-probe
   differently — plan caches warmed, arena installed) and then serves
-  ``task`` messages: analyse a span batch against uploaded arrays and
-  ship the spectra back in the exact packed form the shm pool uses
-  (:func:`~repro.fleet.worker.pack_spectra`).  While a task computes,
-  the daemon emits ``heartbeat`` frames so the scheduler can tell a
-  slow shard from a dead worker.
+  ``task`` messages: it decodes each into a ``SpanTask`` over its
+  uploaded arrays and runs :func:`~repro.fleet.worker.execute_task`,
+  the executor every pool and in-process slot runs, so the result
+  comes back in the same packed form.  While a task computes, the
+  daemon emits ``heartbeat`` frames so the scheduler can tell a slow
+  task from a dead worker.
 
 * :class:`RemoteWorker` — the scheduler-side handle: connect +
   handshake, upload each sample array once per connection
@@ -26,9 +28,8 @@ boundary; this module puts the same shard protocol on a socket:
 
 Bit-identity holds across this transport by construction: arrays travel
 as raw float64 buffers (:mod:`repro.fleet.transport`), the daemon runs
-the same :func:`~repro.lomb.welch.analyze_spans_quality` choke point
-under the same provider/chunk pins, and packed spectra and per-window
-metrics come back bit-exact.
+the same executor under the same provider/chunk pins, and packed
+spectra and per-window metrics come back bit-exact.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ class WorkerDaemon:
                 self._install_arena(chunk, analyzer.workspace_size)
             state.update(
                 welch=welch, provider=provider, chunk=chunk, arrays={},
-                config=config, variants={},
+                config=config,
             )
         except ReproError as exc:
             try:
@@ -336,72 +337,45 @@ class WorkerDaemon:
                 },
             )
 
-    @staticmethod
-    def _variant_welch(state, variant: dict):
-        """The engine a task's wire variant selects (see ``run_task``).
-
-        The wire form is a plain ``{"system": ..., "pruning": {...}}``
-        dict (the frame codec carries no custom classes); it is decoded
-        back into a :class:`~repro.ffts.pruning.PruningSpec` and the
-        variant engine is built from the handshake config and cached
-        per connection — the daemon-side mirror of the parent engine's
-        variant cache.
-        """
-        from ..engine.engine import build_system
-        from ..ffts.pruning import PruningSpec
-
-        pruning = PruningSpec(**variant["pruning"])
-        key = (variant["system"], pruning)
-        cache = state["variants"]
-        welch = cache.get(key)
-        if welch is None:
-            welch = build_system(
-                state["config"].replace(system=key[0], pruning=pruning)
-            ).welch
-            cache[key] = welch
-        return welch
-
     def _compute(self, payload, state, outcome: dict) -> None:
         try:
+            from ..ffts.pruning import PruningSpec
             from ..lomb.fast import pinned_execution
-            from ..lomb.welch import analyze_spans_quality
-            from .worker import pack_metrics, pack_spectra
+            from .worker import SpanTask, execute_task
 
-            arrays = state["arrays"]
-            try:
-                times = arrays[int(payload["times_key"])]
-                values = arrays[int(payload["values_key"])]
-                corrected_key = payload.get("corrected_key")
-                corrected = (
-                    None
-                    if corrected_key is None
-                    else arrays[int(corrected_key)]
-                )
-            except KeyError as exc:
-                raise TransportError(
-                    f"task references unknown array key {exc.args[0]!r}"
-                ) from None
-            spans = [
-                (int(start), int(stop)) for start, stop in payload["spans"]
-            ]
+            # The wire variant is a plain {"system", "pruning"} dict: the
+            # frame codec carries no custom classes.
             variant = payload.get("variant")
-            welch = (
-                state["welch"]
-                if variant is None
-                else self._variant_welch(state, variant)
+            if variant is not None:
+                variant = (
+                    variant["system"],
+                    PruningSpec.from_dict(variant["pruning"]),
+                )
+            corrected_key = payload.get("corrected_key")
+            task = SpanTask(
+                task_id=payload.get("task_id"),
+                times_key=int(payload["times_key"]),
+                values_key=int(payload["values_key"]),
+                spans=tuple(
+                    (int(start), int(stop)) for start, stop in payload["spans"]
+                ),
+                count_ops=bool(payload.get("count_ops", False)),
+                variant=variant,
+                corrected_key=(
+                    None if corrected_key is None else int(corrected_key)
+                ),
             )
+            arrays = state["arrays"]
+            for key in task.array_keys:
+                if key not in arrays:
+                    raise TransportError(
+                        f"task references unknown array key {key!r}"
+                    )
             with self._exec_lock:
                 with pinned_execution(state["provider"], state["chunk"]):
-                    spectra, metrics = analyze_spans_quality(
-                        welch.analyzer,
-                        times,
-                        values,
-                        spans,
-                        bool(payload.get("count_ops", False)),
-                        corrected=corrected,
+                    outcome["packed"], outcome["metrics"] = execute_task(
+                        task, arrays, state["welch"], state["config"]
                     )
-            outcome["packed"] = pack_spectra(spectra)
-            outcome["metrics"] = pack_metrics(metrics)
         except Exception as exc:  # deterministic task failure, not death
             outcome["error"] = f"{type(exc).__name__}: {exc}"
 
@@ -655,9 +629,9 @@ class RemoteWorker:
     ) -> tuple:
         """Run one span batch remotely.
 
-        Returns ``(packed_spectra, packed_metrics)`` — the same shape
-        the shm pool's :func:`~repro.fleet.worker.run_span_batch`
-        produces, so schedulers merge both transports identically.
+        Returns ``(packed_spectra, packed_metrics)`` — what
+        :func:`~repro.fleet.worker.execute_task` returns on every other
+        slot, so schedulers merge all transports identically.
 
         ``variant`` (a ``(system_kind, PruningSpec)`` pair, or ``None``
         for the handshake engine) selects a degraded quality level's
@@ -673,15 +647,7 @@ class RemoteWorker:
         spans_arr = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
         if variant is not None:
             system_kind, pruning = variant
-            variant = {
-                "system": system_kind,
-                "pruning": {
-                    "band_drop": pruning.band_drop,
-                    "twiddle_fraction": pruning.twiddle_fraction,
-                    "dynamic": pruning.dynamic,
-                    "dynamic_threshold": pruning.dynamic_threshold,
-                },
-            }
+            variant = {"system": system_kind, "pruning": pruning.to_dict()}
         try:
             stream.send(
                 "task",

@@ -1,32 +1,40 @@
 """Fleet-scale sharded execution of the windowed-PSA engine.
 
 :class:`FleetRunner` runs many recordings — or the window shards of one
-huge recording — across a pool of worker processes, each driving the
-same batched :meth:`FastLomb.periodogram_batch` pipeline the
-single-process path uses:
+huge recording, or one span batch split into slices — across local pool
+processes, the calling process and remote worker daemons, all by one
+path:
 
 1. the parent validates every recording and lays out its windows
    (:meth:`WelchLomb.plan_windows`), then shards the kept windows into
    contiguous ranges (:mod:`repro.fleet.sharding`);
-2. recording arrays go into POSIX shared memory once
-   (:mod:`repro.fleet.shm`); workers slice windows out of the mapped
-   blocks zero-copy, so the task queue carries only index ranges;
-3. the parent warms every execution-time plan cache **before** the pool
-   forks, so workers inherit twiddle tables, pruning masks and whole
-   kernel plans copy-on-write instead of rebuilding them per worker;
-4. per-shard spectra are reassembled in window order and fed through
-   the same :func:`~repro.lomb.welch.assemble_result` back end as the
+2. every shard, like every slice of a split span batch, becomes one
+   :class:`~repro.fleet.worker.SpanTask` over keyed sample arrays;
+3. slots claim the tasks from a work-stealing board
+   (:class:`_TaskBoard`): two threads per pool process, so one task
+   waits in the pool's queue behind each running one; the calling
+   thread when ``n_jobs == 1``; one thread per remote worker.  Pool
+   slots pass the arrays through POSIX shared memory
+   (:mod:`repro.fleet.shm`), workers slicing windows out of the mapped
+   blocks zero-copy; remote slots upload each array once per
+   connection.  Every slot runs
+   :func:`~repro.fleet.worker.execute_task`;
+4. per-task spectra are reassembled in task order and fed through the
+   same :func:`~repro.lomb.welch.assemble_result` back end as the
    single-process path, making the merged spectrograms, Welch averages
    and operation counts identical to it by construction (bit-exact:
    every per-window quantity is computed by composition-independent
    kernels).
 
-``n_jobs=1`` runs the identical shard/merge pipeline in-process — no
-pool, no shared memory — which keeps the merge machinery exercised by
-fast tests.  With ``n_jobs > 1`` the worker pool is **persistent**:
-repeated :meth:`FleetRunner.run` calls (the serving pattern) reuse it,
-paying the fork/initialise cost once; call :meth:`FleetRunner.close`
-(or use the runner as a context manager) when done.
+The parent warms every execution-time plan cache **before** the pool
+forks, so workers inherit twiddle tables, pruning masks and whole
+kernel plans copy-on-write instead of rebuilding them per worker.  The
+worker pool is **persistent**: repeated :meth:`FleetRunner.run` calls
+(the serving pattern) reuse it, paying the fork/initialise cost once;
+call :meth:`FleetRunner.close` (or use the runner as a context manager)
+when done.  :meth:`FleetRunner.run_spans`, the streaming hub's path,
+runs a batch too small to split as one fused in-process kernel call
+instead.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ import queue as queue_module
 import threading
 import weakref
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,13 +71,11 @@ from .sharding import (
 from .shm import SharedRecordingStore
 from .transport import parse_address
 from .worker import (
-    ShardTask,
-    SpanBatchTask,
+    SpanTask,
+    execute_task,
     init_worker,
-    pack_metrics,
-    pack_spectra,
-    run_shard,
-    run_span_batch,
+    resolve_variant,
+    run_pool_task,
     unpack_metrics,
     unpack_spectra,
 )
@@ -85,6 +90,11 @@ MIN_SPANS_PER_SLICE = 8
 #: Seconds between result polls while watching the pool for dead workers.
 _POOL_POLL_SECONDS = 0.2
 
+#: Board slots per pool process.  With two, one task waits in the pool's
+#: queue behind each running one, so a worker starts its next task the
+#: moment it finishes one instead of idling for a result round trip.
+_SLOTS_PER_POOL_PROCESS = 2
+
 
 def _terminate_abandoned_pool(pool) -> None:
     """`weakref.finalize` safety net for unreleased worker pools.
@@ -97,31 +107,6 @@ def _terminate_abandoned_pool(pool) -> None:
     """
     pool.terminate()
     pool.join()
-
-
-@dataclass(frozen=True)
-class _WireTask:
-    """Executor-agnostic unit of scheduled work: spans over keyed arrays.
-
-    The distributed scheduler's common currency — a local pool slot
-    turns it into a :class:`~repro.fleet.worker.SpanBatchTask` over shm
-    refs, a remote slot ships the referenced arrays once and the spans
-    as index pairs (:class:`~repro.fleet.remote.RemoteWorker`), and the
-    in-process slot analyses it directly.  All three produce the same
-    packed spectra.
-    """
-
-    task_id: int
-    times_key: int
-    values_key: int
-    spans: tuple[tuple[int, int], ...]
-    count_ops: bool
-    #: Quality variant — ``None`` (base engine) or a
-    #: ``(system_kind, PruningSpec)`` ladder rung (load shedding).
-    variant: tuple | None = None
-    #: Array key of the interpolated-beat 0/1 mask (``None`` when the
-    #: batch carries no provenance).
-    corrected_key: int | None = None
 
 
 class _TaskBoard:
@@ -257,8 +242,9 @@ class FleetRunner:
         presumed dead and its shard reassigned.
     config:
         The :class:`~repro.engine.EngineConfig` describing ``welch``,
-        serialized to remote daemons at handshake.  Only needed when
-        ``workers`` is non-empty.
+        serialized to remote daemons at handshake and the base of every
+        quality variant.  Only needed when ``workers`` is non-empty or
+        span batches carry variants.
     """
 
     def __init__(
@@ -315,10 +301,6 @@ class FleetRunner:
         self._remote_registry: dict[str, RemoteWorker] = {}
         self._remote_ever: set[str] = set()
         self._remote_key: tuple[int, str] | None = None
-        # Quality-variant engines (degraded ladder levels), built
-        # lazily from the config — the runner-side mirror of
-        # Engine._variants for the in-process scheduling paths.
-        self._variants: dict = {}
 
     @classmethod
     def from_config(cls, config, welch: WelchLomb | None = None, **kwargs):
@@ -391,54 +373,40 @@ class FleetRunner:
             oversubscription=self.oversubscription,
         )
         chunk, provider = self._resolve_execution()
-        n_remote = 0
-        if self.workers:
-            # Distributed path: shard geometry above already counted the
-            # remote slots; spectra merge order-independently, so which
-            # slot ran which shard can never change the result.
-            arrays: list[np.ndarray] = []
-            keys: list[tuple[int, int, int | None]] = []
-            for plan in plans:
-                t_key = len(arrays)
-                arrays.append(plan.times)
-                x_key = len(arrays)
-                arrays.append(plan.values)
-                c_key = None
-                if plan.corrected is not None:
-                    c_key = len(arrays)
-                    arrays.append(plan.corrected)
-                keys.append((t_key, x_key, c_key))
-            tasks = [
-                _WireTask(
-                    task_id=shard_id,
-                    times_key=keys[shard.recording][0],
-                    values_key=keys[shard.recording][1],
-                    spans=plans[shard.recording].spans[shard.lo : shard.hi],
-                    count_ops=count_ops,
-                    corrected_key=keys[shard.recording][2],
-                )
-                for shard_id, shard in enumerate(shards)
-            ]
-            packed, n_remote = self._run_scheduled(
-                arrays, tasks, chunk, provider
+        # Shard geometry above counted the remote slots; spectra merge
+        # in task order, so which slot ran which shard can never change
+        # the result.
+        arrays: list[np.ndarray] = []
+        keys: list[tuple[int, int, int | None]] = []
+        for plan in plans:
+            t_key = len(arrays)
+            arrays.append(plan.times)
+            x_key = len(arrays)
+            arrays.append(plan.values)
+            c_key = None
+            if plan.corrected is not None:
+                c_key = len(arrays)
+                arrays.append(plan.corrected)
+            keys.append((t_key, x_key, c_key))
+        tasks = [
+            SpanTask(
+                task_id=shard_id,
+                times_key=keys[shard.recording][0],
+                values_key=keys[shard.recording][1],
+                spans=plans[shard.recording].spans[shard.lo : shard.hi],
+                count_ops=count_ops,
+                corrected_key=keys[shard.recording][2],
             )
-            n_jobs = self.n_jobs
-            used_method = self.start_method if self.n_jobs > 1 else None
-        elif self.n_jobs == 1:
-            packed = self._run_in_process(
-                plans, shards, count_ops, chunk, provider
-            )
-            n_jobs, used_method = 1, None
-        else:
-            packed = self._run_pool(plans, shards, count_ops, chunk, provider)
-            n_jobs, used_method = self.n_jobs, self.start_method
+            for shard_id, shard in enumerate(shards)
+        ]
+        packed, n_remote = self._run_scheduled(arrays, tasks, chunk, provider)
         results = self._merge(plans, shards, packed, count_ops)
         return FleetReport(
             results=tuple(results),
-            n_jobs=n_jobs,
+            n_jobs=self.n_jobs,
             n_shards=len(shards),
             chunk_windows=chunk,
-            start_method=used_method,
+            start_method=self.start_method if self.n_jobs > 1 else None,
             provider=provider,
             n_remote_workers=n_remote,
         )
@@ -516,33 +484,6 @@ class FleetRunner:
 
     # ------------------------------------------------------------------
 
-    def _variant_welch(self, variant) -> WelchLomb:
-        """The engine a quality variant selects (``None`` = base).
-
-        Used by the scheduling paths that execute in *this* process
-        (the small-batch shortcut and the ``n_jobs == 1`` local slot);
-        pool workers and remote daemons hold their own mirrors of this
-        cache.  Requires the engine config — a runner built without one
-        cannot be asked to shed quality.
-        """
-        if variant is None:
-            return self.welch
-        if self._config is None:
-            raise ConfigurationError(
-                "quality-variant span batches need the EngineConfig that "
-                "describes the engine: pass config= to FleetRunner"
-            )
-        welch = self._variants.get(variant)
-        if welch is None:
-            from ..engine.engine import build_system
-
-            system_kind, pruning = variant
-            welch = build_system(
-                self._config.replace(system=system_kind, pruning=pruning)
-            ).welch
-            self._variants[variant] = welch
-        return welch
-
     def _resolve_execution(self) -> tuple[int, str]:
         """Resolve the (chunk, provider) pair one run executes under.
 
@@ -560,30 +501,6 @@ class FleetRunner:
             else get_batch_chunk_windows(workspace)
         )
         return chunk, resolve_provider_name(self._provider, workspace)
-
-    def _run_in_process(
-        self,
-        plans: list[RecordingWindows],
-        shards,
-        count_ops: bool,
-        chunk: int,
-        provider: str,
-    ) -> list[list[tuple]]:
-        """Single-process execution of the identical shard pipeline."""
-        with pinned_execution(provider, chunk):
-            packed: list[tuple] = []
-            for shard in shards:
-                plan = plans[shard.recording]
-                spectra, metrics = analyze_spans_quality(
-                    self.welch.analyzer,
-                    plan.times,
-                    plan.values,
-                    plan.spans[shard.lo : shard.hi],
-                    count_ops,
-                    corrected=plan.corrected,
-                )
-                packed.append((pack_spectra(spectra), pack_metrics(metrics)))
-            return packed
 
     def _ensure_pool(self, chunk: int, provider: str):
         """Create (or reuse) the persistent worker pool.
@@ -664,70 +581,6 @@ class FleetRunner:
                     f"cannot complete"
                 )
 
-    def _collect_unordered(self, iterator, collected: list) -> None:
-        """Drain an ``imap_unordered`` iterator, watching for dead workers.
-
-        Polls with a short timeout so a worker death turns into the
-        watchdog's diagnostic instead of an indefinite hang.
-        """
-        remaining = len(collected)
-        while remaining:
-            try:
-                task_id, packed = iterator.next(timeout=_POOL_POLL_SECONDS)
-            except multiprocessing.TimeoutError:
-                self._raise_if_pool_worker_died()
-                continue
-            except StopIteration:  # pragma: no cover - remaining hits 0 first
-                break
-            collected[task_id] = packed
-            remaining -= 1
-
-    def _run_pool(
-        self,
-        plans: list[RecordingWindows],
-        shards,
-        count_ops: bool,
-        chunk: int,
-        provider: str,
-    ) -> list[list[tuple]]:
-        """Dispatch shards over the worker pool, shared-memory backed."""
-        pool = self._ensure_pool(chunk, provider)
-        collected: list[tuple | None] = [None] * len(shards)
-        with SharedRecordingStore() as store:
-            refs = [
-                (
-                    store.put(plan.times),
-                    store.put(plan.values),
-                    None
-                    if plan.corrected is None
-                    else store.put(plan.corrected),
-                )
-                for plan in plans
-            ]
-            tasks = [
-                ShardTask(
-                    shard_id=shard_id,
-                    recording=shard.recording,
-                    times_ref=refs[shard.recording][0],
-                    values_ref=refs[shard.recording][1],
-                    spans=plans[shard.recording].spans[shard.lo : shard.hi],
-                    count_ops=count_ops,
-                    corrected_ref=refs[shard.recording][2],
-                )
-                for shard_id, shard in enumerate(shards)
-            ]
-            try:
-                self._collect_unordered(
-                    pool.imap_unordered(run_shard, tasks), collected
-                )
-            except BaseException:
-                # A failed shard leaves queued siblings behind; tear the
-                # pool down rather than let them run against unlinked
-                # shared memory.
-                self._discard_pool()
-                raise
-        return collected  # every slot filled: imap yields one per task
-
     @staticmethod
     def _flatten_collected(collected, slices) -> tuple[list, tuple]:
         """Scatter per-slice packed results back into span order.
@@ -757,18 +610,18 @@ class FleetRunner:
         self, times, values, spans, count_ops: bool = False, variants=None,
         corrected=None,
     ) -> tuple[list, tuple]:
-        """Analyse one flat span batch, dispatching over the pool.
+        """Analyse one flat span batch, split across the fleet's slots.
 
         The streaming hub's execution path: ``times``/``values`` are one
         validated sample array pair — typically many subjects' completed
         windows concatenated back to back — and ``spans`` are its
-        ``[start, stop)`` window ranges.  With ``n_jobs > 1`` the spans
-        are split into slices over the **persistent** worker pool
-        (created on first use, shared with :meth:`run`), the arrays
-        travel once through the shm transport, and the spectra come
-        back in span order; ``n_jobs == 1`` (or a batch too small to
-        split) runs in-process.  Either way the result is bit-identical
-        to a single in-process
+        ``[start, stop)`` window ranges.  A batch big enough to split
+        over more than one slot becomes one task per slice, run by the
+        same scheduler as :meth:`run` (the **persistent** worker pool,
+        created on first use, and any remote workers), and the spectra
+        come back in span order; a batch too small to split runs as one
+        in-process call.  Either way the result is bit-identical to a
+        single in-process
         :func:`~repro.lomb.welch.analyze_spans_quality` call: every
         kernel is batch-composition-independent and every process is
         pinned to the same provider and chunk size.
@@ -776,13 +629,13 @@ class FleetRunner:
         ``variants`` names each span's quality level: ``None`` for the
         base engine, else a ``(system_kind, PruningSpec)`` ladder rung
         (``variants=None`` runs every span at the base).  In-process the
-        whole batch is one kernel call with per-span FFT owners.  Pool
-        and socket slices each hold one level: the spans are grouped by
+        whole batch is one kernel call with per-span FFT owners.  Split
+        batches hold one level per slice: the spans are grouped by
         variant, each group is sliced, and every slice carries its
-        variant to an executor that resolves it against its own cached
-        variant engine — so a level-M span is bit-identical across the
-        in-process, shm-pool and socket transports, exactly like the
-        base engine.
+        variant to an executor that resolves it through the same
+        process-wide variant memo — so a level-M span is bit-identical
+        across the in-process, shm-pool and socket transports, exactly
+        like the base engine.
 
         ``corrected`` is the optional interpolated-beat 0/1 mask
         aligned with ``values``; it travels to the executors exactly
@@ -810,7 +663,9 @@ class FleetRunner:
             # the (identically pinned, hence bit-identical) in-process
             # call does cheaper.
             analyzers = {
-                variant: self._variant_welch(variant).analyzer
+                variant: resolve_variant(
+                    self.welch, self._config, variant
+                ).analyzer
                 for variant in set(variants)
             }
             with pinned_execution(provider, chunk):
@@ -830,55 +685,24 @@ class FleetRunner:
                 (variant, indices[lo:hi])
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             )
-        if self.workers:
-            arrays = [np.asarray(times), np.asarray(values)]
-            corrected_key = None
-            if corrected is not None:
-                corrected_key = len(arrays)
-                arrays.append(np.asarray(corrected))
-            wire_tasks = [
-                _WireTask(
-                    task_id=batch_id,
-                    times_key=0,
-                    values_key=1,
-                    spans=tuple(spans[i] for i in indices),
-                    count_ops=count_ops,
-                    variant=variant,
-                    corrected_key=corrected_key,
-                )
-                for batch_id, (variant, indices) in enumerate(slices)
-            ]
-            collected, _ = self._run_scheduled(
-                arrays, wire_tasks, chunk, provider
+        arrays = [np.asarray(times), np.asarray(values)]
+        corrected_key = None
+        if corrected is not None:
+            corrected_key = len(arrays)
+            arrays.append(np.asarray(corrected))
+        tasks = [
+            SpanTask(
+                task_id=task_id,
+                times_key=0,
+                values_key=1,
+                spans=tuple(spans[i] for i in indices),
+                count_ops=count_ops,
+                variant=variant,
+                corrected_key=corrected_key,
             )
-            return self._flatten_collected(collected, slices)
-        pool = self._ensure_pool(chunk, provider)
-        collected: list[tuple | None] = [None] * len(slices)
-        with SharedRecordingStore() as store:
-            times_ref = store.put(times)
-            values_ref = store.put(values)
-            corrected_ref = (
-                None if corrected is None else store.put(corrected)
-            )
-            tasks = [
-                SpanBatchTask(
-                    batch_id=batch_id,
-                    times_ref=times_ref,
-                    values_ref=values_ref,
-                    spans=tuple(spans[i] for i in indices),
-                    count_ops=count_ops,
-                    variant=variant,
-                    corrected_ref=corrected_ref,
-                )
-                for batch_id, (variant, indices) in enumerate(slices)
-            ]
-            try:
-                self._collect_unordered(
-                    pool.imap_unordered(run_span_batch, tasks), collected
-                )
-            except BaseException:
-                self._discard_pool()
-                raise
+            for task_id, (variant, indices) in enumerate(slices)
+        ]
+        collected, _ = self._run_scheduled(arrays, tasks, chunk, provider)
         return self._flatten_collected(collected, slices)
 
     # -- distributed scheduling ----------------------------------------
@@ -945,33 +769,33 @@ class FleetRunner:
     def _run_scheduled(
         self,
         arrays: list[np.ndarray],
-        tasks: list[_WireTask],
+        tasks: list[SpanTask],
         chunk: int,
         provider: str,
-    ) -> tuple[list[list[tuple]], int]:
-        """Dispatch wire tasks across local slots and remote daemons.
+    ) -> tuple[list[tuple], int]:
+        """Run tasks across the local slots and the remote daemons.
 
-        Work-stealing over a :class:`_TaskBoard`: every executor thread
-        claims tasks until none remain.  Remote death requeues the
-        claimed task — results merge in task-id order and every kernel
-        is batch-composition-independent, so re-running a task on a
+        Work-stealing over a :class:`_TaskBoard`: every slot claims
+        tasks until none remain.  Remote death requeues the claimed
+        task — results merge in task-id order and every kernel is
+        batch-composition-independent, so re-running a task on a
         different slot cannot change the merged output — while
         deterministic failures abort the whole run.  The local slots
         never retire, so the board always drains even if every remote
         worker dies mid-run.
 
-        Returns the packed spectra in task order plus the number of
+        Returns the packed results in task order plus the number of
         remote workers that participated.
         """
-        remotes = self._ensure_remotes(chunk, provider)
+        remotes = self._ensure_remotes(chunk, provider) if self.workers else {}
+        hello = self._hello(chunk, provider) if remotes else None
         board = _TaskBoard(len(tasks))
         threads: list[threading.Thread] = []
-        with ExitStack() as stack:
+        with SharedRecordingStore() as store:
             if self.n_jobs > 1:
                 pool = self._ensure_pool(chunk, provider)
-                store = stack.enter_context(SharedRecordingStore())
                 refs = [store.put(array) for array in arrays]
-                for slot in range(self.n_jobs):
+                for slot in range(_SLOTS_PER_POOL_PROCESS * self.n_jobs):
                     threads.append(
                         threading.Thread(
                             target=self._pool_slot_loop,
@@ -980,16 +804,6 @@ class FleetRunner:
                             daemon=True,
                         )
                     )
-            else:
-                threads.append(
-                    threading.Thread(
-                        target=self._inprocess_loop,
-                        args=(board, arrays, tasks, chunk, provider),
-                        name="fleet-local",
-                        daemon=True,
-                    )
-                )
-            hello = self._hello(chunk, provider)
             for address, worker in remotes.items():
                 threads.append(
                     threading.Thread(
@@ -1001,6 +815,8 @@ class FleetRunner:
                 )
             for thread in threads:
                 thread.start()
+            if self.n_jobs == 1:
+                self._inprocess_loop(board, arrays, tasks, chunk, provider)
             board.wait()
             for thread in threads:
                 thread.join()
@@ -1015,29 +831,15 @@ class FleetRunner:
             task_id = board.claim()
             if task_id is None:
                 return
-            task = tasks[task_id]
-            pool_task = SpanBatchTask(
-                batch_id=task.task_id,
-                times_ref=refs[task.times_key],
-                values_ref=refs[task.values_key],
-                spans=task.spans,
-                count_ops=task.count_ops,
-                variant=task.variant,
-                corrected_ref=(
-                    None
-                    if task.corrected_key is None
-                    else refs[task.corrected_key]
-                ),
-            )
             try:
-                handle = pool.apply_async(run_span_batch, (pool_task,))
+                handle = pool.apply_async(
+                    run_pool_task, (tasks[task_id], refs)
+                )
                 while True:
                     if board.failure is not None:
                         return  # run is already lost: stop polling
                     try:
-                        _batch_id, packed = handle.get(
-                            timeout=_POOL_POLL_SECONDS
-                        )
+                        packed = handle.get(timeout=_POOL_POLL_SECONDS)
                         break
                     except multiprocessing.TimeoutError:
                         self._raise_if_pool_worker_died()
@@ -1058,22 +860,11 @@ class FleetRunner:
                     task_id = board.claim()
                     if task_id is None:
                         return
-                    task = tasks[task_id]
-                    spectra, metrics = analyze_spans_quality(
-                        self._variant_welch(task.variant).analyzer,
-                        arrays[task.times_key],
-                        arrays[task.values_key],
-                        task.spans,
-                        task.count_ops,
-                        corrected=(
-                            None
-                            if task.corrected_key is None
-                            else arrays[task.corrected_key]
-                        ),
-                    )
                     board.complete(
                         task_id,
-                        (pack_spectra(spectra), pack_metrics(metrics)),
+                        execute_task(
+                            tasks[task_id], arrays, self.welch, self._config
+                        ),
                     )
         except BaseException as exc:
             board.abort(exc)
@@ -1098,16 +889,8 @@ class FleetRunner:
                     if claimed is None:
                         return
                     task = tasks[claimed]
-                    worker.ensure_array(
-                        task.times_key, arrays[task.times_key]
-                    )
-                    worker.ensure_array(
-                        task.values_key, arrays[task.values_key]
-                    )
-                    if task.corrected_key is not None:
-                        worker.ensure_array(
-                            task.corrected_key, arrays[task.corrected_key]
-                        )
+                    for key in task.array_keys:
+                        worker.ensure_array(key, arrays[key])
                     packed = worker.run_task(
                         task.task_id,
                         task.times_key,

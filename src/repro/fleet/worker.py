@@ -1,14 +1,23 @@
-"""Worker-process side of the fleet engine.
+"""The fleet's one task shape and its one executor.
 
-Each pool worker is initialised exactly once with the pickled
-:class:`~repro.lomb.welch.WelchLomb` engine and the parent's resolved
-batch chunk size (:func:`init_worker`), then executes
-:class:`ShardTask`s (:func:`run_shard`): attach the recording's
-shared-memory arrays, slice the shard's windows out of them zero-copy,
-drive :meth:`FastLomb.periodogram_batch`, and ship the spectra back in
-a compact packed form (per-window frequency grids are rebuilt from
-``df``/``nout`` on the parent side instead of being pickled once per
-window).
+Every unit of fleet work — a window shard of a cohort recording, or a
+slice of a span batch split across slots — is a :class:`SpanTask`:
+spans over sample arrays named by key, a ``count_ops`` flag, a quality
+variant and an optional interpolated-beat mask key.  Every slot runs it
+with :func:`execute_task`: resolve the variant's engine, call
+:func:`~repro.lomb.welch.analyze_spans_quality`, and pack the spectra
+and window metrics into the compact form that crosses processes
+(:func:`pack_spectra` / :func:`pack_metrics`; per-window frequency
+grids are rebuilt from ``df``/``nout`` on the parent side instead of
+being pickled once per window).  The slots differ only in how the
+arrays arrive:
+
+* a pool worker — initialised once with the engine and the parent's
+  resolved pins (:func:`init_worker`) — attaches them from shared
+  memory (:func:`run_pool_task`);
+* the runner's in-process slot hands them over directly;
+* a remote :class:`~repro.fleet.remote.WorkerDaemon` holds the copies
+  its client uploaded.
 
 With the default ``fork`` start method the engine and every plan-cache
 table are inherited copy-on-write from the warmed parent; with
@@ -29,14 +38,14 @@ from ..hrv.metrics import WindowMetrics
 from ..lomb.fast import LombSpectrum, set_batch_chunk_windows
 from ..lomb.welch import WelchLomb, analyze_spans_quality
 from ..perf.workspace import WorkspaceArena, set_active_arena
-from .shm import SharedArrayRef, attach_array
+from .shm import attach_array
 
 __all__ = [
-    "ShardTask",
-    "SpanBatchTask",
+    "SpanTask",
+    "execute_task",
     "init_worker",
-    "run_shard",
-    "run_span_batch",
+    "resolve_variant",
+    "run_pool_task",
     "pack_metrics",
     "pack_spectra",
     "unpack_metrics",
@@ -48,34 +57,48 @@ _STATE: dict = {}
 
 
 @dataclass(frozen=True)
-class ShardTask:
-    """One unit of pool work: a window range of one recording.
+class SpanTask:
+    """The fleet's one unit of work: spans over keyed sample arrays.
+
+    A cohort shard and a slice of a split span batch are both one of
+    these.  The arrays themselves travel by key — as shared-memory refs
+    to a pool worker, uploaded once per connection to a remote daemon,
+    or as the arrays themselves to the in-process slot — and every
+    executor runs :func:`execute_task` on it.
 
     Attributes
     ----------
-    shard_id:
-        Position of this shard in the dispatch order (used to collect
-        unordered results).
-    recording:
-        Cohort index of the recording (for reassembly bookkeeping).
-    times_ref, values_ref:
-        Shared-memory handles of the recording's arrays.
+    task_id:
+        Position of this task in the run (results merge in this order).
+    times_key, values_key:
+        Keys of the sample arrays the spans index.
     spans:
-        Sample-index ``[start, stop)`` ranges of this shard's windows.
+        Sample-index ``[start, stop)`` ranges of this task's windows.
     count_ops:
         Attach executed operation counts to every spectrum.
-    corrected_ref:
-        Shared-memory handle of the recording's interpolated-beat 0/1
-        mask, or ``None`` when the recording carries no provenance.
+    variant:
+        Quality variant: ``None`` for the base engine, or a
+        ``(system_kind, PruningSpec)`` ladder rung (load shedding).
+    corrected_key:
+        Key of the interpolated-beat 0/1 mask, or ``None`` when the
+        arrays carry no provenance.
     """
 
-    shard_id: int
-    recording: int
-    times_ref: SharedArrayRef
-    values_ref: SharedArrayRef
+    task_id: int
+    times_key: int
+    values_key: int
     spans: tuple[tuple[int, int], ...]
     count_ops: bool
-    corrected_ref: SharedArrayRef | None = None
+    variant: tuple | None = None
+    corrected_key: int | None = None
+
+    @property
+    def array_keys(self) -> tuple[int, ...]:
+        """Keys of every array this task reads."""
+        keys = (self.times_key, self.values_key)
+        if self.corrected_key is None:
+            return keys
+        return keys + (self.corrected_key,)
 
 
 def init_worker(
@@ -104,10 +127,9 @@ def init_worker(
     ``(pid, task_id)`` record as each task *starts*, so the parent's
     watchdog can name the task a worker held when it died.
     ``config`` (an :class:`~repro.engine.EngineConfig`) lets this
-    worker serve *quality-variant* span batches — tasks tagged with a
-    degraded pruning mode by the hub's SLO controller — by rebuilding
-    the variant's engine from ``config.replace(...)``; without it,
-    variant tasks are rejected.
+    worker serve *quality-variant* tasks — spans the hub's SLO
+    controller shed to a degraded pruning mode (see
+    :func:`resolve_variant`); without it, variant tasks are rejected.
     """
     if chunk_windows is not None:
         set_batch_chunk_windows(chunk_windows)
@@ -125,7 +147,6 @@ def init_worker(
     _STATE["welch"] = welch
     _STATE["progress"] = progress_queue
     _STATE["config"] = config
-    _STATE["variants"] = {}
 
 
 def _report_task_start(task_id: int) -> None:
@@ -139,7 +160,7 @@ def _report_task_start(task_id: int) -> None:
 
 
 def pack_spectra(spectra) -> list[tuple]:
-    """Compact, picklable form of a shard's spectra.
+    """Compact, picklable form of a task's spectra.
 
     Runs of consecutive same-grid-length windows (the overwhelmingly
     common case: a steady recording produces one grid) are packed as
@@ -232,143 +253,76 @@ def unpack_metrics(packed) -> tuple[WindowMetrics, ...]:
     )
 
 
-def _variant_welch(variant) -> WelchLomb:
-    """The engine a task's quality variant selects (``None`` = base).
+def resolve_variant(welch: WelchLomb, config, variant) -> WelchLomb:
+    """The engine a quality variant selects (``None`` = ``welch``).
 
-    A variant is a ``(system_kind, PruningSpec)`` pair — one rung of
-    the hub's degradation ladder.  Variant engines are built from the
-    installed :class:`~repro.engine.EngineConfig` and cached per
-    process, mirroring the parent engine's own variant cache, so a
-    worker serving a heterogeneous flush pays one plan-cache hit per
-    new level, not a rebuild per task.
+    A variant is a ``(system_kind, PruningSpec)`` ladder rung; its
+    engine comes from the process-wide
+    :func:`~repro.engine.engine.variant_system` memo over ``config`` —
+    the :class:`~repro.engine.EngineConfig` ``welch`` was built from,
+    without which an executor cannot be asked to shed quality.
     """
     if variant is None:
-        return _STATE["welch"]
-    cache = _STATE.get("variants")
-    config = _STATE.get("config")
-    if cache is None or config is None:
+        return welch
+    if config is None:
         raise ConfigurationError(
-            "worker received a quality-variant task but was initialised "
-            "without an engine config: cannot build the variant's engine"
+            "quality-variant tasks need the EngineConfig that describes "
+            "the engine: cannot build the variant's engine without it"
         )
-    welch = cache.get(variant)
-    if welch is None:
-        # Imported lazily: repro.engine imports this module's package at
-        # call time only, and keeping that symmetric avoids a cycle.
-        from ..engine.engine import build_system
+    # Imported lazily: repro.engine imports the fleet package at call
+    # time only, and keeping that symmetric avoids a cycle.
+    from ..engine.engine import variant_system
 
-        system_kind, pruning = variant
-        welch = build_system(
-            config.replace(system=system_kind, pruning=pruning)
-        ).welch
-        cache[variant] = welch
-    return welch
+    return variant_system(config, variant).welch
 
 
-def _analyze_refs(
-    times_ref: SharedArrayRef,
-    values_ref: SharedArrayRef,
-    spans,
-    count_ops: bool,
-    variant=None,
-    corrected_ref: SharedArrayRef | None = None,
-) -> tuple[list[tuple], tuple]:
-    """Attach, analyse the given spans, pack, detach.
+def execute_task(
+    task: SpanTask, arrays, welch: WelchLomb, config=None
+) -> tuple:
+    """Run one task: resolve its variant, analyse its spans, pack.
 
-    Windows are sliced zero-copy from the shared recording arrays;
-    ``periodogram_batch`` copies them into its own padded workspaces,
-    so nothing returned references the shared blocks and the
-    attachments can be released before returning (pools outlive
-    individual runs, so holding attachments would pin unlinked blocks).
-    Returns ``(packed_spectra, packed_metrics)``.
+    The one executor behind every slot — a pool worker
+    (:func:`run_pool_task`), the runner's in-process slot and a remote
+    :class:`~repro.fleet.remote.WorkerDaemon` — each under the fleet's
+    provider and chunk pins.  ``arrays`` maps the task's array keys to
+    sample arrays; ``welch`` is the base engine and ``config`` its
+    :class:`~repro.engine.EngineConfig`.  Returns ``(packed_spectra,
+    packed_metrics)`` in span order.
     """
-    welch: WelchLomb = _variant_welch(variant)
-    t_block, times = attach_array(times_ref)
-    x_block, values = attach_array(values_ref)
-    c_block = corrected = None
-    if corrected_ref is not None:
-        c_block, corrected = attach_array(corrected_ref)
+    spectra, metrics = analyze_spans_quality(
+        resolve_variant(welch, config, task.variant).analyzer,
+        arrays[task.times_key],
+        arrays[task.values_key],
+        task.spans,
+        task.count_ops,
+        corrected=(
+            None if task.corrected_key is None else arrays[task.corrected_key]
+        ),
+    )
+    return pack_spectra(spectra), pack_metrics(metrics)
+
+
+def run_pool_task(task: SpanTask, refs) -> tuple:
+    """Pool entry point: run ``task`` over shared-memory arrays.
+
+    ``refs[key]`` is the :class:`~repro.fleet.shm.SharedArrayRef` of
+    array ``key``.  Windows are sliced zero-copy from the mapped
+    blocks; the kernels copy them into their own workspaces, so nothing
+    returned references the blocks and they are detached before
+    returning (pools outlive individual runs, so holding attachments
+    would pin unlinked blocks).
+    """
+    _report_task_start(task.task_id)
+    blocks = []
+    arrays = {}
     try:
-        spectra, metrics = analyze_spans_quality(
-            welch.analyzer, times, values, spans, count_ops,
-            corrected=corrected,
-        )
-        packed = pack_spectra(spectra)
-        packed_metrics = pack_metrics(metrics)
+        for key in task.array_keys:
+            block, arrays[key] = attach_array(refs[key])
+            blocks.append(block)
+        return execute_task(task, arrays, _STATE["welch"], _STATE["config"])
     finally:
         # Every view into the mapped blocks must be gone before close()
         # (mmap refuses to unmap while buffer exports are alive).
-        spectra = times = values = corrected = None
-        t_block.close()
-        x_block.close()
-        if c_block is not None:
-            c_block.close()
-    return packed, packed_metrics
-
-
-def run_shard(task: ShardTask) -> tuple[int, tuple]:
-    """Analyse one shard's windows against the installed engine.
-
-    Returns ``(shard_id, (packed_spectra, packed_metrics))`` with
-    spectra and metrics in window order.
-    """
-    _report_task_start(task.shard_id)
-    packed = _analyze_refs(
-        task.times_ref, task.values_ref, task.spans, task.count_ops,
-        corrected_ref=task.corrected_ref,
-    )
-    return task.shard_id, packed
-
-
-@dataclass(frozen=True)
-class SpanBatchTask:
-    """One unit of streaming-hub pool work: a slice of a span batch.
-
-    Unlike :class:`ShardTask` there is no recording index — the span
-    batch is one flat (possibly multi-subject, concatenated) sample
-    array pair, and the parent reassembles the spectra purely by
-    ``batch_id`` order.
-
-    Attributes
-    ----------
-    batch_id:
-        Position of this slice in the dispatch order.
-    times_ref, values_ref:
-        Shared-memory handles of the batch's sample arrays.
-    spans:
-        Sample-index ``[start, stop)`` ranges of this slice's windows.
-    count_ops:
-        Attach executed operation counts to every spectrum.
-    variant:
-        Quality variant to run this slice at: ``None`` for the
-        installed base engine, or a ``(system_kind, PruningSpec)`` pair
-        naming a degraded ladder level (requires ``init_worker`` to
-        have received the engine config).
-    corrected_ref:
-        Shared-memory handle of the batch's interpolated-beat 0/1
-        mask, or ``None`` when the batch carries no provenance.
-    """
-
-    batch_id: int
-    times_ref: SharedArrayRef
-    values_ref: SharedArrayRef
-    spans: tuple[tuple[int, int], ...]
-    count_ops: bool
-    variant: tuple | None = None
-    corrected_ref: SharedArrayRef | None = None
-
-
-def run_span_batch(task: SpanBatchTask) -> tuple[int, tuple]:
-    """Analyse one span-batch slice against the installed engine.
-
-    Returns ``(batch_id, (packed_spectra, packed_metrics))`` with
-    spectra and metrics in span order — the streaming-hub counterpart
-    of :func:`run_shard`, reusing the identical shm transport and
-    packed result form.
-    """
-    _report_task_start(task.batch_id)
-    packed = _analyze_refs(
-        task.times_ref, task.values_ref, task.spans, task.count_ops,
-        variant=task.variant, corrected_ref=task.corrected_ref,
-    )
-    return task.batch_id, packed
+        arrays = None
+        for block in blocks:
+            block.close()

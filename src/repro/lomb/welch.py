@@ -22,7 +22,6 @@ routes every workload through :func:`analyze_spans`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +45,6 @@ __all__ = [
     "iter_windows",
     "uniform_window_matrix",
 ]
-
-#: Sentinel distinguishing "kwarg not passed" from any real value, so the
-#: legacy ``batched=`` spelling can warn exactly when it is used.
-_UNSET = object()
 
 #: Fewest beats a window may contain and still be analysed.
 MIN_BEATS_PER_WINDOW = 16
@@ -508,33 +503,15 @@ class WelchLomb:
         )
 
     def analyze(
-        self,
-        times,
-        values,
-        count_ops: bool = False,
-        batched=_UNSET,
+        self, times, values, count_ops: bool = False
     ) -> WelchLombResult:
         """Run the sliding-window analysis over a full recording.
 
-        Thin wrapper over :meth:`analyze_windows` kept as the historical
-        spelling.  Passing ``batched=`` here is deprecated — execution
-        choices live on the engine facade (:mod:`repro.engine`) now;
-        the sequential oracle remains reachable through
-        :meth:`analyze_windows`.
+        The batched path of :meth:`analyze_windows`, kept as the
+        historical spelling; :meth:`analyze_windows` also reaches the
+        sequential oracle.
         """
-        if batched is _UNSET:
-            return self.analyze_windows(times, values, count_ops=count_ops)
-        warnings.warn(
-            "WelchLomb.analyze(batched=...) is deprecated; use the "
-            "repro.engine facade to choose execution settings, or "
-            "WelchLomb.analyze_windows(batched=...) for the equivalence "
-            "oracle",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.analyze_windows(
-            times, values, count_ops=count_ops, batched=bool(batched)
-        )
+        return self.analyze_windows(times, values, count_ops=count_ops)
 
     def analyze_windows(
         self,

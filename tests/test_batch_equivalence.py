@@ -1,8 +1,8 @@
 """Batched execution must match the sequential oracle exactly.
 
 The batched windowed-PSA engine (``transform_batch`` on the FFT
-backends, ``FastLomb.periodogram_batch``, ``WelchLomb.analyze(batched=
-True)``) is required to reproduce the sequential per-window path:
+backends, ``FastLomb.periodogram_batch``, ``WelchLomb.analyze_windows(
+batched=True)``) is required to reproduce the sequential per-window path:
 ``np.allclose`` on every spectrum and **exact equality** on executed
 operation counts, across all pruning modes, ragged window sizes and both
 Fast-Lomb scalings.
@@ -259,8 +259,8 @@ class TestWelchBatchEquivalence:
             scaling="denormalized",
         )
         welch = WelchLomb(analyzer)
-        seq = welch.analyze(times, rr, count_ops=True, batched=False)
-        bat = welch.analyze(times, rr, count_ops=True, batched=True)
+        seq = welch.analyze_windows(times, rr, count_ops=True, batched=False)
+        bat = welch.analyze_windows(times, rr, count_ops=True, batched=True)
         assert bat.n_windows == seq.n_windows
         assert bat.skipped_windows == seq.skipped_windows
         np.testing.assert_array_equal(bat.frequencies, seq.frequencies)
@@ -276,8 +276,8 @@ class TestWelchBatchEquivalence:
     def test_welch_split_radix_matches_sequential(self, rng):
         times, rr = self._recording(rng, minutes=12.0)
         welch = WelchLomb(FastLomb(max_frequency=0.4, scaling="denormalized"))
-        seq = welch.analyze(times, rr, count_ops=True, batched=False)
-        bat = welch.analyze(times, rr, count_ops=True, batched=True)
+        seq = welch.analyze_windows(times, rr, count_ops=True, batched=False)
+        bat = welch.analyze_windows(times, rr, count_ops=True, batched=True)
         np.testing.assert_allclose(
             bat.spectrogram, seq.spectrogram, rtol=1e-9, atol=1e-12
         )
@@ -287,7 +287,7 @@ class TestWelchBatchEquivalence:
         times, rr = self._recording(rng, minutes=12.0)
         welch = WelchLomb(FastLomb(max_frequency=0.4, scaling="denormalized"))
         default = welch.analyze(times, rr)
-        seq = welch.analyze(times, rr, batched=False)
+        seq = welch.analyze_windows(times, rr, batched=False)
         np.testing.assert_allclose(
             default.spectrogram, seq.spectrogram, rtol=1e-9, atol=1e-12
         )

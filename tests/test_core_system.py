@@ -100,6 +100,20 @@ class TestConventionalPSA:
         with pytest.raises(SignalError):
             ConventionalPSA().analyze([0.8, 0.9, 1.0])
 
+    def test_analyze_cohort_matches_analyze(self, rsa_recording):
+        results = ConventionalPSA().analyze_cohort(
+            [rsa_recording], count_ops=True
+        )
+        single = ConventionalPSA().analyze(rsa_recording, count_ops=True)
+        assert np.array_equal(
+            results[0].welch.spectrogram, single.welch.spectrogram
+        )
+        assert results[0].counts == single.counts
+
+    def test_analyze_cohort_requires_rr_series(self):
+        with pytest.raises(SignalError, match="RRSeries"):
+            ConventionalPSA().analyze_cohort([(1, 2, 3)])
+
     def test_window_counts_fft_dominated(self):
         system = ConventionalPSA()
         window = system.window_counts()

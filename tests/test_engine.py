@@ -94,6 +94,10 @@ class TestEngineConfigSerialization:
         with pytest.raises(ConfigurationError, match="chunk_window"):
             EngineConfig.from_dict({"chunk_window": 64})
 
+    def test_pruning_must_be_a_mapping(self):
+        with pytest.raises(ConfigurationError, match="pruning"):
+            EngineConfig.from_dict({"pruning": [True, 0.2]})
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError, match="JSON"):
             EngineConfig.from_json("{not json")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import time
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core.system import ConventionalPSA, QualityScalablePSA
 from repro.ecg.rr_synthesis import TachogramSpec, generate_tachogram
+from repro.engine import Engine, EngineConfig
 from repro.errors import ConfigurationError, SignalError
 from repro.ffts.pruning import PruningSpec
 from repro.fleet import (
@@ -249,7 +251,8 @@ class TestFleetRunnerMultiprocess:
     def test_analyze_cohort_matches_analyze(self):
         recordings = _cohort(n=2, seconds=600.0)
         system = ConventionalPSA()
-        cohort = system.analyze_cohort(recordings, jobs=2)
+        with Engine(EngineConfig(jobs=2)) as engine:
+            cohort = engine.analyze_cohort(recordings)
         for rr, fleet in zip(recordings, cohort):
             single = system.analyze(rr)
             assert fleet.lf_hf == single.lf_hf
@@ -271,7 +274,7 @@ class TestFleetRunnerMultiprocess:
             np.testing.assert_array_equal(a.spectrogram, b.spectrogram)
 
 
-def _boom(task):  # must be module-level: pool pickles it by reference
+def _boom(task, refs):  # must be module-level: pool pickles it by reference
     raise ValueError("injected shard failure")
 
 
@@ -348,6 +351,65 @@ class TestRunSpans:
         assert runner.run_spans(rr.times, rr.intervals, []) == ([], ())
 
 
+class TestVariantResolution:
+    def test_engine_runner_and_executor_share_one_system(self, monkeypatch):
+        """One process resolves one variant to one PSA system object."""
+        from repro.engine.controller import degradation_ladder
+        from repro.fleet import runner as runner_module
+        from repro.fleet import worker as worker_module
+        from repro.fleet.worker import SpanTask, execute_task
+
+        config = EngineConfig(system="quality-scalable", provider="numpy")
+        rung = degradation_ladder(config)[-1]
+        variant = (rung.system, rung.pruning)
+        analyzers = []
+        for module in (runner_module, worker_module):
+            original = module.analyze_spans_quality
+
+            def spy(analyzer, *args, _original=original, **kwargs):
+                owners = kwargs.get("owners")
+                analyzers.append(owners[0] if owners else analyzer)
+                return _original(analyzer, *args, **kwargs)
+
+            monkeypatch.setattr(module, "analyze_spans_quality", spy)
+        rr = _cohort(n=1, seconds=600.0)[0]
+        with Engine(config) as engine:
+            system = engine._system_for_variant(variant)
+            plan = engine.welch.plan_windows(rr.times, rr.intervals)
+            spans = plan.spans[:2]
+            FleetRunner.from_config(config, welch=engine.welch).run_spans(
+                plan.times, plan.values, spans, variants=[variant] * 2
+            )
+            task = SpanTask(
+                task_id=0, times_key=0, values_key=1, spans=spans,
+                count_ops=False, variant=variant,
+            )
+            execute_task(task, [plan.times, plan.values], engine.welch, config)
+        assert system is not engine.system
+        assert analyzers == [system.welch.analyzer] * 2
+
+    def test_variant_without_config_is_configuration_error(self):
+        from repro.engine.controller import degradation_ladder
+        from repro.fleet.worker import SpanTask, execute_task
+
+        rung = degradation_ladder(EngineConfig(system="quality-scalable"))[-1]
+        variant = (rung.system, rung.pruning)
+        rr = _cohort(n=1, seconds=600.0)[0]
+        welch = WelchLomb()
+        plan = welch.plan_windows(rr.times, rr.intervals)
+        runner = FleetRunner(welch=welch, n_jobs=1, provider="numpy")
+        with pytest.raises(ConfigurationError, match="EngineConfig"):
+            runner.run_spans(
+                plan.times, plan.values, plan.spans[:2], variants=[variant] * 2
+            )
+        task = SpanTask(
+            task_id=0, times_key=0, values_key=1, spans=plan.spans[:2],
+            count_ops=False, variant=variant,
+        )
+        with pytest.raises(ConfigurationError, match="EngineConfig"):
+            execute_task(task, [plan.times, plan.values], welch)
+
+
 @pytest.mark.slow
 class TestRunSpansMultiprocess:
     def test_pool_dispatch_bit_identical(self):
@@ -418,7 +480,7 @@ class TestPoolLifecycle:
         runner = FleetRunner(n_jobs=2)
         try:
             with monkeypatch.context() as patch:
-                patch.setattr("repro.fleet.runner.run_shard", _boom)
+                patch.setattr("repro.fleet.runner.run_pool_task", _boom)
                 with pytest.raises(ValueError, match="injected"):
                     runner.run(recordings)
             # The failure path must clear *both* pool handles — a stale
@@ -476,21 +538,21 @@ class TestPoolLifecycle:
             time.sleep(0.05)
 
 
-def _die_holding_first_shard(task):
-    """Fork-inherited stand-in for ``run_shard`` that kills its worker.
+def _die_holding_first_shard(task, refs):
+    """Fork-inherited stand-in for ``run_pool_task`` that kills its worker.
 
-    The worker claiming shard 0 reports the task start, gives the
+    The worker claiming task 0 reports the task start, gives the
     progress queue's feeder thread a moment to flush, then hard-exits —
     the parent must turn the silent loss into a diagnostic RuntimeError.
     """
     from repro.fleet import worker as worker_module
-    from repro.fleet.worker import run_shard
+    from repro.fleet.worker import run_pool_task
 
-    if task.shard_id == 0:
-        worker_module._report_task_start(task.shard_id)
+    if task.task_id == 0:
+        worker_module._report_task_start(task.task_id)
         time.sleep(0.3)
         os._exit(3)
-    return run_shard(task)
+    return run_pool_task(task, refs)
 
 
 class TestPoolWorkerDeath:
@@ -505,7 +567,7 @@ class TestPoolWorkerDeath:
         from repro.fleet import runner as runner_module
 
         monkeypatch.setattr(
-            runner_module, "run_shard", _die_holding_first_shard
+            runner_module, "run_pool_task", _die_holding_first_shard
         )
         with FleetRunner(n_jobs=2, start_method="fork") as runner:
             with pytest.raises(RuntimeError) as excinfo:
@@ -514,4 +576,29 @@ class TestPoolWorkerDeath:
         assert "exit code 3" in message
         assert "while running task 0" in message
         # The broken pool was discarded so the next run starts clean.
+        assert runner._pool is None
+
+    def test_dead_worker_in_split_span_batch_raises(self, monkeypatch):
+        """A split ``run_spans`` batch takes the same watchdog path."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method required to inherit the stand-in")
+        from repro.fleet import runner as runner_module
+
+        monkeypatch.setattr(
+            runner_module, "run_pool_task", _die_holding_first_shard
+        )
+        rr = _cohort(n=1, seconds=2400.0)[0]
+        welch = WelchLomb(FastLomb(scaling="denormalized"))
+        plan = welch.plan_windows(rr.times, rr.intervals)
+        assert plan.n_windows >= 16  # enough to split across workers
+        with FleetRunner(
+            welch=welch, n_jobs=2, start_method="fork", provider="numpy"
+        ) as runner:
+            with pytest.raises(RuntimeError) as excinfo:
+                runner.run_spans(plan.times, plan.values, plan.spans)
+        message = str(excinfo.value)
+        pid = re.search(r"pool worker pid (\d+) died", message)
+        assert pid is not None and int(pid.group(1)) != os.getpid()
+        assert "exit code 3" in message
+        assert "while running task 0" in message
         assert runner._pool is None

@@ -282,6 +282,29 @@ class TestEngineIntegration:
             assert report[stage]["calls"] >= 1
             assert report[stage]["seconds"] <= report["hub_flush"]["seconds"]
 
+    def test_cohort_runs_in_engine_arena_and_profiler(self):
+        rr = _synthetic_rr(duration=1800.0)
+        config = EngineConfig(jobs=1, provider="numpy", profile=True)
+        with Engine(config) as engine:
+            engine.analyze_cohort([rr])
+            report = engine.profiler.report()
+            arena = engine.arena.stats()
+        for stage in (
+            "prepare", "extirpolate", "fft", "lomb_combine", "metrics",
+            "assemble",
+        ):
+            assert report[stage]["calls"] >= 1
+        assert arena["hits"] + arena["misses"] > 0
+
+    @pytest.mark.slow
+    def test_pool_cohort_assembles_under_engine_profiler(self):
+        rr = _synthetic_rr(duration=1800.0)
+        config = EngineConfig(jobs=2, provider="numpy", profile=True)
+        with Engine(config) as engine:
+            engine.analyze_cohort([rr])
+            report = engine.profiler.report()
+        assert report["assemble"]["calls"] >= 1
+
     def test_profile_off_engine_has_no_profiler(self):
         with Engine(EngineConfig()) as engine:
             assert engine.profiler is None

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.system import ConventionalPSA, QualityScalablePSA
 from repro.ecg.rr_synthesis import TachogramSpec, generate_tachogram
+from repro.engine import Engine, EngineConfig
 from repro.errors import ConfigurationError, TransformError
 from repro.ffts import plancache
 from repro.ffts.backends import SplitRadixFFT
@@ -420,8 +420,8 @@ class TestUniformMatrixPath:
     def test_welch_analyze_uses_matrix_path_consistently(self):
         t, x = self._uniform_recording()
         welch = WelchLomb(FastLomb(scaling="denormalized"))
-        batched = welch.analyze(t, x, batched=True)
-        sequential = welch.analyze(t, x, batched=False)
+        batched = welch.analyze_windows(t, x, batched=True)
+        sequential = welch.analyze_windows(t, x, batched=False)
         np.testing.assert_allclose(
             batched.spectrogram,
             sequential.spectrogram,
@@ -532,11 +532,16 @@ class TestFleetProviderPinning:
 
     def test_analyze_cohort_provider_passthrough(self):
         rr = generate_tachogram(TachogramSpec(seed=9), 600.0)
-        results = ConventionalPSA().analyze_cohort([rr], provider="numpy")
+        with Engine(EngineConfig(provider="numpy")) as engine:
+            results = engine.analyze_cohort([rr])
         assert len(results) == 1
-        wavelet = QualityScalablePSA(
-            pruning=PruningSpec.paper_mode(3)
-        ).analyze_cohort([rr], provider="explicit")
+        wavelet_config = EngineConfig(
+            system="quality-scalable",
+            pruning=PruningSpec.paper_mode(3),
+            provider="explicit",
+        )
+        with Engine(wavelet_config) as engine:
+            wavelet = engine.analyze_cohort([rr])
         assert len(wavelet) == 1
 
 

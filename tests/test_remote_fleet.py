@@ -160,6 +160,38 @@ class TestCodec:
         with pytest.raises(TransportError):
             encode_value(object())
 
+    def test_task_variant_wire_form(self):
+        """A task's variant crosses in protocol v3's field order."""
+        from repro.ffts.pruning import PruningSpec
+
+        sent = []
+
+        class Stream:
+            def send(self, kind, payload):
+                sent.append(payload)
+
+            def recv(self):
+                return "result", {"packed": [], "metrics": ()}
+
+        spec = PruningSpec.paper_mode(2, dynamic=True)
+        spec = spec.with_dynamic_threshold(0.25)
+        worker = RemoteWorker("127.0.0.1:1")
+        worker._stream = Stream()
+        worker.run_task(
+            0, 0, 1, [(0, 8)], False, variant=("quality-scalable", spec)
+        )
+        pruning = {
+            "band_drop": True,
+            "twiddle_fraction": 0.4,
+            "dynamic": True,
+            "dynamic_threshold": 0.25,
+        }
+        variant = sent[0]["variant"]
+        assert variant == {"system": "quality-scalable", "pruning": pruning}
+        assert list(variant["pruning"]) == list(pruning)
+        assert EngineConfig(pruning=spec).to_dict()["pruning"] == pruning
+        assert PruningSpec.from_dict(variant["pruning"]) == spec
+
 
 class TestAddresses:
     def test_roundtrip(self):

@@ -30,7 +30,10 @@ Runs, in order:
 
 Each step streams its own output; the gate prints a pass/fail summary
 table and exits non-zero if *any* step failed (later steps still run, so
-one invocation reports everything that is broken).
+one invocation reports everything that is broken).  A step that runs
+longer than :data:`STEP_TIMEOUT_SECONDS` is killed, with every process
+it started, and reported as timed out; pytest steps dump every thread's
+stack first (``faulthandler_timeout``), so a hang leaves a trace.
 """
 
 from __future__ import annotations
@@ -38,11 +41,20 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Hard wall-clock limit of one gate step, far above every step's normal
+#: time (the tier-1 suite, the longest, takes about a minute).
+STEP_TIMEOUT_SECONDS = 600
+
+#: pytest dumps every thread's stack when one test runs this long — half
+#: the step limit, so the dump lands before a hung step is killed.
+PYTEST_DUMP_SECONDS = STEP_TIMEOUT_SECONDS // 2
 
 #: (label, argv) of every gate step, in execution order.  The bench
 #: smoke tests live in the tier-1 suite too, but running them by name
@@ -142,17 +154,41 @@ STEPS: list[tuple[str, list[str]]] = [
 FAST_SKIP_PREFIX = "bench smoke"
 
 
-def run_step(label: str, argv: list[str]) -> tuple[bool, float]:
-    """Run one gate step in the repo root with ``src`` importable."""
+def run_step(label: str, argv: list[str]) -> tuple[str, float]:
+    """Run one gate step in the repo root with ``src`` importable.
+
+    Returns the verdict (``"ok"``, ``"FAILED"`` or ``"TIMED OUT"``) and
+    the elapsed seconds.  The step runs in its own process group, which
+    is killed when the step ends, so neither a timed-out step nor pool
+    workers or daemons a step left behind outlive it.
+    """
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = f"{src}:{existing}" if existing else src
+    if argv[1:3] == ["-m", "pytest"]:
+        dump = f"faulthandler_timeout={PYTEST_DUMP_SECONDS}"
+        argv = argv[:3] + ["-o", dump] + argv[3:]
     print(f"\n=== {label}: {' '.join(argv)}", flush=True)
     start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=REPO_ROOT, env=env)
-    elapsed = time.perf_counter() - start
-    return proc.returncode == 0, elapsed
+    proc = subprocess.Popen(
+        argv, cwd=REPO_ROOT, env=env, start_new_session=True
+    )
+    try:
+        verdict = "ok" if proc.wait(STEP_TIMEOUT_SECONDS) == 0 else "FAILED"
+    except subprocess.TimeoutExpired:
+        verdict = "TIMED OUT"
+        print(
+            f"=== {label}: timed out after {STEP_TIMEOUT_SECONDS} s; killed",
+            flush=True,
+        )
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    return verdict, time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -168,18 +204,17 @@ def main(argv: list[str] | None = None) -> int:
         for label, cmd in STEPS
         if not (args.fast and label.startswith(FAST_SKIP_PREFIX))
     ]
-    outcomes: list[tuple[str, bool, float]] = []
+    outcomes: list[tuple[str, str, float]] = []
     for label, cmd in steps:
-        ok, elapsed = run_step(label, cmd)
-        outcomes.append((label, ok, elapsed))
+        verdict, elapsed = run_step(label, cmd)
+        outcomes.append((label, verdict, elapsed))
     width = max(len(label) for label, _, _ in outcomes)
-    print("\n" + "=" * (width + 18))
+    print("\n" + "=" * (width + 20))
     failed = 0
-    for label, ok, elapsed in outcomes:
-        verdict = "ok" if ok else "FAILED"
-        failed += not ok
-        print(f"{label:<{width}}  {verdict:<7} {elapsed:>7.1f}s")
-    print("=" * (width + 18))
+    for label, verdict, elapsed in outcomes:
+        failed += verdict != "ok"
+        print(f"{label:<{width}}  {verdict:<9} {elapsed:>7.1f}s")
+    print("=" * (width + 20))
     if failed:
         print(f"{failed}/{len(outcomes)} checks failed")
         return 1
