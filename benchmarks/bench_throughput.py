@@ -45,6 +45,7 @@ from repro.core.system import ConventionalPSA, QualityScalablePSA  # noqa: E402
 from repro.ecg.rr_synthesis import TachogramSpec, generate_tachogram  # noqa: E402
 from repro.ffts.providers import registry  # noqa: E402
 from repro.ffts.pruning import PruningSpec  # noqa: E402
+from repro.perf import execution  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_throughput.json"
 
@@ -72,42 +73,38 @@ def _sweep_providers(welch, times, intervals, n_windows, repeats: int) -> dict:
         if available
     ]
     names.sort(key=lambda name: name != "explicit")  # oracle runs first
-    previous = registry.get_default_provider_name()
     entries: dict[str, dict] = {}
     oracle = None
-    try:
-        for name in names:
-            registry.set_default_provider(name)
+    for name in names:
+        with execution(provider=name):
             checked = welch.analyze_windows(
                 times, intervals, batched=True, count_ops=True
             )
-            if oracle is None:  # "explicit" is registered first
-                oracle = checked
             seconds = _time_analyze(
                 welch, times, intervals, batched=True, repeats=repeats
             )
-            max_rel_diff = float(
-                np.max(
-                    np.abs(checked.spectrogram - oracle.spectrogram)
-                    / np.maximum(np.abs(oracle.spectrogram), 1e-30)
-                )
+        if oracle is None:  # "explicit" is registered first
+            oracle = checked
+        max_rel_diff = float(
+            np.max(
+                np.abs(checked.spectrogram - oracle.spectrogram)
+                / np.maximum(np.abs(oracle.spectrogram), 1e-30)
             )
-            entries[name] = {
-                "batched_seconds": seconds,
-                "windows_per_sec": n_windows / seconds,
-                "max_rel_diff_vs_oracle": max_rel_diff,
-                "allclose_vs_oracle": bool(
-                    np.allclose(
-                        checked.spectrogram,
-                        oracle.spectrogram,
-                        rtol=1e-6,
-                        atol=1e-12,
-                    )
-                ),
-                "opcounts_match_oracle": checked.counts == oracle.counts,
-            }
-    finally:
-        registry.set_default_provider(previous)
+        )
+        entries[name] = {
+            "batched_seconds": seconds,
+            "windows_per_sec": n_windows / seconds,
+            "max_rel_diff_vs_oracle": max_rel_diff,
+            "allclose_vs_oracle": bool(
+                np.allclose(
+                    checked.spectrogram,
+                    oracle.spectrogram,
+                    rtol=1e-6,
+                    atol=1e-12,
+                )
+            ),
+            "opcounts_match_oracle": checked.counts == oracle.counts,
+        }
     explicit_seconds = entries["explicit"]["batched_seconds"]
     for entry in entries.values():
         entry["speedup_vs_explicit"] = (
@@ -131,10 +128,10 @@ def _steady_state_alloc(welch, times, intervals, n_windows) -> dict:
     """
     import tracemalloc
 
-    from repro.perf.workspace import WorkspaceArena, arena_scope
+    from repro.perf.workspace import WorkspaceArena
 
     def churn(arena) -> int:
-        with arena_scope(arena):
+        with execution(arena=arena):
             welch.analyze_windows(times, intervals, batched=True)  # warm
             tracemalloc.start()
             try:
@@ -168,7 +165,6 @@ def run_throughput_benchmark(
     to ``BENCH_throughput.json``).
     """
     from repro.fleet.tuning import measure_chunk_windows
-    from repro.lomb import fast
 
     config = PSAConfig()
     rr = generate_tachogram(
@@ -185,9 +181,7 @@ def run_throughput_benchmark(
     # mis-sized chunk costs the fast providers ~25 % — every system and
     # provider below runs under this one pinned production chunk.
     chunk_tuning = measure_chunk_windows(workspace_size=config.fft_size)
-    previous_chunk = fast.get_chunk_override()
-    fast.set_batch_chunk_windows(chunk_tuning.chunk_windows)
-    try:
+    with execution(chunk_windows=chunk_tuning.chunk_windows):
         results: dict[str, dict] = {}
         n_windows = None
         for name, system in systems.items():
@@ -222,8 +216,6 @@ def run_throughput_benchmark(
                     welch, rr.times, rr.intervals, n_windows
                 ),
             }
-    finally:
-        fast.set_batch_chunk_windows(previous_chunk)
     return {
         "benchmark": "batched vs sequential windowed-PSA throughput",
         "workload": {

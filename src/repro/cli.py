@@ -1033,13 +1033,10 @@ def _cmd_providers(args) -> int:
     # Report the resolution state without side effects: the plain
     # listing must neither run the timing probe nor die on a bad env
     # pin — only --probe pays for the micro-benchmark.
-    pin = registry.get_default_provider_name()
     env_value = provider_env_pin()
-    if pin is not None:
-        active = pin
-    elif env_value is not None and env_value != "auto":
+    if env_value is not None and env_value != "auto":
         try:
-            active = registry.resolve_provider_name(None, args.workspace)
+            active = registry.host_provider_name(args.workspace)
         except ConfigurationError:
             active = f"invalid env pin {env_value!r}"
     else:
@@ -1066,7 +1063,7 @@ def _cmd_providers(args) -> int:
         title=f"FFT execution providers (workspace {args.workspace})",
     ))
     env = registry.PROVIDER_ENV_VAR
-    print(f"\nresolution: pin={pin or '--'}, {env}="
+    print(f"\nresolution: {env}="
           f"{env_value if env_value is not None else '--'}, active={active}")
     return 0
 

@@ -14,18 +14,20 @@ knob (environment pins are folded in *here*, via
 environment):
 
 ====================  =================================================
-provider              explicit argument → config field → process pin
-                      (:func:`~repro.ffts.providers.registry.set_default_provider`)
-                      → ``REPRO_FFT_PROVIDER`` env pin → autoselect
+provider              explicit argument → config field →
+                      ``REPRO_FFT_PROVIDER`` env pin → autoselect
                       probe
-chunk_windows         explicit argument → config field → process pin
-                      (:func:`~repro.lomb.fast.set_batch_chunk_windows`)
-                      → ``REPRO_BATCH_CHUNK_WINDOWS`` env pin →
+chunk_windows         explicit argument → config field →
+                      ``REPRO_BATCH_CHUNK_WINDOWS`` env pin →
                       per-host auto-tuner
 jobs                  explicit argument → config field → one per CPU
 worker_timeout        explicit argument → config field →
                       ``REPRO_WORKER_TIMEOUT`` env pin → 15 s default
 ====================  =================================================
+
+The current :class:`~repro.perf.ExecutionContext` is not a layer: an
+engine's settings come from its config, the environment and the
+probes, wherever it is built.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class ResolvedExecution:
         Resolved FFT execution provider name (always concrete).
     provider_source:
         Which precedence layer decided: ``"explicit"``, ``"config"``,
-        ``"process-pin"``, ``"env"`` or ``"autoselect"``.
+        ``"env"`` or ``"autoselect"``.
     chunk_windows:
         Resolved windows-per-sub-batch of the batched execution path.
     chunk_source:
@@ -111,7 +113,7 @@ class EngineConfig:
         wavelet basis, scaling).
     provider:
         FFT execution provider name to pin, or ``None`` to fall through
-        the resolution chain (process pin → env pin → autoselect).
+        the resolution chain (env pin → autoselect).
     chunk_windows:
         Batched-execution sub-batch size to pin, or ``None`` to fall
         through (env pin → per-host auto-tuner).
@@ -124,7 +126,7 @@ class EngineConfig:
         (the default) keeps execution on this host.  Results are
         bit-identical either way: each daemon rebuilds the engine from
         this config and runs under the scheduler's resolved
-        provider/chunk pins.
+        provider and chunk size.
     worker_timeout:
         Remote worker connect/heartbeat timeout in seconds (> 0), or
         ``None`` to fall through the resolution chain
@@ -432,18 +434,12 @@ class EngineConfig:
                 registry.resolve_provider_name(self.provider, workspace),
                 "config",
             )
-        elif registry.get_default_provider_name() is not None:
-            provider_name, provider_source = (
-                registry.get_default_provider_name(),
-                "process-pin",
-            )
         elif provider_env_pin() is not None:
-            # Delegate to the registry chain (we are below the explicit
-            # and process-pin layers here) so "auto" and the
+            # Delegate to the registry so "auto" and the
             # unavailable-provider fallback behave exactly as documented
             # there.
             provider_name, provider_source = (
-                registry.resolve_provider_name(None, workspace),
+                registry.host_provider_name(workspace),
                 "env",
             )
         else:
@@ -452,7 +448,7 @@ class EngineConfig:
                 "autoselect",
             )
 
-        from ..lomb.fast import get_batch_chunk_windows, get_chunk_override
+        from ..lomb.fast import host_chunk_windows
 
         if chunk_windows is not None:
             chunk_windows = int(chunk_windows)
@@ -463,16 +459,14 @@ class EngineConfig:
             chunk, chunk_source = chunk_windows, "explicit"
         elif self.chunk_windows is not None:
             chunk, chunk_source = self.chunk_windows, "config"
-        elif get_chunk_override() is not None:
-            chunk, chunk_source = get_chunk_override(), "process-pin"
         elif chunk_env_pin() is not None:
             chunk, chunk_source = chunk_env_pin(), "env"
         else:
-            # get_batch_chunk_windows owns the memoised per-host probe
-            # (override and env are both None here, so it falls through
-            # to the tuner) — one cache, never re-probed per resolve.
+            # host_chunk_windows owns the memoised per-host probe (the
+            # env pin is None here, so it falls through to the tuner) —
+            # one cache, never re-probed per resolve.
             chunk, chunk_source = (
-                get_batch_chunk_windows(workspace),
+                host_chunk_windows(workspace),
                 "autotuned",
             )
 

@@ -6,8 +6,12 @@ provider registry, the per-host chunk tuner and the sharded fleet
 runner.  It is constructed from one declarative
 :class:`~repro.engine.config.EngineConfig`, resolves every execution
 knob exactly once (provider, chunk size, jobs), warms the plan caches
-for the resolved provider, and then serves three workloads through the
-same pinned execution state:
+for the resolved provider, and builds one
+:class:`~repro.perf.ExecutionContext` from the resolved provider and
+chunk size, its workspace arena and its profiler.  It enters that
+context around every call of the four workloads it serves (the context
+lives in a ``ContextVar``, so engines driven from several threads never
+see each other's settings):
 
 * :meth:`Engine.analyze` — one completed recording,
 * :meth:`Engine.analyze_cohort` — many recordings over a **persistent**
@@ -30,16 +34,14 @@ bit-identical by construction.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
-
 from ..core.system import ConventionalPSA, PSAResult, QualityScalablePSA
 from ..errors import ConfigurationError
 from ..ffts.plancache import _BoundedCache, warm_execution_caches
 from ..hrv.rr import RRSeries
-from ..lomb.fast import pinned_execution
 from ..lomb.welch import analyze_spans_quality
-from ..perf.profiler import NULL_SPAN, StageProfiler, profile_scope
-from ..perf.workspace import WorkspaceArena, arena_scope
+from ..perf.context import ExecutionContext, execution
+from ..perf.profiler import NULL_SPAN, StageProfiler
+from ..perf.workspace import WorkspaceArena
 from .config import EngineConfig
 
 __all__ = ["Engine", "build_system"]
@@ -135,10 +137,18 @@ class Engine:
             )
         self._fleet = None
         # The engine owns its workspace arena (shared by every workload
-        # it serves, like the plan caches) and its per-stage profiler;
-        # both are installed scope-wise around workloads by _pinned().
+        # it serves, like the plan caches) and its per-stage profiler.
         self._arena = WorkspaceArena() if config.arena else None
         self._profiler = StageProfiler() if config.profile else None
+        # Every workload runs under this one context (entered per call,
+        # so engines used from several threads never share state), and
+        # results cannot depend on which entry point ran them.
+        self._context = ExecutionContext(
+            provider=self.resolved.provider,
+            chunk_windows=self.resolved.chunk_windows,
+            arena=self._arena,
+            profiler=self._profiler,
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -188,33 +198,10 @@ class Engine:
     # Execution
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _pinned(self):
-        """Install this engine's execution state for the calling block.
-
-        Every workload this engine serves executes under the same
-        provider/chunk process pins, the engine's workspace arena (when
-        enabled) and its profiler (when enabled), so results cannot
-        depend on which entry point ran them; all previous state is
-        restored on exit (engines must not leak state into code that
-        never asked for them).
-        """
-        with ExitStack() as stack:
-            stack.enter_context(
-                pinned_execution(
-                    self.resolved.provider, self.resolved.chunk_windows
-                )
-            )
-            if self._arena is not None:
-                stack.enter_context(arena_scope(self._arena))
-            if self._profiler is not None:
-                stack.enter_context(profile_scope(self._profiler))
-            yield
-
     def _profile_span(self, stage: str):
         """A span on this engine's profiler (no-op when profiling is off).
 
-        For engine-owned stages that run *outside* :meth:`_pinned`:
+        For engine-owned stages that run outside the engine's context:
         the hub's flush wrapper and its concat and record steps.
         """
         if self._profiler is None:
@@ -223,7 +210,7 @@ class Engine:
 
     def analyze(self, rr: RRSeries, count_ops: bool = False) -> PSAResult:
         """Run the full PSA over one completed RR recording."""
-        with self._pinned():
+        with execution(self._context):
             return self._system.analyze(rr, count_ops=count_ops)
 
     def analyze_cohort(
@@ -237,7 +224,7 @@ class Engine:
         fork/initialise cost once; :meth:`close` releases it.
         """
         runner = self._ensure_fleet()
-        with self._pinned():
+        with execution(self._context):
             welch_results = runner.run(list(recordings), count_ops=count_ops)
             return [self._system._finalize(welch) for welch in welch_results]
 
@@ -289,7 +276,7 @@ class Engine:
         """Run one span batch under this engine's execution policy.
 
         The streaming hub's choke-point hook: in-process under the
-        pinned provider/chunk, or dispatched over the persistent fleet
+        engine's context, or dispatched over the persistent fleet
         pool when the resolved job count calls for workers — both
         bit-identical by the batch-composition-independence invariant.
         ``variants`` names each span's quality level (``None`` for the
@@ -301,7 +288,7 @@ class Engine:
         metrics)`` with one :class:`~repro.hrv.metrics.WindowMetrics`
         per span.
         """
-        with self._pinned():
+        with execution(self._context):
             if self.resolved.jobs > 1 or self.resolved.workers:
                 return self._ensure_fleet().run_spans(
                     times, values, spans, count_ops=count_ops,

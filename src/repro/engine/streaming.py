@@ -61,6 +61,7 @@ from ..lomb.welch import (
     analyze_spans_quality,
     assemble_result,
 )
+from ..perf.context import execution
 from ..perf.workspace import Scratch
 
 __all__ = ["StreamingSession", "WindowEmission"]
@@ -413,7 +414,7 @@ class StreamingSession:
             if variant is None
             else self._engine._system_for_variant(variant).welch.analyzer
         )
-        with self._engine._pinned():
+        with execution(self._engine._context):
             spectra, metrics = analyze_spans_quality(
                 analyzer,
                 t,
@@ -551,7 +552,7 @@ class StreamingSession:
             raise SignalError(
                 "no analysable windows: recording too short or too sparse"
             )
-        with self._engine._pinned():
+        with execution(self._engine._context):
             welch_result = assemble_result(
                 self._spectra,
                 np.asarray(self._centers),

@@ -14,7 +14,6 @@ from .providers import (
     autoselect,
     available_providers,
     get_provider,
-    set_default_provider,
 )
 from .dft import direct_dft, direct_dft_counts
 from .opcount import (
@@ -53,7 +52,6 @@ __all__ = [
     "autoselect",
     "available_providers",
     "get_provider",
-    "set_default_provider",
     "TWIDDLE_SETS",
     "WaveletFFT",
     "bit_reverse_permutation",

@@ -12,10 +12,11 @@ through the same protocol:
 * ``transform_batch_with_counts(x2d)`` — same plus per-row counts.
 
 :class:`~repro.ffts.wavelet_fft.WaveletFFT` already satisfies it; this
-module adds the conventional baseline.  Third-party kernels that only
-implement the three sequential methods still work: the Fast-Lomb batch
-driver falls back to per-window calls when ``transform_batch`` is
-missing.
+module adds the conventional baseline.  Fast-Lomb runs every batch
+through the batch methods, and :class:`~repro.lomb.fast.FastLomb`
+rejects at construction a kernel that lacks one its path calls
+(``transform_batch`` and ``transform_batch_with_counts`` on the packed
+path).
 
 Execution vs. accounting: since the provider layer landed, the
 *numerics* of :class:`SplitRadixFFT` run on whichever FFT execution
@@ -88,9 +89,10 @@ class SplitRadixFFT:
         split-radix closed forms either way.
     provider:
         Optional per-kernel provider pin (a registry name).  ``None``
-        defers to the registry's resolution chain (process pin,
-        ``REPRO_FFT_PROVIDER``, lazy autoselect) on every call, so a
-        long-lived plan follows later pins.
+        defers to the registry's resolution chain (the current
+        execution context, ``REPRO_FFT_PROVIDER``, lazy autoselect) on
+        every call, so a long-lived plan follows the context it runs
+        under.
     """
 
     def __init__(

@@ -11,10 +11,10 @@ it on the host*.  Three providers ship:
   auto-skipped when the optional dependency is missing.
 
 Selection goes through :mod:`~repro.ffts.providers.registry`: an
-explicit pin, :func:`set_default_provider`, the ``REPRO_FFT_PROVIDER``
-environment variable, or a lazy micro-benchmark probe
-(:func:`autoselect`).  See ``python -m repro providers`` for the live
-view of this registry.
+explicit pin, the current execution context
+(:func:`repro.perf.execution`), the ``REPRO_FFT_PROVIDER`` environment
+variable, or a lazy micro-benchmark probe (:func:`autoselect`).  See
+``python -m repro providers`` for the live view of this registry.
 """
 
 from .base import FFTProvider
@@ -25,13 +25,11 @@ from .registry import (
     autoselect,
     available_providers,
     clear_provider_state,
-    get_default_provider_name,
     get_provider,
     provider_descriptions,
     provider_names,
     register_provider,
     resolve_provider_name,
-    set_default_provider,
 )
 
 __all__ = [
@@ -42,11 +40,9 @@ __all__ = [
     "autoselect",
     "available_providers",
     "clear_provider_state",
-    "get_default_provider_name",
     "get_provider",
     "provider_descriptions",
     "provider_names",
     "register_provider",
     "resolve_provider_name",
-    "set_default_provider",
 ]

@@ -7,8 +7,10 @@ engine through this module.  Resolution order mirrors the chunk-size
 tuner (:mod:`repro.fleet.tuning`):
 
 1. an explicit per-call / per-kernel pin (``provider=`` arguments),
-2. a process-wide :func:`set_default_provider` pin (what the fleet
-   engine installs in every worker so sharded runs stay deterministic),
+2. the provider of the current execution context
+   (:func:`repro.perf.context.execution`: what an engine, a fleet
+   worker or a pinned block runs under, so sharded runs stay
+   deterministic),
 3. the ``REPRO_FFT_PROVIDER`` environment variable (a provider name, or
    ``"auto"`` to force the probe),
 4. a lazy, memoised :func:`autoselect` micro-benchmark that times each
@@ -41,6 +43,7 @@ import numpy as np
 
 from ...envpins import PROVIDER_ENV_VAR, cache_dir_env_pin, provider_env_pin
 from ...errors import ConfigurationError
+from ...perf.context import current_execution
 from .base import FFTProvider
 
 __all__ = [
@@ -54,13 +57,13 @@ __all__ = [
     "build_provider",
     "clear_autoselect_disk_cache",
     "clear_provider_state",
-    "get_default_provider_name",
     "get_provider",
+    "host_provider_name",
+    "provider_available",
     "provider_descriptions",
     "provider_names",
     "register_provider",
     "resolve_provider_name",
-    "set_default_provider",
 ]
 
 #: Name every fallback resolves to; registered unconditionally.
@@ -119,7 +122,6 @@ _REGISTRY: dict[str, _ProviderEntry] = {
     ),
 }
 
-_default_override: str | None = None
 _autoselected: dict[int, "ProviderChoice"] = {}
 
 #: File name of the persistent autoselect cache inside the cache dir.
@@ -152,7 +154,7 @@ def register_provider(
     from .. import plancache
 
     plancache.invalidate_provider_plan(name)
-    clear_provider_state(keep_default=True)
+    clear_provider_state()
 
 
 def provider_names() -> tuple[str, ...]:
@@ -174,6 +176,15 @@ def require_known(name: str) -> str:
 def available_providers() -> dict[str, bool]:
     """Mapping of every registered provider name to its availability."""
     return {name: entry.available() for name, entry in _REGISTRY.items()}
+
+
+def provider_available(name: str) -> bool:
+    """Whether provider *name* (validated) can run on this host.
+
+    Asks only *name*'s availability check, so pinning ``numpy`` never
+    imports an optional dependency.
+    """
+    return _REGISTRY[require_known(name)].available()
 
 
 def provider_descriptions() -> dict[str, str]:
@@ -204,30 +215,6 @@ def get_provider(name: str) -> FFTProvider:
     from .. import plancache
 
     return plancache.provider_plan(name)
-
-
-def set_default_provider(name: str | None) -> None:
-    """Pin the process-wide default provider; ``None`` clears the pin.
-
-    The fleet engine pins every worker to the parent's resolved choice
-    so a sharded cohort runs one engine end-to-end (bit-identical
-    merges need every shard rounding the same way).
-    """
-    global _default_override
-    if name is None:
-        _default_override = None
-        return
-    name = require_known(name)
-    if not _REGISTRY[name].available():
-        raise ConfigurationError(
-            f"cannot pin unavailable FFT provider {name!r}"
-        )
-    _default_override = name
-
-
-def get_default_provider_name() -> str | None:
-    """The explicit process-wide pin, if any (used to save/restore it)."""
-    return _default_override
 
 
 @dataclass(frozen=True)
@@ -447,10 +434,8 @@ def resolve_provider_name(
     """Resolve the provider name the dispatch chain would use.
 
     ``name`` is an explicit caller pin (validated strictly); otherwise
-    the process pin, the environment variable and the lazy autoselect
-    probe are consulted in that order.  An env-pinned provider that is
-    unavailable on this host resolves to ``"numpy"`` (the documented
-    optional-dependency fallback).
+    the current execution context's provider, then
+    :func:`host_provider_name`.
     """
     if name is not None:
         name = require_known(name)
@@ -459,8 +444,19 @@ def resolve_provider_name(
                 f"FFT provider {name!r} is not available on this host"
             )
         return name
-    if _default_override is not None:
-        return _default_override
+    pinned = current_execution().provider
+    if pinned is not None:
+        return pinned
+    return host_provider_name(workspace_size)
+
+
+def host_provider_name(workspace_size: int = 512) -> str:
+    """The provider this host resolves to outside any pin.
+
+    The environment variable, then the lazy autoselect probe.  An
+    env-pinned provider that is unavailable on this host resolves to
+    ``"numpy"`` (the documented optional-dependency fallback).
+    """
     env = provider_env_pin()
     if env is not None:
         if env == "auto":
@@ -477,14 +473,11 @@ def active_provider(workspace_size: int = 512) -> FFTProvider:
     return get_provider(resolve_provider_name(None, workspace_size))
 
 
-def clear_provider_state(keep_default: bool = False) -> None:
-    """Drop the autoselect memo (and, by default, the process pin).
+def clear_provider_state() -> None:
+    """Drop the autoselect memo (test-isolation hook).
 
-    Test-isolation hook; cached provider *instances* live in
+    Cached provider *instances* live in
     :func:`repro.ffts.plancache.provider_plan` and are cleared with
     :func:`repro.ffts.plancache.clear_plan_caches`.
     """
-    global _default_override
     _autoselected.clear()
-    if not keep_default:
-        _default_override = None

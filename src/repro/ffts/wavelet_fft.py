@@ -196,7 +196,8 @@ class WaveletFFT:
         """The execution provider behind the innermost sub-DFTs.
 
         ``"auto"`` defers to the registry's resolution chain on every
-        call (so long-lived cached plans follow later provider pins);
+        call (so long-lived cached plans follow the current execution
+        context's provider);
         ``"split-radix"`` maps to the explicit oracle provider and any
         other value is a pinned provider name (validated at planning,
         availability included).

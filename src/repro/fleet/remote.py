@@ -11,7 +11,8 @@ boundary; this module carries the fleet's one task shape,
   already-resolved* provider and chunk size; the daemon reconstructs
   the identical execution state (same system geometry, same pinned
   provider — never re-resolved, because two hosts may auto-probe
-  differently — plan caches warmed, arena installed) and then serves
+  differently — plan caches warmed) as one
+  :class:`~repro.perf.ExecutionContext` per connection, and then serves
   ``task`` messages: it decodes each into a ``SpanTask`` over its
   uploaded arrays and runs :func:`~repro.fleet.worker.execute_task`,
   the executor every pool and in-process slot runs, so the result
@@ -28,7 +29,7 @@ boundary; this module carries the fleet's one task shape,
 
 Bit-identity holds across this transport by construction: arrays travel
 as raw float64 buffers (:mod:`repro.fleet.transport`), the daemon runs
-the same executor under the same provider/chunk pins, and packed
+the same executor under the same provider and chunk size, and packed
 spectra and per-window metrics come back bit-exact.
 """
 
@@ -44,6 +45,8 @@ import zlib
 import numpy as np
 
 from ..errors import ConfigurationError, ReproError, TransportError
+from ..perf.context import ExecutionContext, execution
+from ..perf.workspace import WorkspaceArena
 from .transport import FrameStream, format_address, parse_address
 
 __all__ = [
@@ -129,12 +132,11 @@ class WorkerDaemon:
         self._conn_threads: list[threading.Thread] = []
         # One task computes at a time: a daemon is one worker slot, the
         # remote analogue of one pool process (schedulers wanting more
-        # slots per host run more daemons).  The lock also keeps the
-        # per-task provider/chunk pins of concurrent client connections
-        # from interleaving.
+        # slots per host run more daemons).
         self._exec_lock = threading.Lock()
-        self._arena_lock = threading.Lock()
-        self._arena_installed = False
+        # Kernel temporaries of every connection whose hello asks for an
+        # arena lease from this one (thread-safe) pool.
+        self._arena = WorkspaceArena()
 
     @property
     def address(self) -> str:
@@ -251,6 +253,7 @@ class WorkerDaemon:
             from ..engine.engine import build_system
             from ..ffts.plancache import warm_execution_caches
             from ..ffts.providers.registry import available_providers
+            from .worker import warm_arena
 
             config = EngineConfig.from_dict(payload["config"])
             provider = payload["provider"]
@@ -260,16 +263,17 @@ class WorkerDaemon:
                     f"FFT provider {provider!r} pinned by the scheduler is "
                     f"not available on this worker host"
                 )
+            arena = self._arena if payload.get("arena", True) else None
+            context = ExecutionContext(provider, chunk, arena=arena)
             welch = build_system(config).welch
             analyzer = welch.analyzer
             warm_execution_caches(
                 analyzer.workspace_size, analyzer.order, provider
             )
-            if payload.get("arena", True):
-                self._install_arena(chunk, analyzer.workspace_size)
+            if arena is not None:
+                warm_arena(arena, chunk, analyzer.workspace_size)
             state.update(
-                welch=welch, provider=provider, chunk=chunk, arrays={},
-                config=config,
+                welch=welch, context=context, arrays={}, config=config
             )
         except ReproError as exc:
             try:
@@ -282,25 +286,11 @@ class WorkerDaemon:
             {
                 "pid": os.getpid(),
                 "version": PROTOCOL_VERSION,
-                "provider": state["provider"],
-                "chunk_windows": state["chunk"],
+                "provider": state["context"].provider,
+                "chunk_windows": state["context"].chunk_windows,
             },
         )
         return True
-
-    def _install_arena(self, chunk: int, workspace: int) -> None:
-        """Process-wide workspace arena, installed once (like init_worker)."""
-        with self._arena_lock:
-            if self._arena_installed:
-                return
-            from ..perf.workspace import WorkspaceArena, set_active_arena
-
-            arena = WorkspaceArena()
-            if chunk > 0:
-                arena.warm((chunk, workspace), np.float64, count=2)
-                arena.warm((chunk, workspace), np.complex128, count=2)
-            set_active_arena(arena)
-            self._arena_installed = True
 
     def _run_task(self, stream, payload, state) -> None:
         """Execute one span-batch task, heartbeating while it computes."""
@@ -340,7 +330,6 @@ class WorkerDaemon:
     def _compute(self, payload, state, outcome: dict) -> None:
         try:
             from ..ffts.pruning import PruningSpec
-            from ..lomb.fast import pinned_execution
             from .worker import SpanTask, execute_task
 
             # The wire variant is a plain {"system", "pruning"} dict: the
@@ -371,11 +360,10 @@ class WorkerDaemon:
                     raise TransportError(
                         f"task references unknown array key {key!r}"
                     )
-            with self._exec_lock:
-                with pinned_execution(state["provider"], state["chunk"]):
-                    outcome["packed"], outcome["metrics"] = execute_task(
-                        task, arrays, state["welch"], state["config"]
-                    )
+            with self._exec_lock, execution(state["context"]):
+                outcome["packed"], outcome["metrics"] = execute_task(
+                    task, arrays, state["welch"], state["config"]
+                )
         except Exception as exc:  # deterministic task failure, not death
             outcome["error"] = f"{type(exc).__name__}: {exc}"
 

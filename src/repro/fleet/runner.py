@@ -52,7 +52,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, SignalError
 from ..hrv.rr import RRSeries
-from ..lomb.fast import get_batch_chunk_windows, pinned_execution
+from ..lomb.fast import get_batch_chunk_windows
 from ..lomb.welch import (
     RecordingWindows,
     WelchLomb,
@@ -62,6 +62,7 @@ from ..lomb.welch import (
 )
 from ..ffts.plancache import warm_execution_caches
 from ..ffts.providers.registry import resolve_provider_name
+from ..perf.context import execution
 from .remote import DEFAULT_TIMEOUT, RemoteTaskError, RemoteWorker
 from .sharding import (
     DEFAULT_MIN_WINDOWS_PER_SHARD,
@@ -219,18 +220,20 @@ class FleetRunner:
         Shard-granularity knobs, see :func:`repro.fleet.sharding.plan_shards`.
     chunk_windows:
         Batch sub-batch size to pin across the fleet; ``None`` resolves
-        the host-tuned value (:func:`repro.lomb.fast.get_batch_chunk_windows`).
+        the current execution context's, else the host-tuned value
+        (:func:`repro.lomb.fast.get_batch_chunk_windows`).
     provider:
         FFT execution provider to pin across the fleet; ``None``
-        resolves the registry chain
-        (:func:`repro.ffts.providers.registry.resolve_provider_name`)
-        **once in the parent** — the resolved name is installed in
-        every worker so all shards round identically, which is what
-        keeps sharded results bit-identical to single-process ones
+        resolves the registry chain — the current execution context,
+        the env pin, the probe
+        (:func:`repro.ffts.providers.registry.resolve_provider_name`) —
+        **once in the parent**.  The resolved name is in every
+        worker's context so all shards round identically, which is
+        what keeps sharded results bit-identical to single-process ones
         under every provider.
     arena:
-        Install a per-process :class:`~repro.perf.WorkspaceArena` in
-        every worker (pre-warmed with the fleet's hot kernel shapes) so
+        Give every worker's context a :class:`~repro.perf.WorkspaceArena`
+        of its own (pre-warmed with the fleet's hot kernel shapes) so
         steady-state shards reuse buffers instead of reallocating them;
         never affects results.
     workers:
@@ -668,7 +671,7 @@ class FleetRunner:
                 ).analyzer
                 for variant in set(variants)
             }
-            with pinned_execution(provider, chunk):
+            with execution(provider=provider, chunk_windows=chunk):
                 return analyze_spans_quality(
                     self.welch.analyzer, times, values, spans, count_ops,
                     corrected=corrected,
@@ -855,7 +858,7 @@ class FleetRunner:
     def _inprocess_loop(self, board, arrays, tasks, chunk, provider) -> None:
         """The ``n_jobs == 1`` local slot: run claimed tasks right here."""
         try:
-            with pinned_execution(provider, chunk):
+            with execution(provider=provider, chunk_windows=chunk):
                 while True:
                     task_id = board.claim()
                     if task_id is None:

@@ -17,7 +17,7 @@ instead:
   a synthetic workload at several candidate chunk sizes and picks the
   fastest (used by the fleet benchmark and the ``tune`` CLI command);
 * :func:`autotune_chunk_windows` is the entry point
-  :func:`repro.lomb.fast.get_batch_chunk_windows` calls lazily on first
+  :func:`repro.lomb.fast.host_chunk_windows` calls lazily on first
   batched use.
 
 Tuning never changes results — batch rows are independent, so chunk
@@ -203,14 +203,16 @@ def measure_chunk_windows(
 
     The workload is a cohort of identical-geometry synthetic windows
     (one frequency-grid group, the hot case), sized to exercise the
-    largest candidate at least twice.  The resolved FFT execution
-    provider is pinned for the duration of the probe (and recorded in
-    the result) so a lazy mid-probe re-selection cannot skew the
-    candidate timings.  Returns a :class:`ChunkTuning` with
-    per-candidate best-of-*repeats* timings.
+    largest candidate at least twice.  Each candidate runs under a
+    context derived from the current one that pins it and the resolved
+    FFT execution provider (recorded in the result), so a lazy
+    mid-probe re-selection cannot skew the candidate timings; the
+    caller's context is untouched.  Returns a :class:`ChunkTuning`
+    with per-candidate best-of-*repeats* timings.
     """
     from ..ffts.providers import registry
     from ..lomb import fast
+    from ..perf.context import execution
 
     if not candidates:
         raise ConfigurationError("candidates must be non-empty")
@@ -225,22 +227,15 @@ def measure_chunk_windows(
     )
     analyzer.periodogram_batch(windows)  # warm plans and caches untimed
     timings: dict[int, float] = {}
-    previous = fast.get_chunk_override()
-    previous_provider = registry.get_default_provider_name()
     provider = registry.resolve_provider_name(None, workspace_size)
-    registry.set_default_provider(provider)
-    try:
-        for candidate in candidates:
-            fast.set_batch_chunk_windows(candidate)
+    for candidate in candidates:
+        with execution(provider=provider, chunk_windows=candidate):
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
                 analyzer.periodogram_batch(windows)
                 best = min(best, time.perf_counter() - start)
-            timings[candidate] = best
-    finally:
-        fast.set_batch_chunk_windows(previous)
-        registry.set_default_provider(previous_provider)
+        timings[candidate] = best
     chosen = min(timings, key=timings.get)
     return ChunkTuning(
         chunk_windows=chosen,
@@ -255,7 +250,7 @@ def measure_chunk_windows(
 def autotune_chunk_windows(workspace_size: int = 512) -> ChunkTuning:
     """Cheap first-use tuning pass: sysfs cache model, PR 1 fallback.
 
-    This is what :func:`repro.lomb.fast.get_batch_chunk_windows` runs
+    This is what :func:`repro.lomb.fast.host_chunk_windows` runs
     lazily the first time a batch is chunked for a given workspace
     size.  It never times anything (timing at import/first-use would
     make cold starts slow and nondeterministic); hosts that want the

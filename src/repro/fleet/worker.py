@@ -13,8 +13,8 @@ being pickled once per window).  The slots differ only in how the
 arrays arrive:
 
 * a pool worker — initialised once with the engine and the parent's
-  resolved pins (:func:`init_worker`) — attaches them from shared
-  memory (:func:`run_pool_task`);
+  resolved provider and chunk size (:func:`init_worker`) — attaches
+  them from shared memory (:func:`run_pool_task`);
 * the runner's in-process slot hands them over directly;
 * a remote :class:`~repro.fleet.remote.WorkerDaemon` holds the copies
   its client uploaded.
@@ -33,11 +33,11 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..ffts.plancache import warm_execution_caches
-from ..ffts.providers.registry import set_default_provider
 from ..hrv.metrics import WindowMetrics
-from ..lomb.fast import LombSpectrum, set_batch_chunk_windows
+from ..lomb.fast import LombSpectrum
 from ..lomb.welch import WelchLomb, analyze_spans_quality
-from ..perf.workspace import WorkspaceArena, set_active_arena
+from ..perf.context import ExecutionContext, set_execution
+from ..perf.workspace import WorkspaceArena
 from .shm import attach_array
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "pack_spectra",
     "unpack_metrics",
     "unpack_spectra",
+    "warm_arena",
 ]
 
 #: Per-process state installed by :func:`init_worker`.
@@ -111,6 +112,8 @@ def init_worker(
 ) -> None:
     """Pool initializer: install the engine and warm this process.
 
+    Sets this process's :class:`~repro.perf.ExecutionContext` once;
+    every task the process runs executes under it.
     ``chunk_windows`` pins the batch sub-batch size to the parent's
     resolved value so the whole fleet runs one consistent chunking
     policy (results never depend on it; only throughput does).
@@ -118,11 +121,11 @@ def init_worker(
     resolved choice — here results *do* depend on it (different engines
     round differently), so pinning is what keeps every shard, and hence
     the merged cohort, bit-identical to the single-process run.
-    ``arena`` installs a process-wide
-    :class:`~repro.perf.WorkspaceArena` and pre-warms its hottest
-    shapes — the ``(chunk, workspace)`` kernel matrices — so even a
-    worker's first shard reuses pooled buffers (arenas never change
-    results; the kernels run the same operations either way).
+    ``arena`` gives the context a :class:`~repro.perf.WorkspaceArena`
+    of this process's own, pre-warmed for its hottest shapes — the
+    ``(chunk, workspace)`` kernel matrices — so even a worker's first
+    shard reuses pooled buffers (arenas never change results; the
+    kernels run the same operations either way).
     ``progress_queue`` (a ``multiprocessing`` queue) receives a
     ``(pid, task_id)`` record as each task *starts*, so the parent's
     watchdog can name the task a worker held when it died.
@@ -131,22 +134,31 @@ def init_worker(
     controller shed to a degraded pruning mode (see
     :func:`resolve_variant`); without it, variant tasks are rejected.
     """
-    if chunk_windows is not None:
-        set_batch_chunk_windows(chunk_windows)
-    if provider is not None:
-        set_default_provider(provider)
+    worker_arena = WorkspaceArena() if arena else None
+    context = ExecutionContext(provider, chunk_windows, arena=worker_arena)
+    set_execution(context)
     analyzer = welch.analyzer
     warm_execution_caches(analyzer.workspace_size, analyzer.order, provider)
-    if arena:
-        worker_arena = WorkspaceArena()
-        if chunk_windows is not None and chunk_windows > 0:
-            ndim = analyzer.workspace_size
-            worker_arena.warm((chunk_windows, ndim), np.float64, count=2)
-            worker_arena.warm((chunk_windows, ndim), np.complex128, count=2)
-        set_active_arena(worker_arena)
+    if worker_arena is not None:
+        warm_arena(worker_arena, chunk_windows, analyzer.workspace_size)
     _STATE["welch"] = welch
     _STATE["progress"] = progress_queue
     _STATE["config"] = config
+
+
+def warm_arena(
+    arena: WorkspaceArena, chunk_windows: int | None, workspace_size: int
+) -> None:
+    """Pre-pool the dense kernel's hottest shapes in ``arena``.
+
+    Two float64 and two complex128 ``(chunk, workspace)`` matrices, so
+    an executor's first task already reuses pooled buffers.  Nothing to
+    warm when the chunk size is not pinned.
+    """
+    if chunk_windows is not None:
+        shape = (chunk_windows, workspace_size)
+        arena.warm(shape, np.float64, count=2)
+        arena.warm(shape, np.complex128, count=2)
 
 
 def _report_task_start(task_id: int) -> None:

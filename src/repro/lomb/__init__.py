@@ -13,7 +13,6 @@ from .fast import (
     FastLomb,
     LombSpectrum,
     get_batch_chunk_windows,
-    set_batch_chunk_windows,
 )
 from .welch import (
     RecordingWindows,
@@ -38,5 +37,4 @@ __all__ = [
     "iter_windows",
     "lomb_frequency_grid",
     "lomb_periodogram",
-    "set_batch_chunk_windows",
 ]

@@ -21,8 +21,9 @@ Two execution paths produce the same spectra:
   are grouped by frequency-grid length, extirpolated with one
   scatter-add over a flattened ``(window, cell)`` space, transformed
   through the backend's ``transform_batch`` and combined as dense
-  ``(n_windows, nout)`` array operations.  Backends without a batch
-  entry point fall back to sequential per-window calls.
+  ``(n_windows, nout)`` array operations.  A backend must implement the
+  batch entry points its path calls; :class:`FastLomb` rejects one that
+  does not at construction.
 
 Only the FFT stage depends on the backend, which is all a quality level
 changes (the paper's Fig. 1a).  So one batch can mix levels: an optional
@@ -44,7 +45,6 @@ spectra and identical modelled op counts):
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +56,7 @@ from ..errors import ConfigurationError, SignalError
 from ..ffts.backends import FFTBackend
 from ..ffts.opcount import OpCounts
 from ..ffts.plancache import split_radix_plan
+from ..perf.context import current_execution
 from ..perf.profiler import span as _profile_span
 from ..perf.workspace import carve, scratch
 from .extirpolation import DEFAULT_ORDER, extirpolate, extirpolate_batch
@@ -65,7 +66,7 @@ __all__ = [
     "LombSpectrum",
     "BLOCK_COSTS",
     "get_batch_chunk_windows",
-    "set_batch_chunk_windows",
+    "host_chunk_windows",
 ]
 
 #: Fallback windows-per-sub-batch of the batched execution path when the
@@ -77,72 +78,29 @@ __all__ = [
 #: this size.
 BATCH_CHUNK_WINDOWS = 256
 
-_chunk_override: int | None = None
 _chunk_tuned: dict[int, int] = {}
-
-
-def set_batch_chunk_windows(value: int | None) -> None:
-    """Pin the batched sub-batch size for this process.
-
-    ``None`` clears the pin and re-enables per-host auto-tuning.  The
-    fleet engine pins every worker to the parent's resolved value so a
-    cohort runs with one consistent chunk size; results never depend on
-    it (batch rows are independent).
-    """
-    global _chunk_override
-    if value is None:
-        _chunk_override = None
-        return
-    value = int(value)
-    if value < 1:
-        raise ConfigurationError(
-            f"batch chunk size must be >= 1, got {value}"
-        )
-    _chunk_override = value
-
-
-def get_chunk_override() -> int | None:
-    """The explicit per-process pin, if any (used to save/restore it)."""
-    return _chunk_override
-
-
-@contextmanager
-def pinned_execution(provider: str | None, chunk_windows: int | None):
-    """Install a provider/chunk pin pair for the calling block.
-
-    The one save-set-restore implementation every execution layer that
-    runs under resolved settings (the engine facade, the fleet runner's
-    in-process paths) shares: the previous pins are restored on exit,
-    so pinned blocks never leak state into code that did not ask for
-    them.
-    """
-    from ..ffts.providers.registry import (
-        get_default_provider_name,
-        set_default_provider,
-    )
-
-    previous_provider = get_default_provider_name()
-    previous_chunk = get_chunk_override()
-    set_default_provider(provider)
-    set_batch_chunk_windows(chunk_windows)
-    try:
-        yield
-    finally:
-        set_default_provider(previous_provider)
-        set_batch_chunk_windows(previous_chunk)
 
 
 def get_batch_chunk_windows(workspace_size: int = 512) -> int:
     """Effective windows-per-sub-batch for this host and workspace size.
 
-    Resolution order: an explicit :func:`set_batch_chunk_windows` pin,
-    the ``REPRO_BATCH_CHUNK_WINDOWS`` environment variable, then the
+    The current execution context's ``chunk_windows``
+    (:func:`repro.perf.execution`), else :func:`host_chunk_windows`.
+    """
+    pinned = current_execution().chunk_windows
+    if pinned is not None:
+        return pinned
+    return host_chunk_windows(workspace_size)
+
+
+def host_chunk_windows(workspace_size: int = 512) -> int:
+    """Windows-per-sub-batch this host resolves to outside any pin.
+
+    The ``REPRO_BATCH_CHUNK_WINDOWS`` environment variable, then the
     lazily-run per-host auto-tuner
     (:func:`repro.fleet.tuning.autotune_chunk_windows`, memoised per
     workspace size), falling back to :data:`BATCH_CHUNK_WINDOWS`.
     """
-    if _chunk_override is not None:
-        return _chunk_override
     env = chunk_env_pin()
     if env is not None:
         return env
@@ -153,6 +111,7 @@ def get_batch_chunk_windows(workspace_size: int = 512) -> int:
         tuned = autotune_chunk_windows(workspace_size).chunk_windows
         _chunk_tuned[workspace_size] = tuned
     return tuned
+
 
 #: Per-unit operation costs of the non-FFT pipeline blocks.  Divisions and
 #: square roots are expanded to 4 multiplications each, the usual cost of
@@ -356,6 +315,18 @@ class FastLomb:
                     "(band-drop) backends"
                 )
         self.fused_real = bool(fused_real)
+        if not self.fused_real:
+            missing = [
+                name
+                for name in ("transform_batch", "transform_batch_with_counts")
+                if not hasattr(self.backend, name)
+            ]
+            if missing:
+                raise ConfigurationError(
+                    f"backend {type(self.backend).__name__} lacks "
+                    f"{' and '.join(missing)}, which the batched "
+                    "Fast-Lomb kernel calls"
+                )
 
     # ------------------------------------------------------------------
 
@@ -530,20 +501,6 @@ class FastLomb:
     # Batched execution
     # ------------------------------------------------------------------
 
-    def _batch_capable(self, count_ops: bool) -> bool:
-        """Whether the dense kernel can drive this analyser's backend.
-
-        The fused real path only calls ``rfft_batch`` (guaranteed at
-        construction); the packed path needs ``transform_batch`` and,
-        when counting, ``transform_batch_with_counts`` too.
-        """
-        if self.fused_real:
-            return True
-        names = ["transform_batch"]
-        if count_ops:
-            names.append("transform_batch_with_counts")
-        return all(hasattr(self.backend, name) for name in names)
-
     def _owner_ranks(
         self, owners, n: int
     ) -> tuple[list["FastLomb"], np.ndarray]:
@@ -626,18 +583,9 @@ class FastLomb:
         vectorised Lomb combine.  Results are returned in input order
         and match :meth:`periodogram` window-for-window (same spectra,
         same operation counts).
-
-        When some owner's backend does not implement the batch entry
-        points, every window is driven through its owner's sequential
-        :meth:`periodogram` instead.
         """
         pairs = list(windows)
         distinct, ranks = self._owner_ranks(owners, len(pairs))
-        if not all(owner._batch_capable(count_ops) for owner in distinct):
-            return [
-                distinct[rank].periodogram(t, x, count_ops=count_ops)
-                for rank, (t, x) in zip(ranks.tolist(), pairs)
-            ]
         arrays: list[tuple[np.ndarray, np.ndarray]] = []
         metas: list[tuple[int, float, float, int]] = []
         groups: dict[int, list[int]] = {}
@@ -703,14 +651,6 @@ class FastLomb:
         if width < 4:
             raise SignalError("windows too short: need at least 4 samples")
         distinct, ranks = self._owner_ranks(owners, rows)
-        # Same capability fallback as periodogram_batch.
-        if not all(owner._batch_capable(count_ops) for owner in distinct):
-            return [
-                distinct[rank].periodogram(
-                    t_mat[i], x_mat[i], count_ops=count_ops
-                )
-                for i, rank in enumerate(ranks.tolist())
-            ]
         durations = t_mat[:, -1] - t_mat[:, 0]
         if np.any(durations <= 0):
             raise SignalError("window duration must be positive")

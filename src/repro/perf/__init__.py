@@ -1,8 +1,12 @@
-"""Steady-state performance subsystem: workspace arenas and profiling.
+"""Steady-state performance subsystem: execution context, arenas, profiling.
 
-Two cooperating pieces keep the streaming hot path allocation-free at
+Three cooperating pieces keep the streaming hot path allocation-free at
 steady state and make the win observable:
 
+* :mod:`repro.perf.context` — :class:`ExecutionContext`, the immutable
+  provider / chunk size / arena / profiler a kernel call runs under,
+  held in one :class:`contextvars.ContextVar` (so threads never share
+  it) and scoped with :func:`execution`.
 * :mod:`repro.perf.workspace` — :class:`WorkspaceArena`, a
   shape/dtype-keyed pool of reusable buffers; kernels lease temporaries
   through :class:`Scratch` so one code path serves both pooled and
@@ -13,36 +17,27 @@ steady state and make the win observable:
   ``python -m repro profile`` and ``EngineConfig(profile=True)``.
 """
 
+from repro.perf.context import ExecutionContext, current_execution, execution
 from repro.perf.profiler import (
     LatencyWindow,
     StageProfiler,
     get_active_profiler,
-    profile_scope,
     set_active_profiler,
     span,
 )
-from repro.perf.workspace import (
-    Scratch,
-    WorkspaceArena,
-    arena_scope,
-    carve,
-    get_active_arena,
-    scratch,
-    set_active_arena,
-)
+from repro.perf.workspace import Scratch, WorkspaceArena, carve, scratch
 
 __all__ = [
+    "ExecutionContext",
     "LatencyWindow",
     "Scratch",
     "StageProfiler",
     "WorkspaceArena",
-    "arena_scope",
     "carve",
-    "get_active_arena",
+    "current_execution",
+    "execution",
     "get_active_profiler",
-    "profile_scope",
     "scratch",
-    "set_active_arena",
     "set_active_profiler",
     "span",
 ]

@@ -16,12 +16,14 @@ positions.
 
 The cardinal constraint is *near-zero overhead when disabled*: the hot
 path calls :func:`span` per kernel invocation, so the disabled path must
-be one module-level ``None`` check returning a shared no-op singleton —
-no object construction, no clock reads, no branching inside ``__exit__``.
-Enabling a profiler is scoped exactly like provider pins and arenas
-(:func:`profile_scope`, mirroring
-:func:`repro.lomb.fast.pinned_execution`), so profiling one engine never
-taxes another.
+be two ``None`` checks returning a shared no-op singleton — no object
+construction, no clock reads, no branching inside ``__exit__``.
+:func:`span` reports to the profiler of the current
+:class:`~repro.perf.context.ExecutionContext` (an engine built with
+``profile=True`` carries its own, so profiling one engine never taxes
+another, nor sees another thread's stages), else to the process-wide
+observer installed with :func:`set_active_profiler`, which sees every
+thread's stages that no context profiler claims.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ import math
 import time
 import tracemalloc
 from collections import deque
-from contextlib import contextmanager
+
+from .context import _current
 
 __all__ = [
     "LatencyWindow",
     "StageProfiler",
     "get_active_profiler",
-    "profile_scope",
     "set_active_profiler",
     "span",
 ]
@@ -199,44 +201,41 @@ class LatencyWindow:
 
 
 # ----------------------------------------------------------------------
-# The active profiler (engine-scoped, like provider pins and arenas)
+# The process-wide observer (spans no context profiler claims)
 # ----------------------------------------------------------------------
 
-_active: StageProfiler | None = None
+_observer: StageProfiler | None = None
 
 
 def get_active_profiler() -> StageProfiler | None:
-    """The profiler hot-path spans currently report to (may be ``None``)."""
-    return _active
+    """The process-wide observer profiler (may be ``None``)."""
+    return _observer
 
 
 def set_active_profiler(
     profiler: StageProfiler | None,
 ) -> StageProfiler | None:
-    """Install the process-wide active profiler; returns the previous one."""
-    global _active
-    previous = _active
-    _active = profiler
+    """Install the process-wide observer profiler; returns the previous one.
+
+    The observer records the spans of every thread whose execution
+    context carries no profiler of its own.
+    """
+    global _observer
+    previous = _observer
+    _observer = profiler
     return previous
 
 
 def span(stage: str):
-    """A span on the active profiler — or the shared no-op when disabled.
+    """A span on the current profiler — or the shared no-op when disabled.
 
-    This is the only profiler call on the hot path; when no profiler is
-    active it costs one global load, one comparison and returning a
-    pre-built singleton.
+    This is the only profiler call on the hot path; with neither a
+    context profiler nor an observer it costs one context lookup, two
+    comparisons and returning a pre-built singleton.
     """
-    if _active is None:
-        return NULL_SPAN
-    return _active.span(stage)
-
-
-@contextmanager
-def profile_scope(profiler: StageProfiler | None):
-    """Install *profiler* for the calling block, restoring the previous one."""
-    previous = set_active_profiler(profiler)
-    try:
-        yield profiler
-    finally:
-        set_active_profiler(previous)
+    profiler = _current.get().profiler
+    if profiler is None:
+        profiler = _observer
+        if profiler is None:
+            return NULL_SPAN
+    return profiler.span(stage)

@@ -30,37 +30,36 @@ Design rules:
 * **Thread-safe and fork-inherited.**  Borrow/release run under one
   lock (hub flushes and async feeders may race); a forked fleet worker
   inherits the parent's pooled buffers copy-on-write exactly like the
-  plan caches, and each worker installs its own process-wide arena in
-  its initializer (:func:`repro.fleet.worker.init_worker`).
+  plan caches, and each worker builds its own arena in its initializer
+  (:func:`repro.fleet.worker.init_worker`) — processes receive the
+  ``arena`` setting, never an arena object (it holds a lock).
 * **Bounded.**  Pooled bytes are capped (``max_bytes``); releasing past
   the cap evicts the largest pooled buffers first, so a transient giant
   batch cannot pin its peak footprint forever.
 
 Kernels do not talk to an arena directly — they open a :class:`Scratch`
-over the *active* arena (:func:`scratch`), which falls back to plain
-``np.empty``/``np.zeros`` when no arena is installed.  The active arena
-is installed per engine scope (:meth:`repro.engine.Engine._pinned`) or
-process-wide in fleet workers, mirroring the provider/chunk pin pattern
-of :func:`repro.lomb.fast.pinned_execution`.  One code path, two
-allocation sources — which is what keeps arena-on and arena-off
-bit-identical by construction.
+over the arena of the current
+:class:`~repro.perf.context.ExecutionContext` (:func:`scratch`), which
+falls back to plain ``np.empty``/``np.zeros`` when the context carries
+none.  An engine's context carries the engine's arena; a fleet worker's
+carries the one its initializer built.  One code path, two allocation
+sources — which is what keeps arena-on and arena-off bit-identical by
+construction.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 import numpy as np
+
+from .context import _current
 
 __all__ = [
     "Scratch",
     "WorkspaceArena",
-    "arena_scope",
     "carve",
-    "get_active_arena",
     "scratch",
-    "set_active_arena",
 ]
 
 #: Default cap on pooled (idle) bytes per arena; generous for the
@@ -212,47 +211,6 @@ class WorkspaceArena:
             }
 
 
-# ----------------------------------------------------------------------
-# The active arena (engine-scoped or process-wide)
-# ----------------------------------------------------------------------
-
-_active: WorkspaceArena | None = None
-
-
-def get_active_arena() -> WorkspaceArena | None:
-    """The arena hot-path kernels currently borrow from (may be ``None``)."""
-    return _active
-
-
-def set_active_arena(arena: WorkspaceArena | None) -> WorkspaceArena | None:
-    """Install the process-wide active arena; returns the previous one.
-
-    Fleet workers install theirs once at initialisation; everything
-    engine-scoped should prefer :func:`arena_scope`, which restores the
-    previous arena on exit.
-    """
-    global _active
-    previous = _active
-    _active = arena
-    return previous
-
-
-@contextmanager
-def arena_scope(arena: WorkspaceArena | None):
-    """Install *arena* for the calling block, restoring the previous one.
-
-    The arena counterpart of :func:`repro.lomb.fast.pinned_execution`:
-    the engine facade wraps every workload in one of these so kernels
-    running under it borrow from the engine's own pool — and code that
-    never asked for an arena is never left with one.
-    """
-    previous = set_active_arena(arena)
-    try:
-        yield arena
-    finally:
-        set_active_arena(previous)
-
-
 class Scratch:
     """Per-call lease over one arena (or plain allocation when ``None``).
 
@@ -314,8 +272,8 @@ class Scratch:
 
 
 def scratch() -> Scratch:
-    """A :class:`Scratch` over the active arena (plain allocation if none)."""
-    return Scratch(_active)
+    """A :class:`Scratch` over the current context's arena (or plain)."""
+    return Scratch(_current.get().arena)
 
 
 def carve(block: np.ndarray, *specs) -> list[np.ndarray]:

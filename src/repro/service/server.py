@@ -623,9 +623,10 @@ class GatewayServer:
                 else np.asarray(corrected, dtype=float)
             ),
         )
-        # Synchronous on the event loop on purpose: analyze installs
-        # process-wide provider/chunk pins, which would race a
-        # concurrent hub flush if pushed to a thread.
+        # Synchronous on the event loop on purpose: pushed to a thread,
+        # analyze would share the engine's plan caches and variant memo
+        # with a concurrent hub flush, and their safety under
+        # concurrent use is unverified.
         result = tenant.engine.analyze(
             series, count_ops=bool(data.get("count_ops", False))
         )

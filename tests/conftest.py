@@ -34,19 +34,6 @@ def _isolated_cache_dir(tmp_path_factory):
         os.environ["REPRO_CACHE_DIR"] = previous
 
 
-@pytest.fixture(autouse=True)
-def _reset_fft_provider_pin():
-    """Clear any process-wide FFT-provider pin a test leaves behind.
-
-    The autoselect memo is deliberately kept — it is deterministic per
-    process and clearing it would re-run the timing probe per test.
-    """
-    yield
-    from repro.ffts.providers.registry import set_default_provider
-
-    set_default_provider(None)
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for reproducible tests."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SignalError
+from repro.errors import ConfigurationError, SignalError
 from repro.ffts import PruningSpec, SplitRadixFFT, WaveletFFT, split_radix_fft_batch
 from repro.lomb import FastLomb, WelchLomb, extirpolate, extirpolate_batch
 
@@ -177,8 +177,8 @@ class TestFastLombBatch:
             np.testing.assert_allclose(spectrum.power, oracle.power, rtol=1e-9)
             assert spectrum.counts == oracle.counts
 
-    def test_sequential_fallback_without_transform_batch(self, rng):
-        class MinimalBackend:
+    def test_backend_without_batch_methods_rejected(self):
+        class SequentialOnly:
             """Implements only the sequential protocol methods."""
 
             def __init__(self, n):
@@ -194,40 +194,22 @@ class TestFastLombBatch:
             def static_counts(self):
                 return self._inner.static_counts()
 
-        engine = FastLomb(backend=MinimalBackend(512), max_frequency=0.4)
-        windows = _ragged_windows(rng, n_windows=3)
-        batch = engine.periodogram_batch(windows)
-        for (t, x), spectrum in zip(windows, batch):
-            oracle = engine.periodogram(t, x)
-            np.testing.assert_allclose(spectrum.power, oracle.power, rtol=1e-12)
+        with pytest.raises(
+            ConfigurationError,
+            match="transform_batch and transform_batch_with_counts",
+        ):
+            FastLomb(backend=SequentialOnly(512), max_frequency=0.4)
 
-    def test_count_ops_fallback_without_batch_counts(self, rng):
-        class BatchOnlyBackend:
-            """Implements transform_batch but not the counting variant."""
-
-            def __init__(self, n):
-                self.n = n
-                self._inner = SplitRadixFFT(n)
-
-            def transform(self, x):
-                return self._inner.transform(x)
-
-            def transform_with_counts(self, x):
-                return self._inner.transform_with_counts(x)
-
-            def static_counts(self):
-                return self._inner.static_counts()
+        class BatchOnly(SequentialOnly):
+            """Adds transform_batch but not the counting variant."""
 
             def transform_batch(self, x):
                 return self._inner.transform_batch(x)
 
-        engine = FastLomb(backend=BatchOnlyBackend(512), max_frequency=0.4)
-        windows = _ragged_windows(rng, n_windows=3)
-        batch = engine.periodogram_batch(windows, count_ops=True)
-        for (t, x), spectrum in zip(windows, batch):
-            oracle = engine.periodogram(t, x, count_ops=True)
-            np.testing.assert_allclose(spectrum.power, oracle.power, rtol=1e-12)
-            assert spectrum.counts == oracle.counts
+        with pytest.raises(
+            ConfigurationError, match="lacks transform_batch_with_counts"
+        ):
+            FastLomb(backend=BatchOnly(512), max_frequency=0.4)
 
     def test_empty_batch(self):
         assert FastLomb().periodogram_batch([]) == []

@@ -109,6 +109,14 @@ class TestEngineCommand:
         assert main(["engine", "--config", str(path)]) == 0
         assert "band-drop" in capsys.readouterr().out
 
+    def test_providers_command_reports_env_pin(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_FFT_PROVIDER", "explicit")
+        assert main(["providers"]) == 0
+        out = capsys.readouterr().out
+        assert "FFT execution providers" in out
+        resolution = "resolution: REPRO_FFT_PROVIDER=explicit, active=explicit"
+        assert resolution in out
+
     def test_engine_resolve_reports_sources(self, capsys):
         assert main(
             ["engine", "--provider", "numpy", "--jobs", "2", "--resolve"]

@@ -34,7 +34,7 @@ from repro.ffts.pruning import PruningSpec
 from repro.fleet.runner import FleetRunner
 from repro.fleet.tuning import autotune_chunk_windows
 from repro.hrv.bands import STANDARD_BANDS, FrequencyBand
-from repro.lomb.fast import get_chunk_override
+from repro.perf import current_execution
 
 
 @pytest.fixture(scope="module")
@@ -186,29 +186,6 @@ class TestResolvePrecedence:
             32, "config",
         )
         assert (resolved.jobs, resolved.jobs_source) == (2, "config")
-
-    def test_process_pin_between_config_and_env(self, monkeypatch):
-        monkeypatch.setenv(PROVIDER_ENV_VAR, "numpy")
-        registry.set_default_provider("explicit")
-        resolved = EngineConfig().resolve()
-        assert (resolved.provider, resolved.provider_source) == (
-            "explicit", "process-pin",
-        )
-
-    def test_chunk_process_pin_between_config_and_env(self, monkeypatch):
-        from repro.lomb.fast import set_batch_chunk_windows
-
-        monkeypatch.setenv(CHUNK_ENV_VAR, "128")
-        set_batch_chunk_windows(24)
-        try:
-            resolved = EngineConfig().resolve()
-            assert (resolved.chunk_windows, resolved.chunk_source) == (
-                24, "process-pin",
-            )
-            # A config field still outranks the process pin.
-            assert EngineConfig(chunk_windows=32).resolve().chunk_windows == 32
-        finally:
-            set_batch_chunk_windows(None)
 
     def test_env_pin_beats_autoprobe(self, monkeypatch):
         monkeypatch.setenv(PROVIDER_ENV_VAR, "explicit")
@@ -388,12 +365,11 @@ class TestEngineExecution:
         assert engine._fleet is None  # close() released it
 
     def test_pins_are_scoped_to_calls(self, recording):
-        before_provider = registry.get_default_provider_name()
-        before_chunk = get_chunk_override()
+        before = current_execution()
         with Engine(EngineConfig(provider="explicit")) as engine:
             engine.analyze(recording)
-        assert registry.get_default_provider_name() == before_provider
-        assert get_chunk_override() == before_chunk
+        assert current_execution().provider == before.provider
+        assert current_execution().chunk_windows == before.chunk_windows
 
     def test_resolved_provider_respected(self, recording):
         with Engine(EngineConfig(provider="explicit")) as engine:

@@ -321,8 +321,8 @@ class TestAttachConcurrency:
 
 class TestRunSpans:
     def test_in_process_matches_analyze_spans(self):
-        from repro.ffts.providers.registry import set_default_provider
         from repro.lomb.welch import analyze_spans
+        from repro.perf import execution
 
         rr = _cohort(n=1, seconds=900.0)[0]
         welch = WelchLomb(FastLomb(scaling="denormalized"))
@@ -331,13 +331,10 @@ class TestRunSpans:
         spectra, metrics = runner.run_spans(
             plan.times, plan.values, plan.spans, count_ops=True
         )
-        set_default_provider("numpy")
-        try:
+        with execution(provider="numpy"):
             reference = analyze_spans(
                 welch.analyzer, plan.times, plan.values, plan.spans, True
             )
-        finally:
-            set_default_provider(None)
         assert len(spectra) == len(reference)
         assert len(metrics) == len(reference)
         for got, want in zip(spectra, reference):

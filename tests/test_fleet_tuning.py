@@ -18,15 +18,14 @@ from repro.fleet.tuning import (
     measure_chunk_windows,
 )
 from repro.lomb import fast
+from repro.perf import ExecutionContext, current_execution, execution
 
 
 @pytest.fixture(autouse=True)
 def _restore_chunk_state():
-    """Keep the process-wide chunk pin/tuning state test-local."""
-    override = fast.get_chunk_override()
+    """Keep the process-wide chunk tuning memo test-local."""
     tuned = dict(fast._chunk_tuned)
     yield
-    fast.set_batch_chunk_windows(override)
     fast._chunk_tuned.clear()
     fast._chunk_tuned.update(tuned)
 
@@ -99,22 +98,19 @@ class TestChunkModel:
 class TestChunkResolution:
     def test_explicit_pin_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_CHUNK_WINDOWS", "64")
-        fast.set_batch_chunk_windows(48)
-        assert fast.get_batch_chunk_windows(512) == 48
-        fast.set_batch_chunk_windows(None)
+        with execution(chunk_windows=48):
+            assert fast.get_batch_chunk_windows(512) == 48
         assert fast.get_batch_chunk_windows(512) == 64
 
     def test_pin_validation(self):
         with pytest.raises(ConfigurationError):
-            fast.set_batch_chunk_windows(0)
+            ExecutionContext(chunk_windows=0)
 
     def test_env_override(self, monkeypatch):
-        fast.set_batch_chunk_windows(None)
         monkeypatch.setenv("REPRO_BATCH_CHUNK_WINDOWS", "96")
         assert fast.get_batch_chunk_windows(512) == 96
 
     def test_env_override_invalid(self, monkeypatch):
-        fast.set_batch_chunk_windows(None)
         monkeypatch.setenv("REPRO_BATCH_CHUNK_WINDOWS", "zero")
         with pytest.raises(ConfigurationError):
             fast.get_batch_chunk_windows(512)
@@ -123,7 +119,6 @@ class TestChunkResolution:
             fast.get_batch_chunk_windows(512)
 
     def test_lazy_tuning_memoised(self, monkeypatch):
-        fast.set_batch_chunk_windows(None)
         monkeypatch.delenv("REPRO_BATCH_CHUNK_WINDOWS", raising=False)
         fast._chunk_tuned.clear()
         first = fast.get_batch_chunk_windows(512)
@@ -148,15 +143,17 @@ class TestMeasuredTuning:
         assert all(seconds > 0 for seconds in tuning.timings.values())
 
     def test_probe_restores_pin(self):
-        fast.set_batch_chunk_windows(123)
-        measure_chunk_windows(
-            workspace_size=256,
-            candidates=(16,),
-            n_windows=32,
-            beats_per_window=40,
-            repeats=1,
-        )
-        assert fast.get_chunk_override() == 123
+        """The probe leaves the current execution context as it found it."""
+        with execution(chunk_windows=123) as context:
+            measure_chunk_windows(
+                workspace_size=256,
+                candidates=(16,),
+                n_windows=32,
+                beats_per_window=40,
+                repeats=1,
+            )
+            assert current_execution() is context
+            assert current_execution().chunk_windows == 123
 
     def test_probe_validates_candidates(self):
         with pytest.raises(ConfigurationError):

@@ -23,8 +23,9 @@ from repro.ecg.rr_synthesis import TachogramSpec, generate_tachogram
 from repro.engine import EngineConfig
 from repro.engine.engine import build_system
 from repro.errors import ConfigurationError
-from repro.lomb.fast import FastLomb, pinned_execution
+from repro.lomb.fast import FastLomb
 from repro.lomb.welch import analyze_spans_quality
+from repro.perf import execution
 
 
 def _analyzer(mode: str, dynamic: bool = False) -> FastLomb:
@@ -104,7 +105,7 @@ class TestFusedEqualsPerOwner:
     @given(batch=_batches())
     def test_fused_call_matches_homogeneous_calls(self, chunk, batch):
         spans, owner_ids, base = batch
-        with pinned_execution("numpy", chunk):
+        with execution(provider="numpy", chunk_windows=chunk):
             spectra, metrics = analyze_spans_quality(
                 OWNERS[base], TIMES, VALUES, spans, True,
                 corrected=CORRECTED,
@@ -184,7 +185,7 @@ class TestOwnerChecks:
     def test_same_settings_in_another_object_are_accepted(self):
         twin = self._variant(OWNERS[0])
         spans = [(0, 120), (50, 200)]
-        with pinned_execution("numpy", 256):
+        with execution(provider="numpy", chunk_windows=256):
             got, _ = analyze_spans_quality(
                 OWNERS[0], TIMES, VALUES, spans, owners=[twin, OWNERS[0]]
             )

@@ -9,6 +9,8 @@ bit-identical, and a disabled profiler must cost (near) nothing.
 
 from __future__ import annotations
 
+import contextvars
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,23 +18,16 @@ import pytest
 
 from repro.engine import Engine, EngineConfig
 from repro.hrv.rr import RRSeries
+from repro.perf import ExecutionContext, current_execution, execution
 from repro.perf.profiler import (
     NULL_SPAN,
     STAGES,
     StageProfiler,
     get_active_profiler,
-    profile_scope,
     set_active_profiler,
     span,
 )
-from repro.perf.workspace import (
-    Scratch,
-    WorkspaceArena,
-    arena_scope,
-    get_active_arena,
-    scratch,
-    set_active_arena,
-)
+from repro.perf.workspace import Scratch, WorkspaceArena, scratch
 
 
 def _synthetic_rr(duration: float = 300.0, seed: int = 7) -> RRSeries:
@@ -114,16 +109,6 @@ class TestWorkspaceArena:
         assert stats["pooled_buffers"] == 0
         assert stats["pooled_bytes"] == 0
 
-    def test_arena_scope_installs_and_restores(self):
-        assert get_active_arena() is None
-        arena = WorkspaceArena()
-        with arena_scope(arena):
-            assert get_active_arena() is arena
-            with arena_scope(None):
-                assert get_active_arena() is None
-            assert get_active_arena() is arena
-        assert get_active_arena() is None
-
 
 class TestScratch:
     def test_without_arena_is_plain_allocation(self):
@@ -144,7 +129,7 @@ class TestScratch:
 
     def test_scratch_helper_uses_active_arena(self):
         arena = WorkspaceArena()
-        with arena_scope(arena):
+        with execution(arena=arena):
             with scratch() as ws:
                 ws.take((2, 4))
         assert arena.stats()["misses"] == 1
@@ -176,7 +161,7 @@ class TestStageProfiler:
 
     def test_enabled_span_accumulates(self):
         profiler = StageProfiler()
-        with profile_scope(profiler):
+        with execution(profiler=profiler):
             for _ in range(3):
                 with span("fft"):
                     pass
@@ -184,22 +169,34 @@ class TestStageProfiler:
         assert report["fft"]["calls"] == 3
         assert report["fft"]["seconds"] >= 0.0
 
-    def test_profile_scope_restores_previous(self):
-        outer = StageProfiler()
-        inner = StageProfiler()
-        previous = set_active_profiler(outer)
+    def test_observer_records_spans_no_context_profiler_claims(self):
+        observer, own = StageProfiler(), StageProfiler()
+        previous = set_active_profiler(observer)
         try:
-            with profile_scope(inner):
-                assert get_active_profiler() is inner
-            assert get_active_profiler() is outer
+            with span("fft"):
+                pass
+            with execution(profiler=own):
+                with span("fft"):
+                    pass
+
+            def other_thread():
+                with span("prepare"):
+                    pass
+
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join()
         finally:
             set_active_profiler(previous)
+        assert own.report()["fft"]["calls"] == 1
+        assert observer.report()["fft"]["calls"] == 1
+        assert observer.report()["prepare"]["calls"] == 1
 
     def test_trace_alloc_records_bytes(self):
         profiler = StageProfiler(trace_alloc=True)
         tracemalloc.start()
         try:
-            with profile_scope(profiler):
+            with execution(profiler=profiler):
                 with span("fft"):
                     _keep = np.empty(65536)  # noqa: F841
         finally:
@@ -320,7 +317,7 @@ class TestEngineIntegration:
         rr = _synthetic_rr()
         with Engine(EngineConfig(profile=True)) as engine:
             engine.analyze(rr)
-        assert get_active_arena() is None
+        assert current_execution() == ExecutionContext()
         assert get_active_profiler() is None
 
 
@@ -377,30 +374,30 @@ class TestSteadyStateAllocations:
         )
 
 
+def _init_worker_context(**kwargs) -> ExecutionContext:
+    """The context ``init_worker`` sets, read in a throwaway copy.
+
+    A pool process runs its initializer and then every task in one
+    context; a copy of the test's stands in for it, so the test's own
+    context is never touched.
+    """
+    from repro.fleet.worker import init_worker
+    from repro.lomb.welch import WelchLomb
+
+    process = contextvars.copy_context()
+    process.run(init_worker, WelchLomb(), **kwargs)
+    assert current_execution() == ExecutionContext()
+    return process.run(current_execution)
+
+
 class TestFleetWorkerArena:
     def test_init_worker_installs_process_arena(self):
-        from repro.fleet.worker import init_worker
-        from repro.lomb.welch import WelchLomb
-
-        previous = get_active_arena()
-        try:
-            init_worker(WelchLomb(), chunk_windows=None, arena=True)
-            installed = get_active_arena()
-            assert installed is not None
-            init_worker(WelchLomb(), chunk_windows=32, arena=True)
-            warmed = get_active_arena()
-            assert warmed is not None
-            assert warmed.stats()["pooled_buffers"] > 0
-        finally:
-            set_active_arena(previous)
+        installed = _init_worker_context(chunk_windows=None, arena=True)
+        assert installed.arena is not None
+        warmed = _init_worker_context(chunk_windows=32, arena=True)
+        assert warmed.arena is not None
+        assert warmed.arena.stats()["pooled_buffers"] > 0
 
     def test_init_worker_without_arena_keeps_state(self):
-        from repro.fleet.worker import init_worker
-        from repro.lomb.welch import WelchLomb
-
-        previous = set_active_arena(None)
-        try:
-            init_worker(WelchLomb(), chunk_windows=None, arena=False)
-            assert get_active_arena() is None
-        finally:
-            set_active_arena(previous)
+        context = _init_worker_context(chunk_windows=None, arena=False)
+        assert context.arena is None

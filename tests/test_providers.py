@@ -28,6 +28,7 @@ from repro.ffts.wavelet_fft import WaveletFFT
 from repro.fleet import FleetRunner
 from repro.lomb.fast import FastLomb
 from repro.lomb.welch import WelchLomb, uniform_window_matrix
+from repro.perf import ExecutionContext, current_execution, execution
 
 AVAILABLE = [
     name
@@ -62,7 +63,7 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown FFT provider"):
             registry.resolve_provider_name("fftw")
         with pytest.raises(ConfigurationError, match="unknown FFT provider"):
-            registry.set_default_provider("fftw")
+            ExecutionContext(provider="fftw")
 
     def test_get_provider_returns_cached_handle(self):
         first = registry.get_provider("numpy")
@@ -85,13 +86,13 @@ class TestRegistry:
 
     def test_explicit_pin_beats_env(self, monkeypatch):
         monkeypatch.setenv(registry.PROVIDER_ENV_VAR, "numpy")
-        registry.set_default_provider("explicit")
-        assert registry.resolve_provider_name() == "explicit"
+        with execution(provider="explicit"):
+            assert registry.resolve_provider_name() == "explicit"
 
     def test_caller_pin_beats_everything(self, monkeypatch):
         monkeypatch.setenv(registry.PROVIDER_ENV_VAR, "numpy")
-        registry.set_default_provider("numpy")
-        assert registry.resolve_provider_name("explicit") == "explicit"
+        with execution(provider="numpy"):
+            assert registry.resolve_provider_name("explicit") == "explicit"
 
     def test_scipy_missing_fallback(self, monkeypatch):
         from repro.ffts.providers import scipy_fft
@@ -102,7 +103,7 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="not available"):
             registry.get_provider("scipy")
         with pytest.raises(ConfigurationError, match="cannot pin"):
-            registry.set_default_provider("scipy")
+            ExecutionContext(provider="scipy")
         # ... but the resolution chain falls back to numpy silently
         monkeypatch.setenv(registry.PROVIDER_ENV_VAR, "scipy")
         assert registry.resolve_provider_name() == "numpy"
@@ -215,17 +216,18 @@ class TestBackendDispatch:
     def test_provider_pin_overrides_process_default(self, rng):
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         pinned = SplitRadixFFT(64, provider="explicit")
-        registry.set_default_provider("numpy")
         oracle = ExplicitProvider().fft(x)
-        np.testing.assert_array_equal(pinned.transform(x), oracle)
+        with execution(provider="numpy"):
+            np.testing.assert_array_equal(pinned.transform(x), oracle)
 
     @pytest.mark.parametrize("name", AVAILABLE)
     def test_dispatch_follows_process_pin(self, rng, name):
+        """Dispatch follows the current execution context's provider."""
         backend = SplitRadixFFT(64)
         x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
-        registry.set_default_provider(name)
-        expected = registry.get_provider(name).fft_batch(x)
-        np.testing.assert_array_equal(backend.transform_batch(x), expected)
+        with execution(provider=name):
+            expected = registry.get_provider(name).fft_batch(x)
+            np.testing.assert_array_equal(backend.transform_batch(x), expected)
 
     def test_rfft_validates_shape(self, rng):
         backend = SplitRadixFFT(64)
@@ -242,23 +244,24 @@ class TestBackendDispatch:
             np.testing.assert_allclose(out, reference, rtol=1e-9, atol=1e-9)
 
     def test_wavelet_sub_backend_name_really_pins(self, rng):
-        # A provider-name sub_backend must not follow the process pin:
-        # pinning the process to explicit while the plan pins numpy has
+        # A provider-name sub_backend must not follow the context:
+        # pinning the context to explicit while the plan pins numpy has
         # to keep running numpy (bit-identical to numpy sub-FFTs).
         x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
         pinned = WaveletFFT(64, sub_backend="numpy")
-        registry.set_default_provider("numpy")
-        expected = pinned.transform_batch(x)
-        registry.set_default_provider("explicit")
-        np.testing.assert_array_equal(pinned.transform_batch(x), expected)
+        with execution(provider="numpy"):
+            expected = pinned.transform_batch(x)
+        with execution(provider="explicit"):
+            np.testing.assert_array_equal(pinned.transform_batch(x), expected)
 
     def test_wavelet_auto_follows_process_pin(self, rng):
+        """An ``auto`` sub-backend follows the current context's provider."""
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         auto = WaveletFFT(64)  # sub_backend="auto"
         assert auto.sub_backend == "auto"
-        registry.set_default_provider("explicit")
-        oracle = WaveletFFT(64, sub_backend="split-radix").transform(x)
-        np.testing.assert_array_equal(auto.transform(x), oracle)
+        with execution(provider="explicit"):
+            oracle = WaveletFFT(64, sub_backend="split-radix").transform(x)
+            np.testing.assert_array_equal(auto.transform(x), oracle)
 
     def test_wavelet_unknown_sub_backend(self):
         with pytest.raises(ConfigurationError, match="sub_backend"):
@@ -283,10 +286,10 @@ class TestPipelineEquivalence:
     def test_ragged_windows_both_scalings(self, rng, name, scaling):
         windows = _ragged_windows(rng)
         analyzer = FastLomb(scaling=scaling)
-        registry.set_default_provider("explicit")
-        oracle = analyzer.periodogram_batch(windows, count_ops=True)
-        registry.set_default_provider(name)
-        spectra = analyzer.periodogram_batch(windows, count_ops=True)
+        with execution(provider="explicit"):
+            oracle = analyzer.periodogram_batch(windows, count_ops=True)
+        with execution(provider=name):
+            spectra = analyzer.periodogram_batch(windows, count_ops=True)
         for got, want in zip(spectra, oracle):
             np.testing.assert_allclose(
                 got.power, want.power, rtol=1e-7, atol=1e-12
@@ -301,10 +304,10 @@ class TestPipelineEquivalence:
         analyzer = FastLomb(
             backend=WaveletFFT(512, pruning=spec), scaling="denormalized"
         )
-        registry.set_default_provider("explicit")
-        oracle = analyzer.periodogram_batch(windows, count_ops=True)
-        registry.set_default_provider(name)
-        spectra = analyzer.periodogram_batch(windows, count_ops=True)
+        with execution(provider="explicit"):
+            oracle = analyzer.periodogram_batch(windows, count_ops=True)
+        with execution(provider=name):
+            spectra = analyzer.periodogram_batch(windows, count_ops=True)
         for got, want in zip(spectra, oracle):
             np.testing.assert_allclose(
                 got.power, want.power, rtol=1e-6, atol=1e-12
@@ -429,46 +432,12 @@ class TestUniformMatrixPath:
             atol=1e-12,
         )
 
-    def test_matrix_path_falls_back_for_sequential_only_backend(self):
-        # A third-party kernel implementing only the sequential protocol
-        # must keep working on uniform recordings (the documented
-        # transform_batch fallback applies to the matrix path too).
-        class SequentialOnly:
-            def __init__(self, inner):
-                self._inner = inner
-                self.n = inner.n
-
-            def transform(self, x):
-                return self._inner.transform(x)
-
-            def transform_with_counts(self, x):
-                return self._inner.transform_with_counts(x)
-
-            def static_counts(self):
-                return self._inner.static_counts()
-
-        t, x = self._uniform_recording()
-        analyzer = FastLomb(
-            backend=SequentialOnly(SplitRadixFFT(512)),
-            scaling="denormalized",
-        )
-        assert analyzer.fused_real is False
-        welch = WelchLomb(analyzer)
-        result = welch.analyze(t, x, count_ops=True)
-        reference = WelchLomb(FastLomb(scaling="denormalized")).analyze(
-            t, x, count_ops=True
-        )
-        np.testing.assert_allclose(
-            result.spectrogram, reference.spectrogram, rtol=1e-9, atol=1e-12
-        )
-        assert result.counts == reference.counts
-
 
 class TestFleetProviderPinning:
     def test_report_records_resolved_provider(self):
         rr = generate_tachogram(TachogramSpec(seed=3), 900.0)
-        registry.set_default_provider("numpy")
-        report = FleetRunner(n_jobs=1).run_report([rr])
+        with execution(provider="numpy"):
+            report = FleetRunner(n_jobs=1).run_report([rr])
         assert report.provider == "numpy"
 
     def test_in_process_pin_restored(self):
@@ -476,7 +445,7 @@ class TestFleetProviderPinning:
         runner = FleetRunner(n_jobs=1, provider="explicit")
         report = runner.run_report([rr])
         assert report.provider == "explicit"
-        assert registry.get_default_provider_name() is None
+        assert current_execution().provider is None
 
     @pytest.mark.parametrize("name", AVAILABLE)
     def test_in_process_matches_direct_analyze(self, name):
@@ -485,8 +454,8 @@ class TestFleetProviderPinning:
         fleet = FleetRunner(welch=welch, n_jobs=1, provider=name).run(
             [rr], count_ops=True
         )[0]
-        registry.set_default_provider(name)
-        single = welch.analyze(rr.times, rr.intervals, count_ops=True)
+        with execution(provider=name):
+            single = welch.analyze(rr.times, rr.intervals, count_ops=True)
         np.testing.assert_array_equal(fleet.spectrogram, single.spectrogram)
         assert fleet.counts == single.counts
 

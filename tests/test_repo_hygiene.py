@@ -51,3 +51,26 @@ def test_gitignore_covers_artifacts():
     gitignore = (REPO_ROOT / ".gitignore").read_text()
     for pattern in ("__pycache__/", "*.pyc", "*.egg-info/", ".pytest_cache/"):
         assert pattern in gitignore, f".gitignore must cover {pattern}"
+
+
+def test_no_process_global_execution_state():
+    """Execution state lives in one ContextVar, never in module globals.
+
+    Provider, chunk size, arena and profiler travel in
+    :class:`repro.perf.ExecutionContext`.  The one ``global`` statement
+    left in the package is the profiler's process-wide observer hook,
+    which sees every thread's kernel stages that no context profiler
+    claims.
+    """
+    import ast
+
+    package = REPO_ROOT / "src" / "repro"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            (path.relative_to(package).as_posix(), tuple(node.names))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Global)
+        ]
+    assert found == [("perf/profiler.py", ("_observer",))]

@@ -51,7 +51,7 @@ from repro.hrv.metrics import (
 from repro.hrv.preprocessing import filter_artifacts
 from repro.lomb.fast import _row_means
 from repro.lomb.welch import WelchLomb, analyze_spans_quality
-from repro.perf.workspace import get_active_arena, set_active_arena
+from repro.perf import ExecutionContext, current_execution
 
 #: Beat counts at numpy's pairwise-summation boundaries: below 8 it
 #: sums sequentially, up to 128 in eight lanes, and beyond that it
@@ -400,13 +400,10 @@ class TestMalformedSpans:
 
     @pytest.mark.slow
     def test_worker_daemon_returns_task_error(self, recording_920):
-        # An in-process daemon installs its arena process-wide, as a
-        # daemon process would; put the test process's one back after.
-        previous = get_active_arena()
-        try:
-            self._daemon_round_trip(*recording_920)
-        finally:
-            set_active_arena(previous)
+        # The daemon's context is per connection: the test process's
+        # own context is left as it was.
+        self._daemon_round_trip(*recording_920)
+        assert current_execution() == ExecutionContext()
 
     @staticmethod
     def _daemon_round_trip(times, values):
@@ -470,11 +467,8 @@ class TestMismatchedSampleArrays:
 
     @pytest.mark.slow
     def test_worker_daemon_returns_task_error(self, recording_920):
-        previous = get_active_arena()
-        try:
-            self._daemon_round_trip(*recording_920)
-        finally:
-            set_active_arena(previous)
+        self._daemon_round_trip(*recording_920)
+        assert current_execution() == ExecutionContext()
 
     @staticmethod
     def _daemon_round_trip(times, values):
