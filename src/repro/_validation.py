@@ -7,6 +7,8 @@ numeric kernels can rely on dtype and dimensionality invariants.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ConfigurationError, SignalError
@@ -20,6 +22,7 @@ __all__ = [
     "require_in_range",
     "is_power_of_two",
     "span_bounds",
+    "SpanBounds",
 ]
 
 
@@ -104,9 +107,20 @@ def as_2d_complex_array(x, name: str = "x", width: int | None = None) -> np.ndar
     return arr
 
 
+class SpanBounds(NamedTuple):
+    """The ``lo`` and ``hi`` columns of spans :func:`span_bounds` accepted.
+
+    Holding one means the check was made: a consumer handed these
+    bounds for the same samples does not check them again.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 def span_bounds(
     spans, length: int, allow_empty: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+) -> SpanBounds:
     """Validate ``(lo, hi)`` index spans into an array of *length* samples.
 
     Every span must be a pair of integers with ``0 <= lo < hi <=
@@ -122,7 +136,7 @@ def span_bounds(
         arr = None
     if arr is not None and arr.ndim in (1, 2) and arr.shape[0] == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return SpanBounds(empty, empty)
     if arr is None or arr.shape[1:] != (2,) or arr.dtype.kind not in "iu":
         for i, span in enumerate(spans):
             if not _is_integer_pair(span):
@@ -140,7 +154,7 @@ def span_bounds(
             f"span {i} ({int(lo[i])}, {int(hi[i])}) breaks "
             f"0 <= {rule} <= {length}"
         )
-    return lo, hi
+    return SpanBounds(lo, hi)
 
 
 def _is_integer_pair(span) -> bool:

@@ -19,9 +19,15 @@ use the closed-form split-radix counts.  Numerical results are exact
 (validated against ``numpy.fft``) regardless of the counting model.
 
 Batched execution: :meth:`WaveletFFT.transform_batch` applies the plan to
-a dense ``(n_windows, N)`` batch — the DWT stage, both sub-FFTs, the
-static keep-masks and the per-row dynamic pruning thresholds all run as
-whole-batch array operations with no per-row Python iteration, and
+a dense ``(n_windows, N)`` batch as whole-batch array operations with no
+per-row Python iteration, in two halves.  The *sub-band* half
+(:meth:`WaveletFFT.subbands_batch`: the DWT stage and both sub-FFTs)
+depends only on the geometry — ``n``, basis, ``levels`` and
+``sub_backend`` — so every pruning mode of one geometry shares it, and
+the Fast-Lomb kernel runs it once over the rows of all the quality
+levels in a batch.  The *butterfly* half
+(:meth:`WaveletFFT.butterflies_batch`: the static keep-masks or the
+per-row dynamic pruning thresholds) is the plan's own.
 :meth:`WaveletFFT.transform_batch_with_counts` reports executed
 :class:`OpCounts` **per row** (identical to what the sequential path
 would have counted for that row).  Design-time data (twiddle pairs,
@@ -177,6 +183,22 @@ class WaveletFFT:
         self._hl_keep, self._hh_keep = plancache.wavelet_keep_masks(
             self.n, self.bank, self.pruning.band_drop, self.pruning.twiddle_fraction
         )
+        self._bin_gains = None
+        if self.pruning.band_drop:
+            attenuation = 0.5 * np.abs(hl) ** 2
+            gains = 1.0 / np.maximum(attenuation, 1.0 / _MAX_EQUALIZER_GAIN)
+            gains.flags.writeable = False
+            self._bin_gains = gains
+        #: Plans with equal keys compute equal :meth:`subbands_batch`
+        #: results, whatever their pruning.
+        self.subband_key = (
+            self.n,
+            self.bank.name,
+            self.bank.lowpass.tobytes(),
+            self.bank.highpass.tobytes(),
+            self.levels,
+            self.sub_backend,
+        )
 
         self._child: WaveletFFT | None = None
         if self.levels > 1:
@@ -308,6 +330,11 @@ class WaveletFFT:
     # Batched numerics
     # ------------------------------------------------------------------
 
+    @property
+    def keeps_detail(self) -> bool:
+        """Whether the butterflies read the detail (HH) band: no band drop."""
+        return self._hh_active
+
     def transform_batch(self, x) -> np.ndarray:
         """Apply the plan to a ``(n_rows, n)`` batch; returns the spectra.
 
@@ -322,8 +349,7 @@ class WaveletFFT:
         self, x
     ) -> tuple[np.ndarray, tuple[OpCounts, ...]]:
         """Batched transform plus the executed :class:`OpCounts` per row."""
-        result, per_row = self._execute_batch(x, count=True)
-        return result, per_row
+        return self._execute_batch(x, count=True)
 
     def _runtime_keep_masks_batch(
         self, l_tiled: np.ndarray, h_tiled: np.ndarray | None
@@ -368,16 +394,50 @@ class WaveletFFT:
     def _execute_batch(
         self, x, count: bool
     ) -> tuple[np.ndarray, tuple[OpCounts, ...]]:
+        detail_rows = None if self._hh_active else 0
+        sub_l, sub_h = self.subbands_batch(x, detail_rows)
+        return self.butterflies_batch(sub_l, sub_h, count)
+
+    def subbands_batch(
+        self, x, detail_rows: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The sub-band half of the batched transform.
+
+        One periodic DWT level and the half-length sub-DFTs of its two
+        bands (eq. 6's ``F_{N/2} L`` and ``F_{N/2} H``).  It depends on
+        nothing but :attr:`subband_key`, so plans that differ only in
+        pruning share it.  Returns ``(sub_l, sub_h)``: the
+        approximation band's sub-DFT of every row, and the detail
+        band's of the first ``detail_rows`` rows (``None``: of every
+        row; ``sub_h`` is ``None`` when ``detail_rows`` is 0).  A batch
+        whose leading rows keep the HH channel and whose other rows
+        drop it thus skips the detail transform of the dropped rows.
+        """
         arr = as_2d_complex_array(x, "x", width=self.n)
-        rows = arr.shape[0]
-        if rows == 0:
-            return np.empty((0, self.n), dtype=np.complex128), ()
-        spec = self.pruning
         xl, xh = dwt_level_batch(arr, self.bank)
         sub_l = self._sub_transform_batch(xl)
+        sub_h = None
+        if detail_rows is None or detail_rows > 0:
+            sub_h = self._sub_transform_batch(xh[:detail_rows])
+        return sub_l, sub_h
+
+    def butterflies_batch(
+        self, sub_l: np.ndarray, sub_h: np.ndarray | None, count: bool = False
+    ) -> tuple[np.ndarray, tuple[OpCounts, ...]]:
+        """The pruning half: eq. 6's modified butterflies over sub-bands.
+
+        ``sub_l`` / ``sub_h`` are :meth:`subbands_batch` output of any
+        plan with this plan's :attr:`subband_key`; ``sub_h`` is read
+        only when the plan keeps the detail band (:attr:`keeps_detail`).
+        Static pruning applies one keep-mask to every row, dynamic
+        pruning calibrates each row's data threshold.  Returns the
+        ``(rows, n)`` spectra and, when ``count``, each row's executed
+        :class:`OpCounts` (else ``()``).
+        """
+        spec = self.pruning
+        rows = sub_l.shape[0]
         l_tiled = np.concatenate([sub_l, sub_l], axis=1)
         if self._hh_active:
-            sub_h = self._sub_transform_batch(xh)
             h_tiled = np.concatenate([sub_h, sub_h], axis=1)
         else:
             h_tiled = None
@@ -515,13 +575,10 @@ class WaveletFFT:
         equalisation the LF/HF ratio acquires a systematic tilt far
         larger than the paper reports (see DESIGN.md).  Gains are
         clipped where the factor approaches zero (those bins carry no
-        information after the drop).
+        information after the drop).  A plan constant, computed once
+        when the plan is built and returned read-only.
         """
-        if not self.pruning.band_drop:
-            return None
-        attenuation = 0.5 * np.abs(self._hl) ** 2
-        gains = 1.0 / np.maximum(attenuation, 1.0 / _MAX_EQUALIZER_GAIN)
-        return gains
+        return self._bin_gains
 
     def twiddle_magnitudes(self) -> dict[str, np.ndarray]:
         """Magnitudes of the A/B/C/D diagonals (for Fig. 6 style analyses)."""

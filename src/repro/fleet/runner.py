@@ -43,6 +43,7 @@ import multiprocessing
 import os
 import queue as queue_module
 import threading
+import time
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -91,6 +92,11 @@ MIN_SPANS_PER_SLICE = 8
 #: Seconds between result polls while watching the pool for dead workers.
 _POOL_POLL_SECONDS = 0.2
 
+#: Seconds a hard pool teardown may take before the workers still
+#: running are killed and the queue locks a dead worker left held are
+#: freed (see :func:`_terminate_pool`).
+_POOL_TEARDOWN_SECONDS = 5.0
+
 #: Board slots per pool process.  With two, one task waits in the pool's
 #: queue behind each running one, so a worker starts its next task the
 #: moment it finishes one instead of idling for a result round trip.
@@ -108,6 +114,46 @@ def _terminate_abandoned_pool(pool) -> None:
     """
     pool.terminate()
     pool.join()
+
+
+def _terminate_pool(pool) -> None:
+    """``pool.terminate()`` and ``pool.join()``, in bounded time.
+
+    CPython's teardown takes two locks the workers share: the task
+    queue's read lock, which an idle worker holds while it waits for a
+    task, and the result queue's write lock, which a worker holds while
+    it sends a result.  A worker that died holding one leaves it held
+    for good, and ``terminate()`` then blocks on it forever.  So the
+    teardown runs on a helper thread.  Past
+    :data:`_POOL_TEARDOWN_SECONDS` every worker still running is
+    killed; from then on no live process can release those locks, and
+    each is released for it.
+    """
+    helper = threading.Thread(
+        target=_terminate_abandoned_pool,
+        args=(pool,),
+        name="fleet-pool-teardown",
+        daemon=True,
+    )
+    helper.start()
+    helper.join(_POOL_TEARDOWN_SECONDS)
+    if not helper.is_alive():
+        return
+    for process in list(pool._pool):
+        process.kill()
+        process.join(_POOL_TEARDOWN_SECONDS)
+    locks = (pool._inqueue._rlock, pool._outqueue._wlock)
+    stop = time.monotonic() + _POOL_TEARDOWN_SECONDS
+    while helper.is_alive() and time.monotonic() < stop:
+        for lock in locks:
+            # Acquired or not, release: either this thread's own hold
+            # or one whose holder is dead.
+            lock.acquire(timeout=_POOL_POLL_SECONDS)
+            try:
+                lock.release()
+            except ValueError:  # its holder released it meanwhile
+                pass
+        helper.join(_POOL_POLL_SECONDS)
 
 
 class _TaskBoard:
@@ -469,6 +515,9 @@ class FleetRunner:
         against unlinked shared memory, and both ``_pool`` *and*
         ``_pool_key`` must be cleared together — a stale key paired
         with a fresh pool would claim the wrong execution settings.
+        The teardown returns even when a dead worker left one of the
+        pool's queue locks held (:func:`_terminate_pool`), so the run
+        still raises its original error instead of hanging.
         """
         self._detach_finalizer()
         pool, self._pool = self._pool, None
@@ -476,8 +525,7 @@ class FleetRunner:
         self._pool_processes = []
         self._progress = None
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            _terminate_pool(pool)
 
     def __enter__(self) -> "FleetRunner":
         return self

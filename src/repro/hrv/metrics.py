@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import span_bounds
+from .._validation import SpanBounds, span_bounds
 from ..errors import SignalError
 from .bands import HF_BAND, LF_BAND, _unpack, band_power
 from .rr import RRSeries
@@ -277,7 +277,9 @@ def window_metrics_batch(values, spans, corrected=None):
     ``values`` are RR intervals in seconds; ``spans`` the same
     ``(lo, hi)`` index pairs the Lomb kernel analyses, each with ``0 <=
     lo <= hi <= len(values)`` (a :class:`SignalError` names the first
-    span that is not); ``corrected`` an optional 0/1 mask (any real
+    span that is not), or the :class:`~repro._validation.SpanBounds`
+    that :func:`~repro._validation.span_bounds` already returned for
+    them over ``values``; ``corrected`` an optional 0/1 mask (any real
     dtype) marking interpolated beats.  Returns one
     :class:`WindowMetrics` per span; zero- and one-beat spans report
     zeros for the statistics they cannot support.
@@ -301,7 +303,10 @@ def window_metrics_batch(values, spans, corrected=None):
                 f"corrected mask length {mask.shape} does not match "
                 f"intervals {rr.shape}"
             )
-    lo, hi = span_bounds(spans, rr.size, allow_empty=True)
+    if isinstance(spans, SpanBounds):
+        lo, hi = spans
+    else:
+        lo, hi = span_bounds(spans, rr.size, allow_empty=True)
     rows = lo.size
     if not rows:
         return ()

@@ -17,19 +17,25 @@ Two execution paths produce the same spectra:
 
 * :meth:`FastLomb.periodogram` — one window at a time (the sequential
   oracle the batched path is tested against),
-* :meth:`FastLomb.periodogram_batch` — many windows at once.  Windows
-  are grouped by frequency-grid length, extirpolated with one
-  scatter-add over a flattened ``(window, cell)`` space, transformed
-  through the backend's ``transform_batch`` and combined as dense
-  ``(n_windows, nout)`` array operations.  A backend must implement the
-  batch entry points its path calls; :class:`FastLomb` rejects one that
-  does not at construction.
+* :meth:`FastLomb.periodogram_batch` — many windows at once, in one
+  dense pass per chunk of rows whatever their frequency-grid lengths:
+  both workspaces of every row are extirpolated with one scatter-add
+  over a flattened ``(row, cell)`` space (two for a chunk of more than
+  half the chunk size), transformed through the backend's batch entry
+  points and combined as dense ``(n_windows, nout)`` array operations
+  at the chunk's widest grid, of which each row keeps its own bins.  A
+  backend must implement the batch entry points its path calls;
+  :class:`FastLomb` rejects one that does not at construction.
 
 Only the FFT stage depends on the backend, which is all a quality level
 changes (the paper's Fig. 1a).  So one batch can mix levels: an optional
 ``owners`` argument names each window's FFT owner — the analyser of its
 ladder rung — and the batch runs every other stage once over all rows
-and the FFT once per owner over that owner's rows.
+and the FFT stage per owner over that owner's rows.  Within the FFT
+stage, owners whose wavelet plans share a geometry share its sub-band
+half too (:meth:`~repro.ffts.wavelet_fft.WaveletFFT.subbands_batch`:
+the DWT and both sub-FFTs), so it runs once over all of their rows;
+only the butterflies, band-drop gains and unpacking run per owner.
 
 Two execution fast paths sit on top (both produce ``np.allclose``
 spectra and identical modelled op counts):
@@ -224,6 +230,71 @@ def _owner_runs(owners: list, ranks: np.ndarray) -> list[tuple]:
     ]
 
 
+def _transform_groups(runs: list[tuple]) -> list[list[tuple]]:
+    """Owner runs split into groups that share one sub-band transform.
+
+    Consecutive runs whose owners have equal sub-band keys form one
+    group; a run whose owner has none (a plain FFT backend) is a group
+    of its own.
+    """
+    groups: list[list[tuple]] = []
+    for run in runs:
+        key = run[0]._subband_key
+        if key is not None and groups and groups[-1][0][0]._subband_key == key:
+            groups[-1].append(run)
+        else:
+            groups.append([run])
+    return groups
+
+
+def _packed(ws, wk1: np.ndarray, wk2: np.ndarray) -> np.ndarray:
+    """``wk1 + 1j * wk2`` in a leased buffer: one complex FFT input."""
+    packed = ws.take(wk1.shape, np.complex128)
+    packed.real[:] = wk1
+    packed.imag[:] = wk2
+    return packed
+
+
+def _subband_rows(
+    ws,
+    group: list[tuple],
+    wk1: np.ndarray,
+    wk2: np.ndarray,
+    data_ft: np.ndarray,
+    win_ft: np.ndarray,
+    count_ops: bool,
+) -> list[OpCounts]:
+    """FFT stage of owner runs that share one wavelet sub-band transform.
+
+    ``group`` holds consecutive ``(owner, lo, hi)`` runs, the owners
+    that keep the detail band first (:meth:`FastLomb._owner_ranks`).
+    The group's rows are packed once and go through the sub-band half
+    (the DWT and the approximation sub-FFT) together; the detail
+    sub-FFT covers only the rows of owners that keep the band.  Each
+    owner then runs its butterflies, band-drop gains and unpacking
+    over its own rows.  Returns the per-row FFT counts (empty unless
+    counting).
+    """
+    base, top = group[0][1], group[-1][2]
+    detail_rows = sum(
+        hi - lo for owner, lo, hi in group if owner.backend.keeps_detail
+    )
+    sub_l, sub_h = group[0][0].backend.subbands_batch(
+        _packed(ws, wk1[base:top], wk2[base:top]), detail_rows
+    )
+    counts: list[OpCounts] = []
+    for owner, lo, hi in group:
+        rows = slice(lo - base, hi - base)
+        spectrum, per_row = owner.backend.butterflies_batch(
+            sub_l[rows],
+            sub_h[rows] if owner.backend.keeps_detail else None,
+            count_ops,
+        )
+        owner._unpack_rows(ws, spectrum, data_ft[lo:hi], win_ft[lo:hi])
+        counts.extend(per_row)
+    return counts
+
+
 class FastLomb:
     """Press-Rybicki Fast-Lomb analyser with a fixed-size FFT workspace.
 
@@ -327,6 +398,12 @@ class FastLomb:
                     f"{' and '.join(missing)}, which the batched "
                     "Fast-Lomb kernel calls"
                 )
+        # Packed-path wavelet backends split their batch transform into
+        # a sub-band half that other owners of equal key share and a
+        # butterfly half of their own (see :func:`_subband_rows`).
+        self._subband_key = None
+        if not self.fused_real and hasattr(self.backend, "subbands_batch"):
+            self._subband_key = self.backend.subband_key
 
     # ------------------------------------------------------------------
 
@@ -387,7 +464,7 @@ class FastLomb:
 
         Validation, grid geometry, sample moments and workspace
         positions; the batched path performs the same steps vectorised
-        over a whole window group in :meth:`_periodogram_group`.
+        over a whole chunk of windows in :meth:`_periodogram_group`.
         """
         t, x, duration, df, nout = self._window_inputs(
             times, values, validate=True
@@ -515,6 +592,11 @@ class FastLomb:
         and one that does not raises :class:`ConfigurationError` before
         any kernel work.  Returns ``(distinct owners, ranks)``, where
         ``ranks[i]`` indexes window ``i``'s owner.
+
+        Owners that share a sub-band transform take adjacent ranks,
+        those that keep the detail band first: sorted by rank, a
+        chunk's rows of one transform form one contiguous range whose
+        detail sub-FFT covers a prefix of it.
         """
         if owners is None:
             return [self], np.zeros(n, dtype=np.intp)
@@ -523,13 +605,24 @@ class FastLomb:
             raise ConfigurationError(
                 f"{len(owners)} FFT owners for {n} windows"
             )
-        index: dict[int, int] = {}
+        seen: set[int] = set()
         distinct: list[FastLomb] = []
         for owner in owners:
-            if id(owner) not in index:
+            if id(owner) not in seen:
                 self._check_owner(owner)
-                index[id(owner)] = len(distinct)
+                seen.add(id(owner))
                 distinct.append(owner)
+        first_of_key: dict = {}
+        order = []
+        for k, owner in enumerate(distinct):
+            key = owner._subband_key
+            if key is None:
+                order.append((k, False, k))
+            else:
+                group = first_of_key.setdefault(key, k)
+                order.append((group, not owner.backend.keeps_detail, k))
+        distinct = [distinct[k] for *_, k in sorted(order)]
+        index = {id(owner): rank for rank, owner in enumerate(distinct)}
         ranks = np.fromiter(
             (index[id(owner)] for owner in owners), dtype=np.intp, count=n
         )
@@ -576,50 +669,47 @@ class FastLomb:
             levels, and each window's spectrum and counts equal those
             of a batch call on ``owners[i]`` alone, byte for byte.
 
-        Windows are grouped by frequency-grid length ``nout`` (windows of
-        different durations probe different grids) and each group runs as
-        dense ``(n_windows, N)`` array operations: one flattened
-        scatter-add extirpolation, one FFT call per owner and a fully
-        vectorised Lomb combine.  Results are returned in input order
-        and match :meth:`periodogram` window-for-window (same spectra,
-        same operation counts).
+        Windows run in chunks of dense ``(n_windows, N)`` array
+        operations, whatever their frequency-grid lengths ``nout``
+        (windows of different durations probe different grids): one
+        flattened scatter-add extirpolation of both workspaces, one
+        FFT-stage call per owner and a fully vectorised Lomb combine at
+        the chunk's widest grid, of which each window keeps its own
+        bins.  Results are returned in input order and match
+        :meth:`periodogram` window-for-window (same spectra, same
+        operation counts).
         """
         pairs = list(windows)
         distinct, ranks = self._owner_ranks(owners, len(pairs))
         arrays: list[tuple[np.ndarray, np.ndarray]] = []
         metas: list[tuple[int, float, float, int]] = []
-        groups: dict[int, list[int]] = {}
-        for i, (times, values) in enumerate(pairs):
+        for times, values in pairs:
             t, x, duration, df, nout = self._window_inputs(
                 times, values, validate
             )
             arrays.append((t, x))
             metas.append((t.size, duration, df, nout))
-            groups.setdefault(nout, []).append(i)
         results: list[LombSpectrum | None] = [None] * len(pairs)
         chunk_windows = get_batch_chunk_windows(self.workspace_size)
-        by_rank = ranks.tolist()
-        for nout, indices in groups.items():
-            # Rows of one owner sit together, so every chunk makes one
-            # FFT call per owner over a contiguous row range; rows are
-            # independent, so their order inside a group changes no
-            # result (and the sort is stable).
-            indices.sort(key=by_rank.__getitem__)
-            # Bounded sub-batches keep the dense intermediates inside the
-            # CPU caches; one monolithic multi-hour batch is measurably
-            # slower than cache-sized chunks (rows are independent, so
-            # chunking cannot change any result).
-            for lo in range(0, len(indices), chunk_windows):
-                chunk = indices[lo : lo + chunk_windows]
-                spectra = self._periodogram_group(
-                    [arrays[i] for i in chunk],
-                    [metas[i] for i in chunk],
-                    nout,
-                    count_ops,
-                    _owner_runs(distinct, ranks[chunk]),
-                )
-                for i, spectrum in zip(chunk, spectra):
-                    results[i] = spectrum
+        # Rows of one owner sit together, so every chunk makes one
+        # FFT-stage call per owner over a contiguous row range; rows are
+        # independent, so their order changes no result (and the sort is
+        # stable).
+        order = np.argsort(ranks, kind="stable")
+        # Bounded sub-batches keep the dense intermediates inside the
+        # CPU caches; one monolithic multi-hour batch is measurably
+        # slower than cache-sized chunks (rows are independent, so
+        # chunking cannot change any result).
+        for lo in range(0, len(pairs), chunk_windows):
+            chunk = order[lo : lo + chunk_windows].tolist()
+            spectra = self._periodogram_group(
+                [arrays[i] for i in chunk],
+                [metas[i] for i in chunk],
+                count_ops,
+                _owner_runs(distinct, ranks[chunk]),
+            )
+            for i, spectrum in zip(chunk, spectra):
+                results[i] = spectrum
         return results
 
     def periodogram_batch_matrix(
@@ -662,32 +752,29 @@ class FastLomb:
         ns = np.full(rows, width, dtype=np.int64)
         results: list[LombSpectrum | None] = [None] * rows
         chunk_windows = get_batch_chunk_windows(self.workspace_size)
-        for nout in np.unique(nouts):
-            indices = np.flatnonzero(nouts == nout)
-            indices = indices[np.argsort(ranks[indices], kind="stable")]
-            for lo in range(0, indices.size, chunk_windows):
-                chunk = indices[lo : lo + chunk_windows]
-                # Ascending contiguous runs keep the strided views intact
-                # (the overwhelmingly common case: one frequency grid
-                # and one owner for the whole recording); anything else
-                # falls back to a gather copy of just those rows.
-                if (np.diff(chunk) == 1).all():
-                    sel: slice | np.ndarray = slice(
-                        int(chunk[0]), int(chunk[-1]) + 1
-                    )
-                else:
-                    sel = chunk
-                spectra = self._periodogram_group_dense(
-                    t_mat[sel],
-                    x_mat[sel],
-                    ns[sel],
-                    [metas[i] for i in chunk],
-                    int(nout),
-                    count_ops,
-                    _owner_runs(distinct, ranks[chunk]),
+        order = np.argsort(ranks, kind="stable")
+        for lo in range(0, rows, chunk_windows):
+            chunk = order[lo : lo + chunk_windows]
+            # Ascending contiguous runs keep the strided views intact
+            # (the overwhelmingly common case: one owner for the whole
+            # recording); anything else falls back to a gather copy of
+            # just those rows.
+            if (np.diff(chunk) == 1).all():
+                sel: slice | np.ndarray = slice(
+                    int(chunk[0]), int(chunk[-1]) + 1
                 )
-                for i, spectrum in zip(chunk, spectra):
-                    results[i] = spectrum
+            else:
+                sel = chunk
+            spectra = self._periodogram_group_dense(
+                t_mat[sel],
+                x_mat[sel],
+                ns[sel],
+                [metas[i] for i in chunk],
+                count_ops,
+                _owner_runs(distinct, ranks[chunk]),
+            )
+            for i, spectrum in zip(chunk.tolist(), spectra):
+                results[i] = spectrum
         return results
 
     def _grid_rows(
@@ -723,14 +810,13 @@ class FastLomb:
         self,
         arrays: list[tuple[np.ndarray, np.ndarray]],
         metas: list[tuple[int, float, float, int]],
-        nout: int,
         count_ops: bool,
         runs: list[tuple["FastLomb", int, int]],
     ) -> list[LombSpectrum]:
-        """Batched pipeline for windows sharing one frequency-grid length.
+        """Batched pipeline for one chunk of windows.
 
         Ragged windows are right-padded to the longest beat count in the
-        group; padding enters the extirpolation as zero-valued samples
+        chunk; padding enters the extirpolation as zero-valued samples
         (contributing nothing) and the Lomb combine uses per-row sample
         counts, so padding never leaks into the results.  The dense
         kernel itself lives in :meth:`_periodogram_group_dense`, which
@@ -760,7 +846,7 @@ class FastLomb:
                 t_pad[i, :k] = t
                 x_pad[i, :k] = x
             return self._periodogram_group_dense(
-                t_pad, x_pad, ns, metas, nout, count_ops, runs
+                t_pad, x_pad, ns, metas, count_ops, runs
             )
 
     def _periodogram_group_dense(
@@ -769,7 +855,6 @@ class FastLomb:
         x_pad: np.ndarray,
         ns: np.ndarray,
         metas: list[tuple[int, float, float, int]],
-        nout: int,
         count_ops: bool,
         runs: list[tuple["FastLomb", int, int]],
     ) -> list[LombSpectrum]:
@@ -784,11 +869,21 @@ class FastLomb:
         are re-derived from the centred batch (they only scale the
         output power).
 
+        One pass serves rows of every frequency-grid length: the FFT
+        stage and the Lomb combine run at the widest grid of the chunk,
+        and row *i* keeps bins ``1 .. nout_i``.  That is exact, because
+        a row's ``nout`` only decides how many bins it keeps: its
+        workspace positions depend on its ``df``, the FFT covers the
+        whole workspace and every combine step is elementwise.
+
         ``runs`` are the ``(owner, lo, hi)`` row ranges of each FFT
         owner (:meth:`_owner_ranks`).  Moments, workspace positions,
-        both extirpolations and the Lomb combine run once over all
-        rows; only the FFT stage (:meth:`_fft_rows`) runs per owner,
-        over that owner's rows.  Every stage is row-independent, so a
+        the extirpolation of both workspaces (one scatter of at most a
+        chunk's worth of rows) and the Lomb combine run once over all
+        rows; only the FFT stage runs per owner, over that owner's rows
+        (:meth:`_fft_rows`), and owners that share a wavelet sub-band
+        transform run it once over all of their rows
+        (:func:`_subband_rows`).  Every stage is row-independent, so a
         row's result does not depend on which rows share its batch.
 
         Every intermediate (masks, workspaces, FFT outputs, the dozen
@@ -804,14 +899,19 @@ class FastLomb:
         ndim = self.workspace_size
         rows, max_n = t_pad.shape
         dfs = np.array([meta[2] for meta in metas])
+        nout = max(meta[3] for meta in metas)
         with scratch() as ws:
             with _profile_span("prepare"):
                 means, variances = ws.take_block(2, (rows,))
                 _row_means(x_pad, ns, means)
                 valid, invalid = ws.take_block(2, (rows, max_n), np.bool_)
-                centered, pos_data, pos_window, valid_f = ws.take_block(
-                    4, (rows, max_n)
-                )
+                # Both workspaces' sample values and positions, stacked
+                # so that one scatter extirpolates them: rows of
+                # ``values`` are [centered; valid_f], of ``positions``
+                # [pos_data; pos_window].
+                values, positions = ws.take_block(2, (2 * rows, max_n))
+                centered, valid_f = values[:rows], values[rows:]
+                pos_data, pos_window = positions[:rows], positions[rows:]
                 np.less(np.arange(max_n)[None, :], ns[:, None], out=valid)
                 np.subtract(x_pad, means[:, None], out=centered)
                 np.logical_not(valid, out=invalid)
@@ -839,14 +939,29 @@ class FastLomb:
                 np.multiply(pos_data, 2.0, out=pos_window)
                 np.mod(pos_window, float(ndim), out=pos_window)
                 np.copyto(valid_f, valid)
-            wk1, wk2 = ws.take_block(2, (rows, ndim))
+            workspaces = ws.take((2 * rows, ndim))
+            wk1, wk2 = workspaces[:rows], workspaces[rows:]
+            lengths = np.concatenate((ns, ns))
+            # Both workspaces of a chunk go through one scatter of at
+            # most a chunk's worth of rows: a small batch saves a whole
+            # call's fixed cost, while a full chunk scattered at twice
+            # its size would outgrow the caches the chunk size was tuned
+            # for (256 rows read ~10 % slower in one call than in two).
+            # Each cell belongs to one row of one workspace and sums its
+            # contributions in that row's own order, so any split gives
+            # the same workspaces.
+            step = get_batch_chunk_windows(ndim)
             with _profile_span("extirpolate"):
-                extirpolate_batch(
-                    centered, pos_data, ndim, self.order, lengths=ns, out=wk1
-                )
-                extirpolate_batch(
-                    valid_f, pos_window, ndim, self.order, lengths=ns, out=wk2
-                )
+                for lo in range(0, 2 * rows, step):
+                    hi = lo + step
+                    extirpolate_batch(
+                        values[lo:hi],
+                        positions[lo:hi],
+                        ndim,
+                        self.order,
+                        lengths=lengths[lo:hi],
+                        out=workspaces[lo:hi],
+                    )
 
             # Bins 1..nout of the data and window spectra: each owner
             # fills its own rows, and the combine reads every row.
@@ -854,18 +969,25 @@ class FastLomb:
             fft_counts: list[OpCounts] = []
             row_owners: list[FastLomb] = []
             with _profile_span("fft"):
-                for owner, lo, hi in runs:
-                    counts = owner._fft_rows(
-                        ws,
-                        wk1[lo:hi],
-                        wk2[lo:hi],
-                        data_ft[lo:hi],
-                        win_ft[lo:hi],
-                        count_ops,
-                    )
+                for group in _transform_groups(runs):
+                    owner, lo, hi = group[0]
+                    if owner._subband_key is None:
+                        counts = owner._fft_rows(
+                            ws,
+                            wk1[lo:hi],
+                            wk2[lo:hi],
+                            data_ft[lo:hi],
+                            win_ft[lo:hi],
+                            count_ops,
+                        )
+                    else:
+                        counts = _subband_rows(
+                            ws, group, wk1, wk2, data_ft, win_ft, count_ops
+                        )
                     if count_ops:
                         fft_counts.extend(counts)
-                        row_owners.extend([owner] * (hi - lo))
+                        for owner, lo, hi in group:
+                            row_owners.extend([owner] * (hi - lo))
 
             with _profile_span("lomb_combine"):
                 (
@@ -933,17 +1055,17 @@ class FastLomb:
             m = np.arange(1, nout + 1)
             spectra: list[LombSpectrum] = []
             for i, meta in enumerate(metas):
-                n, duration, df, _nout = meta
+                n, duration, df, row_nout = meta
                 counts = None
                 if count_ops:
                     counts = sum(
-                        row_owners[i]._non_fft_counts(n, nout).values(),
+                        row_owners[i]._non_fft_counts(n, row_nout).values(),
                         fft_counts[i],
                     )
                 spectra.append(
                     LombSpectrum(
-                        frequencies=df * m,
-                        power=power[i],
+                        frequencies=df * m[:row_nout],
+                        power=power[i, :row_nout],
                         mean=float(means[i]),
                         variance=float(variances[i]),
                         n_samples=n,
@@ -964,7 +1086,8 @@ class FastLomb:
     ) -> tuple[OpCounts, ...] | None:
         """The dense kernel's FFT stage over the rows this analyser owns.
 
-        The one stage that depends on the backend.  Writes bins
+        The one stage that depends on the backend, here a plain FFT
+        backend (wavelet plans take :func:`_subband_rows`).  Writes bins
         ``1..nout`` of the data and window spectra of ``wk1`` / ``wk2``
         into the ``(rows, nout)`` complex ``data_ft`` / ``win_ft`` and
         returns the per-row FFT :class:`OpCounts`, or ``None`` unless
@@ -973,8 +1096,8 @@ class FastLomb:
         rows, nout = data_ft.shape
         ndim = self.workspace_size
         # Providers advertise out= support; anything else (the explicit
-        # oracle, the pruned wavelet kernel, third-party providers with
-        # the pre-out= signature) keeps its fresh-allocation behaviour.
+        # oracle, third-party providers with the pre-out= signature)
+        # keeps its fresh-allocation behaviour.
         backend_out = getattr(self.backend, "supports_out", False)
         if self.fused_real:
             # Fused real path (see :meth:`periodogram`): two batched
@@ -991,9 +1114,7 @@ class FastLomb:
             if count_ops:
                 return (self.backend.static_counts(),) * rows
             return None
-        packed = ws.take((rows, ndim), np.complex128)
-        packed.real[:] = wk1
-        packed.imag[:] = wk2
+        packed = _packed(ws, wk1, wk2)
         fft_counts = None
         if count_ops:
             spectrum, fft_counts = self.backend.transform_batch_with_counts(
@@ -1005,6 +1126,23 @@ class FastLomb:
             )
         else:
             spectrum = self.backend.transform_batch(packed)
+        self._unpack_rows(ws, spectrum, data_ft, win_ft)
+        return fft_counts
+
+    def _unpack_rows(
+        self,
+        ws,
+        spectrum: np.ndarray,
+        data_ft: np.ndarray,
+        win_ft: np.ndarray,
+    ) -> None:
+        """Data and window spectra from packed ``(rows, N)`` spectra.
+
+        Bins ``1..nout`` of each, after this analyser's band-drop
+        equalisation gains (see :meth:`periodogram`).
+        """
+        rows, nout = data_ft.shape
+        ndim = self.workspace_size
         # z_pos covers bins 1..nout; z_neg their mirrors ndim-1 down to
         # ndim-nout — both as views.
         z_pos = spectrum[:, 1 : nout + 1]
@@ -1023,7 +1161,6 @@ class FastLomb:
         np.multiply(data_ft, 0.5, out=data_ft)
         np.subtract(z_pos, conj_neg, out=win_ft)
         np.multiply(win_ft, -0.5j, out=win_ft)
-        return fft_counts
 
     # ------------------------------------------------------------------
 

@@ -284,19 +284,20 @@ def analyze_spans_quality(
     planners.  ``times`` and ``values`` must be 1-D and of equal
     length, and each span an integer pair with ``0 <= lo < hi <=
     len(values)``; the first violation raises a :class:`SignalError`
-    before any kernel work.
+    before any kernel work.  That is the call's one span check: the
+    metrics take the bounds it returned.
     """
     if np.ndim(times) != 1 or np.shape(times) != np.shape(values):
         raise SignalError(
             "times and values must be 1-D arrays of equal length, got "
             f"shapes {np.shape(times)} and {np.shape(values)}"
         )
-    span_bounds(spans, len(values))
+    bounds = span_bounds(spans, len(values))
     spectra = analyze_spans(
         analyzer, times, values, spans, count_ops, owners=owners
     )
     with _profile_span("metrics"):
-        metrics = window_metrics_batch(values, spans, corrected=corrected)
+        metrics = window_metrics_batch(values, bounds, corrected=corrected)
     return spectra, metrics
 
 

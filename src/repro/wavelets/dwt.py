@@ -54,7 +54,10 @@ def _filter_downsample_batch(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Row-wise :func:`_filter_downsample` over a ``(rows, m)`` batch.
 
     The tap loop and per-row accumulation order match the 1-D routine
-    exactly, so batched rows are bit-identical to sequential calls.
+    exactly, so batched rows are bit-identical to sequential calls.  The
+    first two taps never wrap (``2n + j < m``), so they read strided
+    views instead of gathering ``(2n + j) mod m``; the values read are
+    the same, and so is every operation on them.
     """
     m = x.shape[-1]
     base = 2 * np.arange(m // 2)
@@ -62,7 +65,8 @@ def _filter_downsample_batch(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
         x.shape[:-1] + (m // 2,), dtype=np.result_type(x.dtype, np.float64)
     )
     for j, tap in enumerate(taps):
-        acc = acc + tap * x[..., (base + j) % m]
+        taken = x[..., j::2] if j < 2 else x[..., (base + j) % m]
+        acc = acc + tap * taken
     return acc
 
 

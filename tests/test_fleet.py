@@ -12,6 +12,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import re
+import signal
+import threading
 import time
 
 import numpy as np
@@ -599,3 +601,64 @@ class TestPoolWorkerDeath:
         assert "exit code 3" in message
         assert "while running task 0" in message
         assert runner._pool is None
+
+
+def _orphan_result_lock(pool, workers) -> None:
+    """A process that takes the result queue's write lock and dies."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - child
+        pool._outqueue._wlock.acquire()
+        os._exit(0)
+    os.waitpid(pid, 0)
+
+
+def _kill_idle_workers(pool, workers) -> None:
+    """SIGKILL every idle worker; one dies holding the task queue lock."""
+    for worker in workers:
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(10.0)
+
+
+class TestPoolTeardown:
+    @pytest.mark.parametrize(
+        "orphan", [_orphan_result_lock, _kill_idle_workers],
+        ids=["dead-result-writer", "killed-idle-workers"],
+    )
+    def test_discard_returns_despite_orphaned_queue_lock(
+        self, monkeypatch, orphan
+    ):
+        """A queue lock a dead process left held must not hang teardown.
+
+        ``Pool.terminate()`` takes the task queue's read lock and the
+        result queue's write lock; a process that died holding one used
+        to block ``_discard_pool`` for good.  The teardown runs in a
+        thread here, so a regression fails the test instead of hanging
+        it.
+        """
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method required")
+        from repro.fleet import runner as runner_module
+
+        monkeypatch.setattr(runner_module, "_POOL_TEARDOWN_SECONDS", 1.0)
+        runner = FleetRunner(n_jobs=2, start_method="fork")
+        pool, workers = None, []
+        try:
+            runner.run(_cohort(n=2, seconds=600.0))
+            pool = runner._pool
+            workers = list(pool._pool)
+            orphan(pool, workers)
+            teardown = threading.Thread(
+                target=runner._discard_pool, daemon=True
+            )
+            teardown.start()
+            teardown.join(30.0)
+            assert not teardown.is_alive(), "pool teardown hung"
+            assert runner._pool is None
+            assert runner._pool_key is None
+            assert runner._pool_finalizer is None
+            assert all(worker.exitcode is not None for worker in workers)
+        finally:
+            # The originals, and any replacement the pool started.
+            for worker in [*workers, *(pool._pool if pool else [])]:
+                if worker.exitcode is None:
+                    worker.kill()

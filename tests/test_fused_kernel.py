@@ -13,6 +13,8 @@ settings differ from the analyser's is refused before any kernel work.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,3 +194,92 @@ class TestOwnerChecks:
             want, _ = analyze_spans_quality(OWNERS[0], TIMES, VALUES, spans)
         for g, w in zip(got, want):
             assert g.power.tobytes() == w.power.tobytes()
+
+
+def _two_grid_spans(count: int) -> list[tuple[int, int]]:
+    """``count`` pairs of ~2-min spans, one of 94 and one of 95 bins.
+
+    A pair shares its first beat: the shorter span ends at the last beat
+    before 118.75 s (94 bins at 0.4 Hz), the longer one a beat later.
+    """
+    spans = []
+    for k in range(count):
+        lo = 130 * k
+        hi = int(np.searchsorted(TIMES, TIMES[lo] + 118.75))
+        spans += [(lo, hi), (lo, hi + 1)]
+    return spans
+
+
+class TestOnePassStructure:
+    """A mixed-rung call over both grid lengths is one dense pass.
+
+    Ten windows, one per rung at each grid length, at the five rungs of
+    a ward ladder (exact or unpruned wavelet on top of the four
+    band-drop rungs): one dense pass, one extirpolation scatter for both
+    workspaces and one DWT for every wavelet rung, and the detail
+    sub-FFT sees the rows of the rung that keeps the HH band only.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # The package re-exports a function under the module's name.
+        wavelet_module = importlib.import_module("repro.ffts.wavelet_fft")
+        calls = {"dense": 0, "extirpolate": 0, "dwt": 0, "sub_fft": []}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            FastLomb,
+            "_periodogram_group_dense",
+            counting("dense", FastLomb._periodogram_group_dense),
+        )
+        monkeypatch.setattr(
+            fast_module,
+            "extirpolate_batch",
+            counting("extirpolate", fast_module.extirpolate_batch),
+        )
+        monkeypatch.setattr(
+            wavelet_module,
+            "dwt_level_batch",
+            counting("dwt", wavelet_module.dwt_level_batch),
+        )
+        sub_transform = wavelet_module.WaveletFFT._sub_transform_batch
+
+        def recording(plan, x):
+            calls["sub_fft"].append(np.array(x))
+            return sub_transform(plan, x)
+
+        monkeypatch.setattr(
+            wavelet_module.WaveletFFT, "_sub_transform_batch", recording
+        )
+        return calls
+
+    @pytest.mark.parametrize("count_ops", [False, True])
+    @pytest.mark.parametrize("top", [0, 1], ids=["exact", "full"])
+    def test_one_pass_one_scatter_one_dwt(self, calls, top, count_ops):
+        spans = _two_grid_spans(5)
+        assert _grid_lengths(spans) == {94, 95}
+        rungs = [OWNERS[top], *OWNERS[2:6]]
+        owners = [rung for rung in rungs for _ in range(2)]
+        with execution(provider="numpy", chunk_windows=256):
+            analyze_spans_quality(
+                OWNERS[0], TIMES, VALUES, spans, count_ops, owners=owners
+            )
+            approx, *detail = calls.pop("sub_fft")
+            assert calls == {"dense": 1, "extirpolate": 1, "dwt": 1}
+            assert approx.shape[0] == (10 if top else 8)
+            if not top:
+                assert detail == []
+                return
+            # The detail sub-FFT's rows are the HH rung's own detail
+            # band: what a call on that rung's two windows alone reads.
+            calls["sub_fft"] = []
+            analyze_spans_quality(OWNERS[1], TIMES, VALUES, spans[:2])
+            _, alone = calls["sub_fft"]
+        assert len(detail) == 1
+        assert detail[0].tobytes() == alone.tobytes()

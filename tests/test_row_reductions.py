@@ -384,6 +384,26 @@ class TestMalformedSpans:
         with pytest.raises(SignalError, match="span"):
             analyze_spans_quality(_UntouchedKernel(), times, values, spans)
 
+    def test_one_span_check_per_call(self, recording_920, monkeypatch):
+        import repro.hrv.metrics as metrics_module
+        import repro.lomb.welch as welch_module
+
+        checks = []
+        check = metrics_module.span_bounds
+
+        def counting(*args, **kwargs):
+            checks.append(args[0])
+            return check(*args, **kwargs)
+
+        for module in (metrics_module, welch_module):
+            monkeypatch.setattr(module, "span_bounds", counting)
+        times, values = recording_920
+        spectra, _ = analyze_spans_quality(
+            WelchLomb().analyzer, times, values, [(0, 150), (75, 240)]
+        )
+        assert len(spectra) == 2
+        assert len(checks) == 1
+
     def test_metrics_allow_empty_but_not_outside(self, recording_920):
         _, values = recording_920
         assert len(window_metrics_batch(values, [(5, 5), (0, 920)])) == 2

@@ -93,6 +93,16 @@ class TestBandDrop:
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel < 0.08
 
+    def test_bin_gains_are_a_read_only_plan_constant(self):
+        plan = WaveletFFT(512, pruning=PruningSpec.band_only())
+        gains = plan.bin_gains()
+        assert plan.bin_gains() is gains
+        assert not gains.flags.writeable
+        attenuation = 0.5 * np.abs(plan._hl) ** 2
+        want = 1.0 / np.maximum(attenuation, 1.0 / 16.0)
+        assert gains.tobytes() == want.tobytes()
+        assert WaveletFFT(512).bin_gains() is None
+
     def test_band_drop_error_large_for_alternating_signal(self):
         n = 64
         x = np.array([1.0, -1.0] * (n // 2))
