@@ -27,9 +27,10 @@ see each other's settings):
   ``jobs > 1`` — with an asyncio push transport in
   :mod:`repro.engine.aio`.
 
-All four routes drive the identical kernels through
-:func:`repro.lomb.welch.analyze_spans`, so their per-window spectra are
-bit-identical by construction.
+All four routes drive the identical kernels through one choke point,
+:func:`repro.lomb.welch.analyze_spans_quality`, and the kernel's one
+batch entry, :meth:`repro.lomb.fast.FastLomb.periodogram_spans`, so
+their per-window spectra are bit-identical by construction.
 """
 
 from __future__ import annotations

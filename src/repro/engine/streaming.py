@@ -331,11 +331,11 @@ class StreamingSession:
         :meth:`finalize`'s, which knows where the recording ends.
 
         All windows one feed completes are analysed in **one** batched
-        :func:`analyze_spans` call (a large chunk can complete dozens) —
-        or, for hub-owned sessions, in the hub's shared cross-session
-        batch — keeping the streaming path on the dense kernel;
-        per-window results are batch-composition-independent, so this
-        cannot change any emitted spectrum.
+        :func:`analyze_spans_quality` call (a large chunk can complete
+        dozens) — or, for hub-owned sessions, in the hub's shared
+        cross-session batch — keeping the streaming path on the dense
+        kernel; per-window results are batch-composition-independent,
+        so this cannot change any emitted spectrum.
         """
         latest = float(self._times[self._n - 1])
         pending: list[tuple[float, tuple[int, int]]] = []

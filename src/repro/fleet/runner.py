@@ -43,10 +43,10 @@ import multiprocessing
 import os
 import queue as queue_module
 import threading
-import time
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.pool import TERMINATE as POOL_TERMINATE
 from typing import Sequence
 
 import numpy as np
@@ -92,9 +92,9 @@ MIN_SPANS_PER_SLICE = 8
 #: Seconds between result polls while watching the pool for dead workers.
 _POOL_POLL_SECONDS = 0.2
 
-#: Seconds a hard pool teardown may take before the workers still
-#: running are killed and the queue locks a dead worker left held are
-#: freed (see :func:`_terminate_pool`).
+#: Seconds a pool teardown may take before the workers still running
+#: are killed and the queue locks a dead worker left held are freed
+#: (see :func:`_teardown_pool`).
 _POOL_TEARDOWN_SECONDS = 5.0
 
 #: Board slots per pool process.  With two, one task waits in the pool's
@@ -110,50 +110,70 @@ def _terminate_abandoned_pool(pool) -> None:
     owns one) abandoned without :meth:`FleetRunner.close` must not
     strand live worker processes — at garbage collection, and at
     interpreter exit at the latest (``weakref.finalize`` registers
-    atexit), the pool is torn down hard.
+    atexit), the pool is torn down hard, in bounded time.  No new thread
+    may start at interpreter exit, so this cannot watch ``terminate()``
+    from a helper thread as :func:`_teardown_pool` does: it kills the
+    pool first (:func:`_kill_pool`), and ``terminate()`` then finds no
+    worker alive and no lock held.
     """
+    _kill_pool(pool)
     pool.terminate()
     pool.join()
 
 
-def _terminate_pool(pool) -> None:
-    """``pool.terminate()`` and ``pool.join()``, in bounded time.
+def _kill_pool(pool) -> None:
+    """Kill every worker and free the queue locks a dead one left held.
 
     CPython's teardown takes two locks the workers share: the task
     queue's read lock, which an idle worker holds while it waits for a
     task, and the result queue's write lock, which a worker holds while
     it sends a result.  A worker that died holding one leaves it held
-    for good, and ``terminate()`` then blocks on it forever.  So the
-    teardown runs on a helper thread.  Past
-    :data:`_POOL_TEARDOWN_SECONDS` every worker still running is
-    killed; from then on no live process can release those locks, and
-    each is released for it.
+    for good, and ``terminate()`` — or ``close()`` + ``join()`` — then
+    blocks on it forever.  Once no worker is alive, no live process can
+    release those locks, so each is released for it.
+    """
+    # terminate()'s own first step, taken early: the pool starts no
+    # replacement for the workers killed here.
+    pool._worker_handler._state = POOL_TERMINATE
+    for process in list(pool._pool):
+        process.kill()
+        process.join(_POOL_TEARDOWN_SECONDS)
+    for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
+        # Acquired or not, release: either this thread's own hold or
+        # one whose holder is dead.
+        lock.acquire(timeout=_POOL_POLL_SECONDS)
+        try:
+            lock.release()
+        except ValueError:  # its holder released it meanwhile
+            pass
+
+
+def _join_pool(pool, graceful: bool) -> None:
+    if graceful:
+        pool.close()
+    else:
+        pool.terminate()
+    pool.join()
+
+
+def _teardown_pool(pool, graceful: bool = False) -> None:
+    """Close (*graceful*) or terminate the pool and join it, in bounded time.
+
+    The teardown runs on a helper thread.  Past
+    :data:`_POOL_TEARDOWN_SECONDS` the pool is killed
+    (:func:`_kill_pool`), which frees whatever the helper waits on.
     """
     helper = threading.Thread(
-        target=_terminate_abandoned_pool,
-        args=(pool,),
+        target=_join_pool,
+        args=(pool, graceful),
         name="fleet-pool-teardown",
         daemon=True,
     )
     helper.start()
     helper.join(_POOL_TEARDOWN_SECONDS)
-    if not helper.is_alive():
-        return
-    for process in list(pool._pool):
-        process.kill()
-        process.join(_POOL_TEARDOWN_SECONDS)
-    locks = (pool._inqueue._rlock, pool._outqueue._wlock)
-    stop = time.monotonic() + _POOL_TEARDOWN_SECONDS
-    while helper.is_alive() and time.monotonic() < stop:
-        for lock in locks:
-            # Acquired or not, release: either this thread's own hold
-            # or one whose holder is dead.
-            lock.acquire(timeout=_POOL_POLL_SECONDS)
-            try:
-                lock.release()
-            except ValueError:  # its holder released it meanwhile
-                pass
-        helper.join(_POOL_POLL_SECONDS)
+    if helper.is_alive():
+        _kill_pool(pool)
+        helper.join(_POOL_TEARDOWN_SECONDS)
 
 
 class _TaskBoard:
@@ -461,7 +481,14 @@ class FleetRunner:
         )
 
     def close(self) -> None:
-        """Shut the pool and remote connections down (idempotent)."""
+        """Shut the pool and remote connections down (idempotent).
+
+        The pool closes gracefully, its workers exiting once idle,
+        within :data:`_POOL_TEARDOWN_SECONDS`; past that its workers
+        are killed and the queue locks a dead worker left held are
+        freed (:func:`_teardown_pool`), so a dead worker cannot make
+        ``close()`` — which the gateway calls on its event loop — hang.
+        """
         self._close_remotes()
         self._detach_finalizer()
         pool, self._pool = self._pool, None
@@ -469,8 +496,7 @@ class FleetRunner:
         self._pool_processes = []
         self._progress = None
         if pool is not None:
-            pool.close()
-            pool.join()
+            _teardown_pool(pool, graceful=True)
 
     def _close_remotes(self) -> None:
         """Say goodbye to every connected remote daemon (best-effort).
@@ -516,7 +542,7 @@ class FleetRunner:
         ``_pool_key`` must be cleared together — a stale key paired
         with a fresh pool would claim the wrong execution settings.
         The teardown returns even when a dead worker left one of the
-        pool's queue locks held (:func:`_terminate_pool`), so the run
+        pool's queue locks held (:func:`_teardown_pool`), so the run
         still raises its original error instead of hanging.
         """
         self._detach_finalizer()
@@ -525,7 +551,7 @@ class FleetRunner:
         self._pool_processes = []
         self._progress = None
         if pool is not None:
-            _terminate_pool(pool)
+            _teardown_pool(pool)
 
     def __enter__(self) -> "FleetRunner":
         return self

@@ -1,7 +1,7 @@
 """Per-host auto-tuning of the batched execution chunk size.
 
-The batched Fast-Lomb pipeline processes each frequency-grid group in
-sub-batches of ``chunk_windows`` rows so the dense ``(rows, N)``
+The batched Fast-Lomb pipeline processes a span batch in sub-batches
+of ``chunk_windows`` rows so the dense ``(rows, N)``
 workspaces and extirpolation intermediates stay cache-resident
 (:mod:`repro.lomb.fast`).  PR 1 hard-coded 256 rows — a value measured
 on one development host.  This module derives the value from the host
@@ -178,17 +178,20 @@ def chunk_windows_for_cache(workspace_size: int, cache_bytes: int) -> int:
     return _clamp_to_power_of_two(cache_bytes / per_window)
 
 
-def _synthetic_windows(
+def _synthetic_recording(
     n_windows: int, beats_per_window: int, seed: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Identical-geometry RR windows for the timing probe."""
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """Identical-geometry RR windows for the timing probe.
+
+    The windows are laid back to back in one recording, the way a hub
+    flush lays out its pending windows; returns ``(times, values,
+    spans)``.
+    """
     rng = np.random.default_rng(seed)
-    windows = []
-    for _ in range(n_windows):
-        intervals = 0.85 + 0.05 * rng.standard_normal(beats_per_window)
-        times = np.cumsum(np.abs(intervals) + 0.3)
-        windows.append((times, intervals))
-    return windows
+    intervals = 0.85 + 0.05 * rng.standard_normal(n_windows * beats_per_window)
+    times = np.cumsum(np.abs(intervals) + 0.3)
+    edges = range(0, intervals.size + 1, beats_per_window)
+    return times, intervals, list(zip(edges[:-1], edges[1:]))
 
 
 def measure_chunk_windows(
@@ -201,8 +204,8 @@ def measure_chunk_windows(
 ) -> ChunkTuning:
     """Time the batch pipeline at each candidate chunk size, pick the best.
 
-    The workload is a cohort of identical-geometry synthetic windows
-    (one frequency-grid group, the hot case), sized to exercise the
+    The workload is one :meth:`~repro.lomb.fast.FastLomb.periodogram_spans`
+    call over identical-geometry synthetic windows, sized to exercise the
     largest candidate at least twice.  Each candidate runs under a
     context derived from the current one that pins it and the resolved
     FFT execution provider (recorded in the result), so a lazy
@@ -221,11 +224,11 @@ def measure_chunk_windows(
         raise ConfigurationError(f"candidates must be >= 1, got {candidates}")
     if n_windows is None:
         n_windows = 2 * candidates[-1]
-    windows = _synthetic_windows(n_windows, beats_per_window, seed)
+    recording = _synthetic_recording(n_windows, beats_per_window, seed)
     analyzer = fast.FastLomb(
         workspace_size=workspace_size, scaling="denormalized"
     )
-    analyzer.periodogram_batch(windows)  # warm plans and caches untimed
+    analyzer.periodogram_spans(*recording)  # warm plans and caches untimed
     timings: dict[int, float] = {}
     provider = registry.resolve_provider_name(None, workspace_size)
     for candidate in candidates:
@@ -233,7 +236,7 @@ def measure_chunk_windows(
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
-                analyzer.periodogram_batch(windows)
+                analyzer.periodogram_spans(*recording)
                 best = min(best, time.perf_counter() - start)
         timings[candidate] = best
     chosen = min(timings, key=timings.get)

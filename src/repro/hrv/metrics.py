@@ -202,9 +202,9 @@ _FLAG_NAMES = (
 class WindowMetrics:
     """Time-domain metrics and quality flags for one Welch window.
 
-    Computed at the ``analyze_spans`` choke point from the exact beat
-    span the window's spectrum was computed from, and carried next to
-    that spectrum on :class:`~repro.engine.WindowEmission` and
+    Computed at the ``analyze_spans_quality`` choke point from the
+    exact beat span the window's spectrum was computed from, and
+    carried next to that spectrum on :class:`~repro.engine.WindowEmission` and
     :class:`~repro.core.system.PSAResult` through every transport.
     """
 

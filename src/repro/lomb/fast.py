@@ -17,15 +17,18 @@ Two execution paths produce the same spectra:
 
 * :meth:`FastLomb.periodogram` — one window at a time (the sequential
   oracle the batched path is tested against),
-* :meth:`FastLomb.periodogram_batch` — many windows at once, in one
-  dense pass per chunk of rows whatever their frequency-grid lengths:
-  both workspaces of every row are extirpolated with one scatter-add
-  over a flattened ``(row, cell)`` space (two for a chunk of more than
-  half the chunk size), transformed through the backend's batch entry
-  points and combined as dense ``(n_windows, nout)`` array operations
-  at the chunk's widest grid, of which each row keeps its own bins.  A
-  backend must implement the batch entry points its path calls;
-  :class:`FastLomb` rejects one that does not at construction.
+* :meth:`FastLomb.periodogram_spans` — the one batch entry: a
+  recording's sample arrays plus ``(lo, hi)`` window spans, the unit of
+  work every execution mode hands the kernel.  Each chunk of rows
+  gathers its windows into padded ``(rows, pad)`` blocks with one
+  indexed copy and runs one dense pass whatever their frequency-grid
+  lengths: both workspaces of every row are extirpolated with one
+  scatter-add over a flattened ``(row, cell)`` space (two for a chunk
+  of more than half the chunk size), transformed through the backend's
+  batch entry points and combined as dense ``(n_windows, nout)`` array
+  operations at the chunk's widest grid, of which each row keeps its
+  own bins.  A backend must implement the batch entry points its path
+  calls; :class:`FastLomb` rejects one that does not at construction.
 
 Only the FFT stage depends on the backend, which is all a quality level
 changes (the paper's Fig. 1a).  So one batch can mix levels: an optional
@@ -37,16 +40,11 @@ half too (:meth:`~repro.ffts.wavelet_fft.WaveletFFT.subbands_batch`:
 the DWT and both sub-FFTs), so it runs once over all of their rows;
 only the butterflies, band-drop gains and unpacking run per owner.
 
-Two execution fast paths sit on top (both produce ``np.allclose``
-spectra and identical modelled op counts):
-
-* the **fused real path** (``fused_real``): plain-FFT backends expose
-  ``rfft`` / ``rfft_batch`` — resolved through the execution-provider
-  layer (:mod:`repro.ffts.providers`) — and the two real workspaces
-  skip the pack/complex-FFT/unpack stage entirely,
-* the **matrix path** (:meth:`FastLomb.periodogram_batch_matrix`):
-  uniform window layouts enter the dense kernel as zero-copy strided
-  views without per-window slicing or padding copies.
+The **fused real path** (``fused_real``) sits on top, with
+``np.allclose`` spectra and identical modelled op counts: plain-FFT
+backends expose ``rfft`` / ``rfft_batch`` — resolved through the
+execution-provider layer (:mod:`repro.ffts.providers`) — and the two
+real workspaces skip the pack/complex-FFT/unpack stage entirely.
 """
 
 from __future__ import annotations
@@ -55,7 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import as_1d_float_array, require_power_of_two
+from .._validation import (
+    SpanBounds,
+    as_1d_float_array,
+    require_power_of_two,
+    span_bounds,
+)
 from ..envpins import CHUNK_ENV_VAR as _CHUNK_ENV_VAR
 from ..envpins import chunk_env_pin
 from ..errors import ConfigurationError, SignalError
@@ -177,21 +180,6 @@ class LombSpectrum:
         return float(np.sum(self.power[mask]) * df)
 
 
-@dataclass(frozen=True)
-class _WindowPlan:
-    """Prepared per-window quantities awaiting (batched) extirpolation."""
-
-    n: int
-    duration: float
-    df: float
-    nout: int
-    mean: float
-    variance: float
-    centered: np.ndarray
-    pos_data: np.ndarray
-    pos_window: np.ndarray
-
-
 def _row_means(x: np.ndarray, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Mean of each row's first ``ns[i]`` samples, written into ``out``.
 
@@ -199,14 +187,12 @@ def _row_means(x: np.ndarray, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
     numpy sums each row of a matrix whose rows are contiguous along
     axis 1 with the same pairwise summation as the 1-D call (only rows
     that are not contiguous — a boolean column selection comes back
-    F-ordered — would round differently).  So an equal-length group
-    (every uniform recording) takes one reduction, and ragged rows are
-    reduced per sample count over exactly their own samples: padding
-    never enters a sum, and the centred samples — dynamic-pruning
-    decisions included — stay bit-identical.
+    F-ordered — would round differently).  So rows are reduced per
+    sample count, each group over exactly its own samples (an
+    equal-length layout in one reduction): padding never enters a sum,
+    and the centred samples — dynamic-pruning decisions included —
+    stay bit-identical.
     """
-    if (ns == x.shape[1]).all():
-        return x.mean(axis=1, out=out)
     for n in set(ns.tolist()):
         group = ns == n
         out[group] = x[group, :n].sum(axis=1) / n
@@ -408,7 +394,23 @@ class FastLomb:
     # ------------------------------------------------------------------
 
     def _grid(self, duration: float, n_samples: int) -> tuple[float, int]:
-        df = 1.0 / (self.oversample * duration)
+        """``(df, nout)`` of one window: the one-row :meth:`_grid_rows`."""
+        dfs, nouts = self._grid_rows(
+            np.array([duration], dtype=np.float64), np.array([n_samples])
+        )
+        return float(dfs[0]), int(nouts[0])
+
+    def _grid_rows(
+        self, durations: np.ndarray, n_samples: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Frequency step ``df`` and bin count ``nout`` of every window.
+
+        The one grid rule: the sequential path takes its one row through
+        :meth:`_grid`, so both paths run the same IEEE operations.
+        """
+        if np.any(durations <= 0):
+            raise SignalError("window duration must be positive")
+        dfs = 1.0 / (self.oversample * durations)
         # The extirpolation grid has ndim*df samples per second; frequencies
         # beyond its Nyquist limit (ndim/2 bins) would alias, so a window
         # that is too long for the fixed workspace must be rejected rather
@@ -416,97 +418,58 @@ class FastLomb:
         # N = 512 keep the full 0-0.4 Hz HRV range well inside the limit.
         limit = self.workspace_size // 2 - 1
         if self.max_frequency is None:
-            nyquist_like = 0.5 * n_samples / duration
-            nout = min(int(np.floor(nyquist_like / df)), limit)
+            nyquist_like = 0.5 * n_samples / durations
+            nouts = np.minimum(
+                np.floor(nyquist_like / dfs).astype(np.int64), limit
+            )
         else:
-            nout = int(np.floor(self.max_frequency / df))
-            if nout > limit:
+            nouts = np.floor(self.max_frequency / dfs).astype(np.int64)
+            if np.any(nouts > limit):
+                i = int(np.argmax(nouts))
                 raise SignalError(
-                    f"max_frequency {self.max_frequency} Hz needs {nout} bins "
-                    f"but a {self.workspace_size}-point workspace over a "
-                    f"{duration:.0f} s window supports only {limit}; use "
-                    "shorter (Welch) windows or a larger workspace"
+                    f"max_frequency {self.max_frequency} Hz needs "
+                    f"{int(nouts[i])} bins but a {self.workspace_size}-point "
+                    f"workspace over a {float(durations[i]):.0f} s window "
+                    f"supports only {limit}; use shorter (Welch) windows or "
+                    "a larger workspace"
                 )
-        if nout < 1:
+        if np.any(nouts < 1):
             raise SignalError("window too short: empty frequency grid")
-        return df, nout
+        return dfs, nouts
 
-    def _window_inputs(
-        self, times, values, validate: bool
-    ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-        """Validate one window and derive its grid geometry.
+    def periodogram(
+        self, times, values, count_ops: bool = False
+    ) -> LombSpectrum:
+        """Fast-Lomb periodogram of one window of irregular samples.
 
-        Shared prefix of the sequential and batched paths, so the two
-        can never drift apart: returns ``(t, x, duration, df, nout)``.
-        ``validate=False`` skips the array checks for callers (the Welch
-        driver) that already validated the parent recording.
+        The sequential oracle: :meth:`periodogram_spans` runs the same
+        steps vectorised over chunks of windows
+        (:meth:`_periodogram_group_dense`).
         """
-        if validate:
-            t = as_1d_float_array(times, "times", min_length=4)
-            x = as_1d_float_array(values, "values", min_length=4)
-            if t.size != x.size:
-                raise SignalError(
-                    f"times and values must match, got {t.size} and {x.size}"
-                )
-            if np.any(np.diff(t) <= 0):
-                raise SignalError("times must be strictly increasing")
-        else:
-            t = np.asarray(times, dtype=np.float64)
-            x = np.asarray(values, dtype=np.float64)
-        duration = float(t[-1] - t[0])
-        if duration <= 0:
-            raise SignalError("window duration must be positive")
-        df, nout = self._grid(duration, t.size)
-        return t, x, duration, df, nout
-
-    def _prepare_window(self, times, values) -> "_WindowPlan":
-        """Per-window work of the sequential path, up to extirpolation.
-
-        Validation, grid geometry, sample moments and workspace
-        positions; the batched path performs the same steps vectorised
-        over a whole chunk of windows in :meth:`_periodogram_group`.
-        """
-        t, x, duration, df, nout = self._window_inputs(
-            times, values, validate=True
-        )
+        t = as_1d_float_array(times, "times", min_length=4)
+        x = as_1d_float_array(values, "values", min_length=4)
+        if t.size != x.size:
+            raise SignalError(
+                f"times and values must match, got {t.size} and {x.size}"
+            )
+        if np.any(np.diff(t) <= 0):
+            raise SignalError("times must be strictly increasing")
         n = t.size
+        duration = float(t[-1] - t[0])
+        df, nout = self._grid(duration, n)
 
         mean = float(x.mean())
         variance = float(np.var(x, ddof=1))
         if variance <= 0:
             raise SignalError("window has zero variance")
-        centered = x - mean
 
         ndim = self.workspace_size
         fac = ndim * df
         pos_data = (t - t[0]) * fac
         pos_data = np.clip(pos_data, 0.0, np.nextafter(float(ndim), 0.0))
         pos_window = np.mod(2.0 * pos_data, float(ndim))
-        return _WindowPlan(
-            n=n,
-            duration=duration,
-            df=df,
-            nout=nout,
-            mean=mean,
-            variance=variance,
-            centered=centered,
-            pos_data=pos_data,
-            pos_window=pos_window,
-        )
-
-    def periodogram(
-        self, times, values, count_ops: bool = False
-    ) -> LombSpectrum:
-        """Fast-Lomb periodogram of one window of irregular samples."""
-        plan = self._prepare_window(times, values)
-        n = plan.n
-        df, nout = plan.df, plan.nout
-        mean, variance = plan.mean, plan.variance
-        duration = plan.duration
-
-        ndim = self.workspace_size
-        wk1 = extirpolate(plan.centered, plan.pos_data, ndim, self.order)
-        wk2 = extirpolate(np.ones(n), plan.pos_window, ndim, self.order)
+        wk1 = extirpolate(x - mean, pos_data, ndim, self.order)
+        wk2 = extirpolate(np.ones(n), pos_window, ndim, self.order)
 
         m = np.arange(1, nout + 1)
         if self.fused_real:
@@ -642,54 +605,76 @@ class FastLomb:
                     f"analyser's {mine!r}"
                 )
 
-    def periodogram_batch(
+    def periodogram_spans(
         self,
-        windows,
+        times,
+        values,
+        spans,
         count_ops: bool = False,
-        validate: bool = True,
         owners=None,
     ) -> list[LombSpectrum]:
-        """Fast-Lomb periodograms of many windows in one batched pass.
+        """Fast-Lomb periodograms of many windows of one recording.
 
         Parameters
         ----------
-        windows:
-            Sequence of ``(times, values)`` pairs, one per window.
+        times, values:
+            The recording's 1-D sample arrays, of equal length.
+        spans:
+            One ``(lo, hi)`` sample-index pair per window, ``0 <= lo <
+            hi <= len(values)``, checked here; or the
+            :class:`~repro._validation.SpanBounds` that check returned,
+            which are trusted.
         count_ops:
             Attach executed per-window :class:`OpCounts`.
-        validate:
-            Per-window array validation; pass ``False`` only when the
-            caller has already validated the parent recording (the Welch
-            driver does).
         owners:
             Optional per-window FFT owners, one :class:`FastLomb` per
             window (``None``: this analyser owns them all).  Window
             ``i`` runs the FFT stage on ``owners[i]`` and every other
             stage here, so one call serves windows of several quality
             levels, and each window's spectrum and counts equal those
-            of a batch call on ``owners[i]`` alone, byte for byte.
+            of a call on ``owners[i]`` alone, byte for byte.
 
-        Windows run in chunks of dense ``(n_windows, N)`` array
-        operations, whatever their frequency-grid lengths ``nout``
-        (windows of different durations probe different grids): one
-        flattened scatter-add extirpolation of both workspaces, one
-        FFT-stage call per owner and a fully vectorised Lomb combine at
-        the chunk's widest grid, of which each window keeps its own
-        bins.  Results are returned in input order and match
-        :meth:`periodogram` window-for-window (same spectra, same
-        operation counts).
+        Every window needs at least 4 samples, as in :meth:`periodogram`:
+        the first with fewer raises a :class:`SignalError`, whichever
+        windows share the call.  The order of times is not checked
+        again; the planners that lay spans out validated the recording.
+
+        Windows run in chunks of dense ``(rows, N)`` array operations
+        (:meth:`_periodogram_group_dense`), whatever their
+        frequency-grid lengths.  Each chunk gathers its windows into
+        padded ``(rows, pad)`` blocks with one indexed copy; a row's
+        padding is whatever samples follow its span, which the kernel's
+        lengths masks keep out of every result.  Results come back in
+        span order and match :meth:`periodogram` of each span's slice
+        (same spectra, same operation counts).
         """
-        pairs = list(windows)
-        distinct, ranks = self._owner_ranks(owners, len(pairs))
-        arrays: list[tuple[np.ndarray, np.ndarray]] = []
-        metas: list[tuple[int, float, float, int]] = []
-        for times, values in pairs:
-            t, x, duration, df, nout = self._window_inputs(
-                times, values, validate
+        t = np.asarray(times, dtype=np.float64)
+        x = np.asarray(values, dtype=np.float64)
+        if not isinstance(spans, SpanBounds):
+            if t.ndim != 1 or t.shape != x.shape:
+                raise SignalError(
+                    "times and values must be 1-D arrays of equal length, "
+                    f"got shapes {t.shape} and {x.shape}"
+                )
+            spans = span_bounds(spans, x.size)
+        lo, hi = spans
+        distinct, ranks = self._owner_ranks(owners, lo.size)
+        ns = hi - lo
+        short = ns < 4
+        if short.any():
+            i = int(np.argmax(short))
+            raise SignalError(
+                f"span {i} ({int(lo[i])}, {int(hi[i])}) holds {int(ns[i])} "
+                "samples; a window needs at least 4 samples"
             )
-            arrays.append((t, x))
-            metas.append((t.size, duration, df, nout))
-        results: list[LombSpectrum | None] = [None] * len(pairs)
+        if not lo.size:
+            return []
+        durations = t[hi - 1] - t[lo]
+        dfs, nouts = self._grid_rows(durations, ns)
+        metas = list(
+            zip(ns.tolist(), durations.tolist(), dfs.tolist(), nouts.tolist())
+        )
+        results: list[LombSpectrum | None] = [None] * lo.size
         chunk_windows = get_batch_chunk_windows(self.workspace_size)
         # Rows of one owner sit together, so every chunk makes one
         # FFT-stage call per owner over a contiguous row range; rows are
@@ -700,154 +685,42 @@ class FastLomb:
         # CPU caches; one monolithic multi-hour batch is measurably
         # slower than cache-sized chunks (rows are independent, so
         # chunking cannot change any result).
-        for lo in range(0, len(pairs), chunk_windows):
-            chunk = order[lo : lo + chunk_windows].tolist()
-            spectra = self._periodogram_group(
-                [arrays[i] for i in chunk],
-                [metas[i] for i in chunk],
-                count_ops,
-                _owner_runs(distinct, ranks[chunk]),
-            )
-            for i, spectrum in zip(chunk, spectra):
-                results[i] = spectrum
-        return results
-
-    def periodogram_batch_matrix(
-        self, times, values, count_ops: bool = False, owners=None
-    ) -> list[LombSpectrum]:
-        """Batched Fast-Lomb over a dense, equal-length window matrix.
-
-        The zero-copy fast path for uniformly-sampled recordings:
-        ``times`` / ``values`` are ``(n_windows, L)`` matrices —
-        typically strided ``sliding_window_view`` views produced by
-        :func:`repro.lomb.welch.uniform_window_matrix` — and rows go
-        straight into the same dense kernel as
-        :meth:`periodogram_batch` without per-window slicing, padding
-        or copying.  Results match the pair-based path row-for-row
-        (same spectra, same operation counts); the caller is expected
-        to have validated the parent recording.  ``owners`` assigns
-        per-row FFT owners exactly as in :meth:`periodogram_batch`.
-        """
-        t_mat = np.asarray(times, dtype=np.float64)
-        x_mat = np.asarray(values, dtype=np.float64)
-        if t_mat.ndim != 2 or t_mat.shape != x_mat.shape:
-            raise SignalError(
-                "times and values must be matching 2-D matrices, got "
-                f"shapes {t_mat.shape} and {x_mat.shape}"
-            )
-        rows, width = t_mat.shape
-        if rows == 0:
-            return []
-        if width < 4:
-            raise SignalError("windows too short: need at least 4 samples")
-        distinct, ranks = self._owner_ranks(owners, rows)
-        durations = t_mat[:, -1] - t_mat[:, 0]
-        if np.any(durations <= 0):
-            raise SignalError("window duration must be positive")
-        dfs, nouts = self._grid_rows(durations, width)
-        metas = [
-            (width, float(durations[i]), float(dfs[i]), int(nouts[i]))
-            for i in range(rows)
-        ]
-        ns = np.full(rows, width, dtype=np.int64)
-        results: list[LombSpectrum | None] = [None] * rows
-        chunk_windows = get_batch_chunk_windows(self.workspace_size)
-        order = np.argsort(ranks, kind="stable")
-        for lo in range(0, rows, chunk_windows):
-            chunk = order[lo : lo + chunk_windows]
-            # Ascending contiguous runs keep the strided views intact
-            # (the overwhelmingly common case: one owner for the whole
-            # recording); anything else falls back to a gather copy of
-            # just those rows.
-            if (np.diff(chunk) == 1).all():
-                sel: slice | np.ndarray = slice(
-                    int(chunk[0]), int(chunk[-1]) + 1
+        for start in range(0, lo.size, chunk_windows):
+            chunk = order[start : start + chunk_windows]
+            rows = chunk.size
+            chunk_ns = ns[chunk]
+            # Pad width quantised up to a multiple of 64 columns: results
+            # are pad-width-independent (the dense kernel's per-row
+            # slices and lengths masks keep padding out of every
+            # reduction — the same invariant that makes fleet shard
+            # merging exact), and a handful of stable widths keeps the
+            # workspace arena keyed on a few trailing shapes instead of
+            # one per distinct longest-window sample count.
+            pad_n = ((int(chunk_ns.max()) + 63) // 64) * 64
+            with scratch() as ws:
+                # Pure kernel inputs, read and never escaping: one lease.
+                index, t_pad, x_pad = carve(
+                    ws.take((3 * rows * pad_n,)),
+                    ((rows, pad_n), np.intp),
+                    (rows, pad_n),
+                    (rows, pad_n),
                 )
-            else:
-                sel = chunk
-            spectra = self._periodogram_group_dense(
-                t_mat[sel],
-                x_mat[sel],
-                ns[sel],
-                [metas[i] for i in chunk],
-                count_ops,
-                _owner_runs(distinct, ranks[chunk]),
-            )
+                np.add(lo[chunk][:, None], np.arange(pad_n), out=index)
+                # "clip" keeps the rows that end the recording in bounds
+                # and lets take write straight into ``out``.
+                np.take(t, index, out=t_pad, mode="clip")
+                np.take(x, index, out=x_pad, mode="clip")
+                spectra = self._periodogram_group_dense(
+                    t_pad,
+                    x_pad,
+                    chunk_ns,
+                    [metas[i] for i in chunk.tolist()],
+                    count_ops,
+                    _owner_runs(distinct, ranks[chunk]),
+                )
             for i, spectrum in zip(chunk.tolist(), spectra):
                 results[i] = spectrum
         return results
-
-    def _grid_rows(
-        self, durations: np.ndarray, n_samples: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`_grid` over per-row window durations.
-
-        Same formulas, applied elementwise, so every row gets exactly
-        the grid the scalar path would have derived for it.
-        """
-        dfs = 1.0 / (self.oversample * durations)
-        limit = self.workspace_size // 2 - 1
-        if self.max_frequency is None:
-            nyquist_like = 0.5 * n_samples / durations
-            nouts = np.minimum(
-                np.floor(nyquist_like / dfs).astype(np.int64), limit
-            )
-        else:
-            nouts = np.floor(self.max_frequency / dfs).astype(np.int64)
-            if np.any(nouts > limit):
-                raise SignalError(
-                    f"max_frequency {self.max_frequency} Hz needs "
-                    f"{int(nouts.max())} bins but a "
-                    f"{self.workspace_size}-point workspace supports only "
-                    f"{limit}; use shorter (Welch) windows or a larger "
-                    "workspace"
-                )
-        if np.any(nouts < 1):
-            raise SignalError("window too short: empty frequency grid")
-        return dfs, nouts
-
-    def _periodogram_group(
-        self,
-        arrays: list[tuple[np.ndarray, np.ndarray]],
-        metas: list[tuple[int, float, float, int]],
-        count_ops: bool,
-        runs: list[tuple["FastLomb", int, int]],
-    ) -> list[LombSpectrum]:
-        """Batched pipeline for one chunk of windows.
-
-        Ragged windows are right-padded to the longest beat count in the
-        chunk; padding enters the extirpolation as zero-valued samples
-        (contributing nothing) and the Lomb combine uses per-row sample
-        counts, so padding never leaks into the results.  The dense
-        kernel itself lives in :meth:`_periodogram_group_dense`, which
-        the zero-copy uniform-recording path
-        (:meth:`periodogram_batch_matrix`) enters directly without this
-        padding copy.
-        """
-        rows = len(arrays)
-        ns = np.array([meta[0] for meta in metas], dtype=np.int64)
-        max_n = int(ns.max())
-        # Pad width quantised up to a multiple of 64 columns: results
-        # are already pad-width-independent (the per-row slices below
-        # and the lengths masks keep padding out of every reduction —
-        # the same invariant that makes fleet shard merging exact), and
-        # a handful of stable widths keeps the workspace arena keyed on
-        # a few trailing shapes instead of one per distinct
-        # longest-window beat count.
-        pad_n = ((max_n + 63) // 64) * 64
-        # The padded matrices are pure kernel inputs (read, never
-        # escaping into results), so they lease from the active arena;
-        # the dense kernel below has released all of its own borrows by
-        # the time this scratch closes.
-        with scratch() as ws:
-            t_pad, x_pad = ws.take_block(2, (rows, pad_n), zero=True)
-            for i, (t, x) in enumerate(arrays):
-                k = t.size
-                t_pad[i, :k] = t
-                x_pad[i, :k] = x
-            return self._periodogram_group_dense(
-                t_pad, x_pad, ns, metas, count_ops, runs
-            )
 
     def _periodogram_group_dense(
         self,
@@ -858,11 +731,12 @@ class FastLomb:
         count_ops: bool,
         runs: list[tuple["FastLomb", int, int]],
     ) -> list[LombSpectrum]:
-        """Dense ``(rows, max_n)`` kernel shared by both batch entries.
+        """Dense ``(rows, max_n)`` kernel over one chunk of span rows.
 
-        ``t_pad`` / ``x_pad`` may be strided views (the
-        ``sliding_window_view`` fast path) — they are read, never
-        written.  Window means are row reductions over each window's
+        ``t_pad`` / ``x_pad`` hold each row's ``ns[i]`` samples followed
+        by padding of any value; they are read, never written, and the
+        lengths masks keep the padding out of every stage.  Window
+        means are row reductions over each window's
         own samples, bit-identical to the sequential path's 1-D
         ``x.mean()``, so the centred samples — and hence dynamic-pruning
         decisions and operation counts — match it exactly; variances
@@ -927,9 +801,10 @@ class FastLomb:
                 np.divide(variances, ns - 1, out=variances)
                 if np.any(variances <= 0):
                     raise SignalError("window has zero variance")
-                # Padded slots sit at t = 0 and clip to position 0; the
-                # lengths mask keeps them out of the workspaces
-                # regardless.
+                # Padded slots hold whatever samples follow the span (NaN
+                # and infinities included), so their positions are
+                # meaningless; the lengths mask keeps them out of the
+                # workspaces.
                 np.subtract(t_pad, t_pad[:, :1], out=pos_data)
                 np.multiply(pos_data, (ndim * dfs)[:, None], out=pos_data)
                 np.clip(

@@ -8,16 +8,18 @@ estimate).  The paper's de-normalising factor ``2 sigma^2 / N`` is the
 ``scaling="denormalized"`` option of :class:`~repro.lomb.fast.FastLomb`,
 which lets windows with different variances average consistently.
 
-Execution: by default :meth:`WelchLomb.analyze` slices all windows up
-front and drives :meth:`FastLomb.periodogram_batch`, which groups the
-windows by frequency-grid shape and processes each group as dense
-``(n_windows, N)`` array operations — the whole-recording hot path runs
-without a per-window Python loop.  ``analyze_windows(batched=False)``
-keeps the original sequential loop, which serves as the equivalence
-oracle (the batched path produces the same spectra and operation counts
-window-for-window).  Execution *policy* — provider, chunk size, worker
-processes — lives on the engine facade (:mod:`repro.engine`), which
-routes every workload through :func:`analyze_spans`.
+Execution: by default :meth:`WelchLomb.analyze_windows` lays out the
+recording's windows as ``(lo, hi)`` spans and hands them, with the
+recording arrays, to :func:`analyze_spans_quality` — the one choke point
+every execution mode (whole recordings, streaming sessions, hub
+flushes, fleet tasks) shares — which checks the spans once and drives
+:meth:`FastLomb.periodogram_spans`, the kernel's one batch entry: dense
+``(n_windows, N)`` array operations with no per-window Python loop.
+``analyze_windows(batched=False)`` keeps the original sequential loop,
+which serves as the equivalence oracle (the batched path produces the
+same spectra and operation counts window-for-window).  Execution
+*policy* — provider, chunk size, worker processes — lives on the engine
+facade (:mod:`repro.engine`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .._validation import as_1d_float_array, span_bounds
 from ..errors import ConfigurationError, SignalError
@@ -39,11 +40,9 @@ __all__ = [
     "WelchLomb",
     "WelchLombResult",
     "RecordingWindows",
-    "analyze_spans",
     "analyze_spans_quality",
     "assemble_result",
     "iter_windows",
-    "uniform_window_matrix",
 ]
 
 #: Fewest beats a window may contain and still be analysed.
@@ -55,7 +54,6 @@ def assemble_result(
     window_times: np.ndarray,
     skipped: int,
     count_ops: bool = False,
-    out: np.ndarray | None = None,
     metrics=None,
 ) -> WelchLombResult:
     """Assemble per-window spectra into a :class:`WelchLombResult`.
@@ -69,12 +67,6 @@ def assemble_result(
     longest-duration window so the spectrogram is rectangular even when
     beat counts differ per window; windows already on a grid of the
     reference length are stacked with one array assignment.
-
-    *out*, when given, provides the ``(n_windows, grid_size)`` float64
-    spectrogram storage and becomes the result's ``spectrogram`` — the
-    caller then owns its lifetime (it must NOT be a workspace-arena
-    temporary, since the result keeps referencing it).  Values written
-    are identical with or without *out*.
 
     *metrics*, when given, is the per-window :class:`WindowMetrics`
     sequence aligned with *spectra* (one entry per kept window, in the
@@ -98,18 +90,7 @@ def assemble_result(
             dtype=np.intp,
             count=len(spectra),
         )
-        if out is None:
-            rows = np.empty((len(spectra), grid.size))
-        else:
-            if out.shape != (len(spectra), grid.size) or (
-                out.dtype != np.float64
-            ):
-                raise SignalError(
-                    f"out must be float64 with shape "
-                    f"({len(spectra)}, {grid.size}), got {out.dtype} "
-                    f"{out.shape}"
-                )
-            rows = out
+        rows = np.empty((len(spectra), grid.size))
         full = np.flatnonzero(sizes == grid.size)
         if full.size:
             rows[full] = [spectra[i].power for i in full]
@@ -178,83 +159,6 @@ def iter_windows(
     return list(zip(starts[keep].tolist(), stops[keep].tolist()))
 
 
-def uniform_window_matrix(
-    times: np.ndarray, values: np.ndarray, spans
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Zero-copy ``(n_windows, L)`` window matrices for uniform layouts.
-
-    When every span has the same length *and* consecutive spans start a
-    constant number of samples apart — the geometry of uniformly-sampled
-    (resampled) recordings — all windows are strided views into the
-    recording arrays, expressible as one ``sliding_window_view`` slice
-    with **no copying at all**.  Returns ``(t_mat, x_mat)`` strided
-    views in span order, or ``None`` when the layout is not uniform
-    (irregular RR tachograms almost never are; resampled or
-    evenly-gridded signals almost always are).
-
-    Both the Welch driver and the fleet shard executor route through
-    this single helper, so a uniform recording takes the same dense
-    path whether it is analysed whole or in shards — which keeps
-    sharded results bit-identical to single-process ones.
-    """
-    spans = list(spans)
-    if not spans:
-        return None
-    starts = np.fromiter((s for s, _ in spans), dtype=np.int64, count=len(spans))
-    stops = np.fromiter((s for _, s in spans), dtype=np.int64, count=len(spans))
-    lengths = stops - starts
-    length = int(lengths[0])
-    if not np.all(lengths == length):
-        return None
-    if len(spans) > 1:
-        steps = np.diff(starts)
-        step = int(steps[0])
-        if step <= 0 or not np.all(steps == step):
-            return None
-    else:
-        step = 1
-    sel = slice(int(starts[0]), int(starts[-1]) + 1, step)
-    return (
-        sliding_window_view(times, length)[sel],
-        sliding_window_view(values, length)[sel],
-    )
-
-
-def analyze_spans(
-    analyzer: FastLomb,
-    times: np.ndarray,
-    values: np.ndarray,
-    spans,
-    count_ops: bool = False,
-    owners=None,
-) -> list[LombSpectrum]:
-    """Batch-analyse the given window spans of one validated recording.
-
-    The single choke point of the batched execution engine: the Welch
-    driver (whole recording), the fleet worker (one shard) and the
-    in-process fleet path all call it, so every execution mode takes
-    the identical pipeline.  Uniform span layouts go through the
-    zero-copy :func:`uniform_window_matrix` fast path; everything else
-    slices per-window views and drives
-    :meth:`~repro.lomb.fast.FastLomb.periodogram_batch`.  ``owners``
-    optionally names each span's FFT owner (see
-    :meth:`~repro.lomb.fast.FastLomb.periodogram_batch`).
-    """
-    matrix = (
-        uniform_window_matrix(times, values, spans)
-        if hasattr(analyzer, "periodogram_batch_matrix")
-        else None
-    )
-    if matrix is not None:
-        return analyzer.periodogram_batch_matrix(
-            matrix[0], matrix[1], count_ops=count_ops, owners=owners
-        )
-    windows = [(times[start:stop], values[start:stop]) for start, stop in spans]
-    return analyzer.periodogram_batch(
-        windows, count_ops=count_ops, validate=False, owners=owners
-    )
-
-
 def analyze_spans_quality(
     analyzer: FastLomb,
     times: np.ndarray,
@@ -264,14 +168,17 @@ def analyze_spans_quality(
     corrected: np.ndarray | None = None,
     owners=None,
 ) -> tuple[list[LombSpectrum], tuple[WindowMetrics, ...]]:
-    """:func:`analyze_spans` plus per-window time-domain metrics.
+    """Batch-analyse window spans of one recording, with their metrics.
 
-    The quality-aware choke point: every execution mode that carries
-    :class:`WindowMetrics` (streaming sessions, hub batches, fleet
-    workers, the gateway) computes them here, from the *same* spans the
-    Lomb kernel analyses, so spectra and metrics can never disagree
-    about which beats a window held.  ``corrected`` is the optional
-    0/1 interpolated-beat mask aligned with ``values``.
+    The one choke point of the batched execution engine: the Welch
+    driver (whole recordings), streaming sessions, hub batches, fleet
+    workers and the gateway all call it, so every execution mode takes
+    the identical pipeline —
+    :meth:`~repro.lomb.fast.FastLomb.periodogram_spans` for the
+    spectra, then per-window time-domain :class:`WindowMetrics` from
+    the *same* spans the Lomb kernel analysed, so spectra and metrics
+    can never disagree about which beats a window held.  ``corrected``
+    is the optional 0/1 interpolated-beat mask aligned with ``values``.
 
     ``owners`` optionally names each span's FFT owner — the
     :class:`FastLomb` of its quality level — so one call analyses a
@@ -285,7 +192,7 @@ def analyze_spans_quality(
     length, and each span an integer pair with ``0 <= lo < hi <=
     len(values)``; the first violation raises a :class:`SignalError`
     before any kernel work.  That is the call's one span check: the
-    metrics take the bounds it returned.
+    kernel and the metrics take the bounds it returned.
     """
     if np.ndim(times) != 1 or np.shape(times) != np.shape(values):
         raise SignalError(
@@ -293,8 +200,8 @@ def analyze_spans_quality(
             f"shapes {np.shape(times)} and {np.shape(values)}"
         )
     bounds = span_bounds(spans, len(values))
-    spectra = analyze_spans(
-        analyzer, times, values, spans, count_ops, owners=owners
+    spectra = analyzer.periodogram_spans(
+        times, values, bounds, count_ops, owners=owners
     )
     with _profile_span("metrics"):
         metrics = window_metrics_batch(values, bounds, corrected=corrected)
@@ -307,7 +214,7 @@ class RecordingWindows:
 
     Produced by :meth:`WelchLomb.plan_windows`; the fleet engine shards
     ``spans`` into contiguous ranges, analyses each range with
-    :meth:`FastLomb.periodogram_batch` (possibly in another process) and
+    :func:`analyze_spans_quality` (possibly in another process) and
     reassembles the spectra with :func:`assemble_result`.
 
     Attributes
@@ -338,28 +245,6 @@ class RecordingWindows:
     @property
     def n_windows(self) -> int:
         return len(self.spans)
-
-    def window_arrays(
-        self, lo: int = 0, hi: int | None = None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(times, values)`` slices of kept windows ``lo .. hi``."""
-        spans = self.spans[lo:hi]
-        return [
-            (self.times[start:stop], self.values[start:stop])
-            for start, stop in spans
-        ]
-
-    def window_matrix(
-        self, lo: int = 0, hi: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Zero-copy window matrices of kept windows ``lo .. hi``.
-
-        ``None`` unless the span layout is uniform; see
-        :func:`uniform_window_matrix`.
-        """
-        return uniform_window_matrix(
-            self.times, self.values, self.spans[lo:hi]
-        )
 
 
 @dataclass(frozen=True)
@@ -529,30 +414,33 @@ class WelchLomb:
         when beat counts differ per window.
 
         ``batched`` (default) drives all windows through
-        :meth:`FastLomb.periodogram_batch`; ``batched=False`` runs the
+        :func:`analyze_spans_quality`; ``batched=False`` runs the
         original per-window loop.  Both paths produce the same spectra
         and operation counts.  Per-window time-domain metrics are
         always computed over the kept spans; ``corrected`` threads the
         interpolated-beat mask into their quality flags.
         """
         plan = self.plan_windows(times, values, corrected=corrected)
-        use_batch = batched and hasattr(self.analyzer, "periodogram_batch")
-        if use_batch:
-            # The recording was validated above; the per-window checks in
-            # the sequential entry point would only repeat it.  Uniform
-            # layouts take the zero-copy matrix path inside.
-            spectra: list[LombSpectrum] = analyze_spans(
-                self.analyzer, plan.times, plan.values, plan.spans, count_ops
+        if batched:
+            spectra, metrics = analyze_spans_quality(
+                self.analyzer,
+                plan.times,
+                plan.values,
+                plan.spans,
+                count_ops,
+                corrected=plan.corrected,
             )
         else:
             spectra = [
-                self.analyzer.periodogram(tw, xw, count_ops=count_ops)
-                for tw, xw in plan.window_arrays()
+                self.analyzer.periodogram(
+                    plan.times[lo:hi], plan.values[lo:hi], count_ops=count_ops
+                )
+                for lo, hi in plan.spans
             ]
-        with _profile_span("metrics"):
-            metrics = window_metrics_batch(
-                plan.values, plan.spans, corrected=plan.corrected
-            )
+            with _profile_span("metrics"):
+                metrics = window_metrics_batch(
+                    plan.values, plan.spans, corrected=plan.corrected
+                )
         return assemble_result(
             spectra, plan.centers, plan.skipped, count_ops, metrics=metrics
         )

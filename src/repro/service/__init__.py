@@ -2,10 +2,11 @@
 
 This package turns the in-process streaming engine into a deployable
 network service, without changing a single computed number — every
-request routes through the same :func:`repro.lomb.welch.analyze_spans`
-choke point as the library entry points, and the newline-JSON wire
-format round-trips IEEE-754 doubles exactly, so results served over
-the network are **bit-identical** to :meth:`repro.engine.Engine.analyze`.
+request routes through the same
+:func:`repro.lomb.welch.analyze_spans_quality` choke point as the
+library entry points, and the newline-JSON wire format round-trips
+IEEE-754 doubles exactly, so results served over the network are
+**bit-identical** to :meth:`repro.engine.Engine.analyze`.
 
 The pieces:
 

@@ -1,7 +1,7 @@
 """Batched execution must match the sequential oracle exactly.
 
 The batched windowed-PSA engine (``transform_batch`` on the FFT
-backends, ``FastLomb.periodogram_batch``, ``WelchLomb.analyze_windows(
+backends, ``FastLomb.periodogram_spans``, ``WelchLomb.analyze_windows(
 batched=True)``) is required to reproduce the sequential per-window path:
 ``np.allclose`` on every spectrum and **exact equality** on executed
 operation counts, across all pruning modes, ragged window sizes and both
@@ -16,6 +16,7 @@ import pytest
 from repro.errors import ConfigurationError, SignalError
 from repro.ffts import PruningSpec, SplitRadixFFT, WaveletFFT, split_radix_fft_batch
 from repro.lomb import FastLomb, WelchLomb, extirpolate, extirpolate_batch
+from repro.lomb.welch import analyze_spans_quality
 
 PRUNING_MODES = {
     "exact": PruningSpec.none(),
@@ -49,6 +50,25 @@ def _ragged_windows(rng, n_windows=7):
         t, x = _rr_series(rng, minutes=minutes, mean_rr=0.7 + 0.05 * (i % 4))
         windows.append((t, x))
     return windows
+
+
+def _back_to_back(windows):
+    """``windows`` laid back to back in one recording.
+
+    Each window's times shift to start one second after the previous
+    window ends.  Returns ``(times, values, spans)`` and the windows as
+    slices of that recording, which the sequential oracle analyses.
+    """
+    times, values, spans = [], [], []
+    start, lo = 0.0, 0
+    for t, x in windows:
+        times.append(t - t[0] + start)
+        values.append(x)
+        spans.append((lo, lo + t.size))
+        start, lo = times[-1][-1] + 1.0, lo + t.size
+    times, values = np.concatenate(times), np.concatenate(values)
+    slices = [(times[lo:hi], values[lo:hi]) for lo, hi in spans]
+    return times, values, spans, slices
 
 
 class TestBackendBatchEquivalence:
@@ -153,8 +173,8 @@ class TestFastLombBatch:
             max_frequency=0.4,
             scaling=scaling,
         )
-        windows = _ragged_windows(rng)
-        batch = engine.periodogram_batch(windows, count_ops=True)
+        times, values, spans, windows = _back_to_back(_ragged_windows(rng))
+        batch = engine.periodogram_spans(times, values, spans, count_ops=True)
         assert len(batch) == len(windows)
         for (t, x), spectrum in zip(windows, batch):
             oracle = engine.periodogram(t, x, count_ops=True)
@@ -170,8 +190,10 @@ class TestFastLombBatch:
 
     def test_split_radix_backend(self, rng):
         engine = FastLomb(backend=SplitRadixFFT(512), max_frequency=0.4)
-        windows = _ragged_windows(rng, n_windows=4)
-        batch = engine.periodogram_batch(windows, count_ops=True)
+        times, values, spans, windows = _back_to_back(
+            _ragged_windows(rng, n_windows=4)
+        )
+        batch = engine.periodogram_spans(times, values, spans, count_ops=True)
         for (t, x), spectrum in zip(windows, batch):
             oracle = engine.periodogram(t, x, count_ops=True)
             np.testing.assert_allclose(spectrum.power, oracle.power, rtol=1e-9)
@@ -212,7 +234,7 @@ class TestFastLombBatch:
             FastLomb(backend=BatchOnly(512), max_frequency=0.4)
 
     def test_empty_batch(self):
-        assert FastLomb().periodogram_batch([]) == []
+        assert FastLomb().periodogram_spans(np.empty(0), np.empty(0), []) == []
 
     def test_batch_validation(self, rng):
         engine = FastLomb(max_frequency=0.4)
@@ -220,10 +242,58 @@ class TestFastLombBatch:
         bad_t = t.copy()
         bad_t[3] = bad_t[2]  # not strictly increasing
         with pytest.raises(SignalError):
-            engine.periodogram_batch([(bad_t, x)])
+            # The span batch trusts the recording's planner for this.
+            WelchLomb(engine).plan_windows(bad_t, x)
         with pytest.raises(SignalError):
             # exactly-representable constant -> exactly zero variance
-            engine.periodogram_batch([(t, np.full_like(x, 1.0))])
+            engine.periodogram_spans(t, np.full_like(x, 1.0), [(0, t.size)])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_short_span_rejected_alone_and_in_a_batch(self, rng, n):
+        """A span under 4 samples fails whichever spans share its call."""
+        engine = FastLomb(max_frequency=0.4)
+        t, x = _rr_series(rng)
+        with pytest.raises(SignalError, match="at least 4 samples"):
+            engine.periodogram(t[:n], x[:n])
+        for spans, index in (([(0, n)], 0), ([(10, 90), (0, n)], 1)):
+            message = rf"span {index} \(0, {n}\).*at least 4"
+            with pytest.raises(SignalError, match=message):
+                engine.periodogram_spans(t, x, spans)
+            with pytest.raises(SignalError, match=message):
+                analyze_spans_quality(engine, t, x, spans)
+
+    @pytest.mark.parametrize("fill", [np.nan, 1e300])
+    @pytest.mark.parametrize("mode", ["exact", "paper-mode3-dynamic"])
+    def test_samples_outside_spans_change_no_byte(self, rng, mode, fill):
+        """A row's padding is read from the samples after its span.
+
+        The lengths masks must keep it out of every result, whatever
+        those samples hold: a recording whose samples outside every
+        span are NaN or huge gives the clean recording's bytes.
+        """
+        engine = FastLomb(
+            backend=WaveletFFT(512, pruning=PRUNING_MODES[mode]),
+            max_frequency=0.4,
+        )
+        times, values = _rr_series(rng, minutes=12.0)
+        # Ragged spans with gaps between them, the last one short of
+        # the end, so every row's padding reaches unused samples.
+        spans = [(5, 120), (150, 290), (310, 400), (600, times.size - 30)]
+        inside = np.zeros(times.size, dtype=bool)
+        for lo, hi in spans:
+            inside[lo:hi] = True
+        dirty_t, dirty_x = times.copy(), values.copy()
+        dirty_t[~inside] = fill
+        dirty_x[~inside] = fill
+        clean = engine.periodogram_spans(times, values, spans, count_ops=True)
+        dirty = engine.periodogram_spans(
+            dirty_t, dirty_x, spans, count_ops=True
+        )
+        for want, got in zip(clean, dirty):
+            assert got.power.tobytes() == want.power.tobytes()
+            assert got.frequencies.tobytes() == want.frequencies.tobytes()
+            assert (got.mean, got.variance) == (want.mean, want.variance)
+            assert got.counts == want.counts
 
 
 class TestWelchBatchEquivalence:

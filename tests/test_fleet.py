@@ -323,7 +323,7 @@ class TestAttachConcurrency:
 
 class TestRunSpans:
     def test_in_process_matches_analyze_spans(self):
-        from repro.lomb.welch import analyze_spans
+        from repro.lomb.welch import analyze_spans_quality
         from repro.perf import execution
 
         rr = _cohort(n=1, seconds=900.0)[0]
@@ -334,7 +334,7 @@ class TestRunSpans:
             plan.times, plan.values, plan.spans, count_ops=True
         )
         with execution(provider="numpy"):
-            reference = analyze_spans(
+            reference, _ = analyze_spans_quality(
                 welch.analyzer, plan.times, plan.values, plan.spans, True
             )
         assert len(spectra) == len(reference)
@@ -621,19 +621,25 @@ def _kill_idle_workers(pool, workers) -> None:
 
 class TestPoolTeardown:
     @pytest.mark.parametrize(
+        "teardown", ["_discard_pool", "close", "finalizer"],
+        ids=["discard", "close", "finalizer"],
+    )
+    @pytest.mark.parametrize(
         "orphan", [_orphan_result_lock, _kill_idle_workers],
         ids=["dead-result-writer", "killed-idle-workers"],
     )
     def test_discard_returns_despite_orphaned_queue_lock(
-        self, monkeypatch, orphan
+        self, monkeypatch, orphan, teardown
     ):
         """A queue lock a dead process left held must not hang teardown.
 
         ``Pool.terminate()`` takes the task queue's read lock and the
-        result queue's write lock; a process that died holding one used
-        to block ``_discard_pool`` for good.  The teardown runs in a
-        thread here, so a regression fails the test instead of hanging
-        it.
+        result queue's write lock, and a graceful ``close()`` +
+        ``join()`` waits on them too; a process that died holding one
+        used to block the failure path's ``_discard_pool``, ``close()``
+        and the garbage-collection finalizer for good.  The teardown
+        runs in a thread here, so a regression fails the test instead
+        of hanging it.
         """
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method required")
@@ -647,15 +653,20 @@ class TestPoolTeardown:
             pool = runner._pool
             workers = list(pool._pool)
             orphan(pool, workers)
-            teardown = threading.Thread(
-                target=runner._discard_pool, daemon=True
-            )
-            teardown.start()
-            teardown.join(30.0)
-            assert not teardown.is_alive(), "pool teardown hung"
-            assert runner._pool is None
-            assert runner._pool_key is None
-            assert runner._pool_finalizer is None
+            if teardown == "finalizer":
+                stop = runner._pool_finalizer
+            else:
+                stop = getattr(runner, teardown)
+            thread = threading.Thread(target=stop, daemon=True)
+            thread.start()
+            thread.join(30.0)
+            assert not thread.is_alive(), "pool teardown hung"
+            if teardown == "finalizer":
+                assert not stop.alive
+            else:
+                assert runner._pool is None
+                assert runner._pool_key is None
+                assert runner._pool_finalizer is None
             assert all(worker.exitcode is not None for worker in workers)
         finally:
             # The originals, and any replacement the pool started.

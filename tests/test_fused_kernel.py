@@ -146,7 +146,7 @@ class TestOwnerChecks:
         def untouched(*args, **kwargs):
             raise AssertionError("kernel work started")
 
-        monkeypatch.setattr(FastLomb, "_window_inputs", untouched)
+        monkeypatch.setattr(FastLomb, "_grid_rows", untouched)
         monkeypatch.setattr(fast_module, "scratch", untouched)
 
     @pytest.mark.parametrize(

@@ -12,8 +12,9 @@ restructuring of it must still produce byte for byte.
   power, frequencies, moments and :class:`OpCounts`.  Their 2-min
   windows span frequency grids of 94 and 95 bins.
 * The same modes over a uniform span layout (equal beat counts at a
-  constant stride), which enters the kernel through the zero-copy
-  window-matrix path.
+  constant stride), which entered the kernel through a zero-copy
+  window-matrix path when these digests were taken; it now takes the
+  one span-batch entry like every other layout.
 * A hub holding one subject per ladder rung, fed in 60 s bursts and
   flushed after each: every emission, then ``finalize_all``.
 """
@@ -126,8 +127,8 @@ GOLDEN_UNIFORM = {
 }
 
 #: 60 windows of 150 beats, 70 beats apart: equal beat counts and a
-#: constant stride, so the spans enter the window-matrix path, while
-#: their durations still span several grid lengths.
+#: constant stride (the layout the retired window-matrix path took),
+#: while their durations still span several grid lengths.
 UNIFORM_SPANS = tuple((70 * k, 70 * k + 150) for k in range(60))
 
 

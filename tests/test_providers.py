@@ -4,10 +4,9 @@ Covers the registry (env pin, explicit pin, unknown-provider errors,
 scipy-missing fallback, autoselect memoisation), numerical equivalence
 of every provider against the explicit split-radix oracle (ragged
 windows, both scalings, all wavelet pruning modes — with identical
-modelled operation counts), the fused real-input path, the zero-copy
-uniform window matrix path, and provider pinning across the fleet
-engine (sharded results bit-identical to single-process ones under
-every provider).
+modelled operation counts), the fused real-input path, uniform window
+layouts, and provider pinning across the fleet engine (sharded results
+bit-identical to single-process ones under every provider).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.ffts.pruning import PruningSpec
 from repro.ffts.wavelet_fft import WaveletFFT
 from repro.fleet import FleetRunner
 from repro.lomb.fast import FastLomb
-from repro.lomb.welch import WelchLomb, uniform_window_matrix
+from repro.lomb.welch import WelchLomb
 from repro.perf import ExecutionContext, current_execution, execution
 
 AVAILABLE = [
@@ -39,14 +38,19 @@ FAST_PROVIDERS = [name for name in AVAILABLE if name != "explicit"]
 
 
 def _ragged_windows(rng, n_windows=6):
-    """Synthetic irregular windows with varying beat counts."""
-    windows = []
-    for i in range(n_windows):
-        beats = 90 + 13 * i
-        intervals = 0.85 + 0.05 * rng.standard_normal(beats)
-        times = np.cumsum(np.abs(intervals) + 0.3)
-        windows.append((times, intervals))
-    return windows
+    """Synthetic irregular windows with varying beat counts.
+
+    The windows lie back to back in one recording: returns ``(times,
+    values, spans)`` and the windows as ``(times, values)`` slices of
+    it.
+    """
+    beats = [90 + 13 * i for i in range(n_windows)]
+    intervals = 0.85 + 0.05 * rng.standard_normal(sum(beats))
+    times = np.cumsum(np.abs(intervals) + 0.3)
+    edges = np.cumsum([0, *beats]).tolist()
+    spans = list(zip(edges[:-1], edges[1:]))
+    windows = [(times[lo:hi], intervals[lo:hi]) for lo, hi in spans]
+    return (times, intervals, spans), windows
 
 
 class TestRegistry:
@@ -284,12 +288,12 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("scaling", ["standard", "denormalized"])
     @pytest.mark.parametrize("name", FAST_PROVIDERS)
     def test_ragged_windows_both_scalings(self, rng, name, scaling):
-        windows = _ragged_windows(rng)
+        recording, _ = _ragged_windows(rng)
         analyzer = FastLomb(scaling=scaling)
         with execution(provider="explicit"):
-            oracle = analyzer.periodogram_batch(windows, count_ops=True)
+            oracle = analyzer.periodogram_spans(*recording, count_ops=True)
         with execution(provider=name):
-            spectra = analyzer.periodogram_batch(windows, count_ops=True)
+            spectra = analyzer.periodogram_spans(*recording, count_ops=True)
         for got, want in zip(spectra, oracle):
             np.testing.assert_allclose(
                 got.power, want.power, rtol=1e-7, atol=1e-12
@@ -300,14 +304,14 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("spec", PRUNING_MODES, ids=lambda s: s.describe())
     @pytest.mark.parametrize("name", FAST_PROVIDERS)
     def test_wavelet_pruning_modes(self, rng, name, spec):
-        windows = _ragged_windows(rng, n_windows=4)
+        recording, _ = _ragged_windows(rng, n_windows=4)
         analyzer = FastLomb(
             backend=WaveletFFT(512, pruning=spec), scaling="denormalized"
         )
         with execution(provider="explicit"):
-            oracle = analyzer.periodogram_batch(windows, count_ops=True)
+            oracle = analyzer.periodogram_spans(*recording, count_ops=True)
         with execution(provider=name):
-            spectra = analyzer.periodogram_batch(windows, count_ops=True)
+            spectra = analyzer.periodogram_spans(*recording, count_ops=True)
         for got, want in zip(spectra, oracle):
             np.testing.assert_allclose(
                 got.power, want.power, rtol=1e-6, atol=1e-12
@@ -334,14 +338,14 @@ class TestFusedRealPath:
             FastLomb(backend=backend, fused_real=True)
 
     def test_fused_matches_packed_path(self, rng):
-        windows = _ragged_windows(rng)
+        recording, _ = _ragged_windows(rng)
         fused = FastLomb(scaling="denormalized")
         packed = FastLomb(scaling="denormalized", fused_real=False)
         assert fused.fused_real and not packed.fused_real
         for fast_lomb in (fused, packed):
             assert fast_lomb.backend is packed.backend  # shared cached plan
-        a = fused.periodogram_batch(windows, count_ops=True)
-        b = packed.periodogram_batch(windows, count_ops=True)
+        a = fused.periodogram_spans(*recording, count_ops=True)
+        b = packed.periodogram_spans(*recording, count_ops=True)
         for got, want in zip(a, b):
             np.testing.assert_allclose(
                 got.power, want.power, rtol=1e-9, atol=1e-12
@@ -349,9 +353,9 @@ class TestFusedRealPath:
             assert got.counts == want.counts
 
     def test_sequential_fused_matches_batched(self, rng):
-        windows = _ragged_windows(rng, n_windows=3)
+        recording, windows = _ragged_windows(rng, n_windows=3)
         analyzer = FastLomb(scaling="standard")
-        batched = analyzer.periodogram_batch(windows, count_ops=True)
+        batched = analyzer.periodogram_spans(*recording, count_ops=True)
         for (t, x), from_batch in zip(windows, batched):
             single = analyzer.periodogram(t, x, count_ops=True)
             np.testing.assert_allclose(
@@ -361,6 +365,8 @@ class TestFusedRealPath:
 
 
 class TestUniformMatrixPath:
+    """Uniform layouts: equal beat counts at a constant stride."""
+
     def _uniform_recording(self):
         t = np.arange(0.0, 1500.0, 0.5)
         x = (
@@ -369,56 +375,6 @@ class TestUniformMatrixPath:
             + 0.02 * np.sin(2 * np.pi * 0.25 * t)
         )
         return t, x
-
-    def test_uniform_layout_detected_zero_copy(self):
-        t, x = self._uniform_recording()
-        plan = WelchLomb().plan_windows(t, x)
-        matrix = plan.window_matrix()
-        assert matrix is not None
-        t_mat, x_mat = matrix
-        assert t_mat.shape[0] == plan.n_windows
-        assert np.shares_memory(t_mat, plan.times)
-        assert np.shares_memory(x_mat, plan.values)
-        for (start, stop), row in zip(plan.spans, t_mat):
-            np.testing.assert_array_equal(row, plan.times[start:stop])
-
-    def test_irregular_layout_rejected(self, rng):
-        intervals = 0.85 + 0.05 * rng.standard_normal(2000)
-        times = np.cumsum(np.abs(intervals) + 0.2)
-        plan = WelchLomb().plan_windows(times, intervals)
-        assert plan.window_matrix() is None
-
-    def test_non_uniform_stride_rejected(self):
-        t = np.arange(100.0)
-        assert uniform_window_matrix(t, t, [(0, 10), (4, 14), (10, 20)]) is None
-        assert uniform_window_matrix(t, t, [(0, 10), (4, 12)]) is None
-        assert uniform_window_matrix(t, t, []) is None
-
-    def test_single_window_matrix(self):
-        t = np.arange(50.0)
-        matrix = uniform_window_matrix(t, t, [(3, 20)])
-        assert matrix is not None
-        np.testing.assert_array_equal(matrix[0][0], t[3:20])
-
-    def test_matrix_path_matches_pairs_path(self):
-        t, x = self._uniform_recording()
-        welch = WelchLomb(FastLomb(scaling="denormalized"))
-        plan = welch.plan_windows(t, x)
-        t_mat, x_mat = plan.window_matrix()
-        pairs = welch.analyzer.periodogram_batch(
-            plan.window_arrays(), count_ops=True, validate=False
-        )
-        mats = welch.analyzer.periodogram_batch_matrix(
-            t_mat, x_mat, count_ops=True
-        )
-        assert len(pairs) == len(mats)
-        for got, want in zip(mats, pairs):
-            np.testing.assert_allclose(
-                got.power, want.power, rtol=1e-13, atol=0
-            )
-            np.testing.assert_array_equal(got.frequencies, want.frequencies)
-            assert got.n_samples == want.n_samples
-            assert got.counts == want.counts
 
     def test_welch_analyze_uses_matrix_path_consistently(self):
         t, x = self._uniform_recording()
@@ -484,8 +440,8 @@ class TestFleetProviderPinning:
 
     @pytest.mark.slow
     def test_uniform_recording_sharded_bit_identical(self):
-        # Uniformly-sampled recording: both the single-process path and
-        # every shard take the zero-copy matrix path, and must agree
+        # Uniformly-sampled recording (equal beat counts at a constant
+        # stride): the single-process path and every shard must agree
         # bit-for-bit.
         t = np.arange(0.0, 3600.0, 0.5)
         x = 0.9 + 0.05 * np.sin(2 * np.pi * 0.1 * t)

@@ -6,11 +6,11 @@ reproduce the in-process batched path **bit-for-bit** — same
 spectrograms, same Welch averages, same operation counts — under both
 PSA systems, every pruning mode and every registered provider, because
 the daemon rebuilds the identical engine from the serialized config and
-runs the same :func:`~repro.lomb.welch.analyze_spans` choke point under
-the scheduler's resolved provider/chunk pins.  Fault tolerance rides on
-the same invariant: a shard re-run after a worker death merges to the
-identical result, so killing a daemon mid-run must not change a single
-bit of the output.
+runs the same :func:`~repro.lomb.welch.analyze_spans_quality` choke
+point under the scheduler's resolved provider/chunk pins.  Fault
+tolerance rides on the same invariant: a shard re-run after a worker
+death merges to the identical result, so killing a daemon mid-run must
+not change a single bit of the output.
 """
 
 from __future__ import annotations

@@ -74,3 +74,45 @@ def test_no_process_global_execution_state():
             if isinstance(node, ast.Global)
         ]
     assert found == [("perf/profiler.py", ("_observer",))]
+
+
+def test_one_batch_entry_into_the_dense_kernel():
+    """Every batched caller reaches the Fast-Lomb kernel one way.
+
+    :meth:`repro.lomb.fast.FastLomb.periodogram_spans` — recording
+    arrays plus window spans — is the kernel's one batch entry, and the
+    only code that calls the dense chunk kernel.  A second caller would
+    be a second batch path: a fork whose checks and layout can drift
+    from the first, so that a window's outcome depends on which windows
+    share its call.
+    """
+    import ast
+
+    class Callers(ast.NodeVisitor):
+        def __init__(self):
+            self.path, self.scopes, self.found = None, ["<module>"], []
+
+        def visit_FunctionDef(self, node):
+            self.scopes.append(node.name)
+            self.generic_visit(node)
+            self.scopes.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Attribute(self, node):
+            if node.attr == "_periodogram_group_dense":
+                self.found.append((self.path, self.scopes[-1]))
+            self.generic_visit(node)
+
+        def visit_Name(self, node):
+            if node.id == "_periodogram_group_dense":
+                self.found.append((self.path, self.scopes[-1]))
+
+    package = REPO_ROOT / "src" / "repro"
+    callers = Callers()
+    for path in sorted(package.rglob("*.py")):
+        callers.path = path.relative_to(package).as_posix()
+        callers.visit(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+    assert callers.found == [("lomb/fast.py", "periodogram_spans")]
