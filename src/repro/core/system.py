@@ -68,9 +68,10 @@ class PSAResult:
     def window_metrics(self):
         """Per-window time-domain metrics and quality flags.
 
-        One :class:`~repro.hrv.metrics.WindowMetrics` per analysed
-        window, aligned with ``welch.spectrogram`` rows (empty when the
-        run predates or skipped metrics computation).
+        A :class:`~repro.hrv.metrics.MetricsBatch` with one row per
+        analysed window, aligned with ``welch.spectrogram`` rows (empty
+        when the run skipped metrics computation); indexing or iterating
+        it yields :class:`~repro.hrv.metrics.WindowMetrics` records.
         """
         return self.welch.window_metrics
 

@@ -91,6 +91,30 @@ def variant_system(config: EngineConfig, variant):
     return system
 
 
+def span_owners(welch, config, variants):
+    """The ``owners`` of a span batch, one quality variant per span.
+
+    ``None`` (or ``config``'s own system and pruning) is ``welch``'s
+    analyser, a ``(system_kind, PruningSpec)`` rung the analyser of its
+    :func:`variant_system` over ``config``, the config ``welch`` was
+    built from.  Returns ``None`` when every span runs on ``welch``.
+    """
+    if variants is None:
+        return None
+    base = None if config is None else (config.system, config.pruning)
+    analyzers = {}
+    for variant in set(variants):
+        if variant is None or variant == base:
+            analyzers[variant] = welch.analyzer
+        elif config is None:
+            raise ConfigurationError("variant spans need the engine's EngineConfig")
+        else:
+            analyzers[variant] = variant_system(config, variant).welch.analyzer
+    if all(analyzer is welch.analyzer for analyzer in analyzers.values()):
+        return None
+    return [analyzers[variant] for variant in variants]
+
+
 class Engine:
     """Resolved, warmed execution facade over one :class:`EngineConfig`.
 
@@ -255,21 +279,6 @@ class Engine:
 
         return StreamHub(self, count_ops=count_ops)
 
-    def _system_for_variant(self, variant):
-        """The PSA system for one quality variant (``None`` = base).
-
-        A variant is a ``(system_kind, PruningSpec)`` pair — a rung of
-        the hub's degradation ladder — resolved through the process-wide
-        :func:`variant_system` memo.  The pair *is* the identity of the
-        computation, which is what makes a pinned mode-M subject
-        bit-identical to a homogeneous mode-M engine.
-        """
-        if variant is None or variant == (
-            self.config.system, self.config.pruning
-        ):
-            return self._system
-        return variant_system(self.config, variant)
-
     def _analyze_spans_batch(
         self, times, values, spans, count_ops: bool, variants=None,
         corrected=None,
@@ -284,10 +293,10 @@ class Engine:
         base config, else a ``(system_kind, PruningSpec)`` ladder rung);
         ``None`` runs every span at the base config.  In-process, the
         whole batch is one kernel call whose FFT stage runs once per
-        level present.  ``corrected`` is the optional interpolated-beat
-        0/1 mask aligned with ``values``.  Returns ``(spectra,
-        metrics)`` with one :class:`~repro.hrv.metrics.WindowMetrics`
-        per span.
+        level present (owners from :func:`span_owners`).  ``corrected``
+        is the optional interpolated-beat 0/1 mask aligned with
+        ``values``.  Returns the ``(LombBatch, MetricsBatch)`` pair, one
+        row per span.
         """
         with execution(self._context):
             if self.resolved.jobs > 1 or self.resolved.workers:
@@ -295,16 +304,10 @@ class Engine:
                     times, values, spans, count_ops=count_ops,
                     variants=variants, corrected=corrected,
                 )
-            owners = None
-            if variants is not None:
-                analyzers = {
-                    variant: self._system_for_variant(variant).welch.analyzer
-                    for variant in set(variants)
-                }
-                owners = [analyzers[variant] for variant in variants]
             return analyze_spans_quality(
                 self._system.welch.analyzer, times, values, spans,
-                count_ops, corrected=corrected, owners=owners,
+                count_ops, corrected=corrected,
+                owners=span_owners(self._system.welch, self.config, variants),
             )
 
     def execution_stats(self) -> dict:

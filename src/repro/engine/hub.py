@@ -352,8 +352,8 @@ class StreamHub:
                 # copies the batch kernel makes per window.  The buffers
                 # lease from the engine's arena, so at steady state each
                 # flush reuses the previous round's storage; the
-                # analysis only reads them and every escaping spectrum
-                # is freshly allocated, so releasing on exit is safe.
+                # analysis only reads them and the batches it returns
+                # are freshly allocated, so releasing on exit is safe.
                 edges = np.zeros(len(pending) + 1, dtype=np.int64)
                 np.cumsum(
                     [hi - lo for _, _, lo, hi in pending], out=edges[1:]
@@ -431,7 +431,7 @@ class StreamHub:
             except SignalError as exc:
                 raise SignalError(f"subject {subject_id!r}: {exc}") from None
             tail = session._tail_pending()
-            if not session._spectra and not tail:
+            if not session._emissions and not tail:
                 raise SignalError(
                     f"subject {subject_id!r}: no analysable windows: "
                     "recording too short or too sparse"

@@ -53,15 +53,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SignalError
-from ..hrv.metrics import WindowMetrics
+from ..hrv.metrics import MetricsBatch, WindowMetrics
 from ..hrv.rr import RRSeries
-from ..lomb.fast import LombSpectrum
+from ..lomb.fast import LombBatch, LombSpectrum
 from ..lomb.welch import (
     MIN_BEATS_PER_WINDOW,
     analyze_spans_quality,
     assemble_result,
 )
 from ..perf.context import execution
+from .engine import span_owners
 from ..perf.workspace import Scratch
 
 __all__ = ["StreamingSession", "WindowEmission"]
@@ -90,8 +91,8 @@ class WindowEmission:
         Centre time of the window's actual samples — matches
         ``WelchLombResult.window_times[index]``.
     spectrum:
-        The window's Lomb spectrum (identical to
-        ``WelchLombResult.window_spectra[index]``).
+        The window's Lomb spectrum, a row of its flush's batch
+        (identical to ``WelchLombResult.window_spectra[index]``).
     quality:
         Degradation-ladder level this window was computed at (0 = the
         configured quality; deeper levels are the paper's pruning modes
@@ -100,8 +101,8 @@ class WindowEmission:
         an :class:`~repro.engine.controller.SLOSpec` configured.
     metrics:
         Per-window time-domain metrics and quality flags
-        (:class:`~repro.hrv.metrics.WindowMetrics`), computed from the
-        same beat span as the spectrum — matches
+        (:class:`~repro.hrv.metrics.WindowMetrics`, a batch row),
+        computed from the same beat span as the spectrum — matches
         ``WelchLombResult.window_metrics[index]``.
     """
 
@@ -149,9 +150,6 @@ class StreamingSession:
         self._n = 0
         self._dropped = 0
         self._next_start: float | None = None
-        self._spectra: list[LombSpectrum] = []
-        self._metrics: list[WindowMetrics] = []
-        self._centers: list[float] = []
         self._emissions: list[WindowEmission] = []
         self._skipped = 0
         self._result = None
@@ -193,7 +191,7 @@ class StreamingSession:
     @property
     def n_windows(self) -> int:
         """Windows emitted so far (before finalize: completed ones only)."""
-        return len(self._spectra)
+        return len(self._emissions)
 
     @property
     def emissions(self) -> tuple[WindowEmission, ...]:
@@ -409,19 +407,18 @@ class StreamingSession:
         x = self._values[: self._n]
         c = self._corrected[: self._n]
         variant, level = self._effective_variant()
-        analyzer = (
-            self._analyzer
-            if variant is None
-            else self._engine._system_for_variant(variant).welch.analyzer
-        )
-        with execution(self._engine._context):
+        engine = self._engine
+        with execution(engine._context):
             spectra, metrics = analyze_spans_quality(
-                analyzer,
+                self._analyzer,
                 t,
                 x,
                 [span for _, span in pending],
                 self._count_ops,
                 corrected=c,
+                owners=span_owners(
+                    engine.welch, engine.config, [variant] * len(pending)
+                ),
             )
         return [
             self._record(start, lo, hi, spectrum, window, quality=level)
@@ -465,16 +462,13 @@ class StreamingSession:
         t = self._times[: self._n]
         center = 0.5 * (float(t[lo]) + float(t[hi - 1]))
         emission = WindowEmission(
-            index=len(self._spectra),
+            index=len(self._emissions),
             start=float(start),
             center=center,
             spectrum=spectrum,
             quality=int(quality),
             metrics=metrics,
         )
-        self._spectra.append(spectrum)
-        self._metrics.append(metrics)
-        self._centers.append(center)
         self._emissions.append(emission)
         return emission
 
@@ -547,18 +541,19 @@ class StreamingSession:
         return tail
 
     def _assemble(self):
-        """Assemble every emitted spectrum into the final result."""
-        if not self._spectra:
+        """Stack every emission once and assemble the final result."""
+        emissions = self._emissions
+        if not emissions:
             raise SignalError(
                 "no analysable windows: recording too short or too sparse"
             )
         with execution(self._engine._context):
             welch_result = assemble_result(
-                self._spectra,
-                np.asarray(self._centers),
+                LombBatch.stack(e.spectrum for e in emissions),
+                np.array([e.center for e in emissions]),
                 self._skipped,
                 self._count_ops,
-                metrics=self._metrics,
+                metrics=MetricsBatch.stack(e.metrics for e in emissions),
             )
             self._result = self._engine.system._finalize(welch_result)
         # No window can slice the samples any more; a finalized session

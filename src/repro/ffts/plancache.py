@@ -13,9 +13,9 @@ This module is the single memoisation point for all of that design-time
 data.  Cached arrays are returned **read-only** (callers only ever index
 or multiply by them) and cached plan objects are stateless after
 construction, so sharing them between analysers is safe.  Caches are
-process-wide, size-bounded LRU maps (:class:`_BoundedCache`) guarded by
-the GIL; a racing rebuild is harmless (both threads compute the same
-value), entries :func:`warm_execution_caches` deliberately warmed are
+process-wide, size-bounded LRU maps (:class:`_BoundedCache`), each
+behind one lock; a racing rebuild is harmless (both threads compute the
+same value), entries :func:`warm_execution_caches` deliberately warmed are
 pinned against eviction, and :func:`plan_cache_detail` surfaces each
 cache's hit/miss/eviction counters.
 
@@ -29,6 +29,8 @@ shared, fully-planned kernels.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import OrderedDict
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -85,36 +87,45 @@ class _BoundedCache:
       pressure from incidental geometries (pinned entries do not count
       against ``maxsize``).
     * **Counters** — hits/misses/evictions, surfaced by
-      :func:`plan_cache_detail`.
+      :func:`plan_cache_detail` (entries, pins and counters share one lock).
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = int(maxsize)
         self._data: OrderedDict = OrderedDict()
         self._pinned: set = set()
+        self._lock = threading.Lock()
+        # A fork must not hand the child a lock some parent thread held.
+        os.register_at_fork(after_in_child=self._renew_lock)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
+    def _renew_lock(self) -> None:
+        self._lock = threading.Lock()
+
     def get(self, key, default=None):
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return default
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
+        with self._lock:
+            try:
+                value = self._data[key]
+            except KeyError:
+                self.misses += 1
+                return default
+            self._data.move_to_end(key)
+            self.hits += 1
+            return value
 
     def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        self._evict()
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            self._evict()
 
     def pin(self, key) -> None:
         """Protect *key* from eviction (no-op when absent)."""
-        if key in self._data:
-            self._pinned.add(key)
+        with self._lock:
+            if key in self._data:
+                self._pinned.add(key)
 
     def _evict(self) -> None:
         over = (len(self._data) - len(self._pinned)) - self.maxsize
@@ -130,12 +141,14 @@ class _BoundedCache:
             over -= 1
 
     def pop(self, key, default=None):
-        self._pinned.discard(key)
-        return self._data.pop(key, default)
+        with self._lock:
+            self._pinned.discard(key)
+            return self._data.pop(key, default)
 
     def clear(self) -> None:
-        self._data.clear()
-        self._pinned.clear()
+        with self._lock:
+            self._data.clear()
+            self._pinned.clear()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -144,14 +157,15 @@ class _BoundedCache:
         return key in self._data
 
     def stats(self) -> dict[str, int]:
-        return {
-            "size": len(self._data),
-            "maxsize": self.maxsize,
-            "pinned": len(self._pinned),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+        with self._lock:
+            return {
+                "size": len(self._data),
+                "maxsize": self.maxsize,
+                "pinned": len(self._pinned),
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -14,23 +14,23 @@ boundary; this module carries the fleet's one task shape,
   differently — plan caches warmed) as one
   :class:`~repro.perf.ExecutionContext` per connection, and then serves
   ``task`` messages: it decodes each into a ``SpanTask`` over its
-  uploaded arrays and runs :func:`~repro.fleet.worker.execute_task`,
-  the executor every pool and in-process slot runs, so the result
-  comes back in the same packed form.  While a task computes, the
-  daemon emits ``heartbeat`` frames so the scheduler can tell a slow
-  task from a dead worker.
+  uploaded arrays, runs :func:`~repro.fleet.worker.execute_task`, the
+  executor every pool and in-process slot runs, and sends back the
+  result's columns as they are.  While a task computes, the daemon
+  emits ``heartbeat`` frames so the scheduler can tell a slow task
+  from a dead worker.
 
 * :class:`RemoteWorker` — the scheduler-side handle: connect +
   handshake, upload each sample array once per connection
   (:meth:`RemoteWorker.ensure_array` — tasks then reference arrays by
   key, mirroring the slice-by-reference shm design), run tasks, and
-  surface worker death as :class:`ConnectionError` so the scheduler
-  can reassign the shard.
+  surface worker death (or a result without one row per span) as
+  :class:`ConnectionError` so the scheduler can reassign the shard.
 
 Bit-identity holds across this transport by construction: arrays travel
-as raw float64 buffers (:mod:`repro.fleet.transport`), the daemon runs
-the same executor under the same provider and chunk size, and packed
-spectra and per-window metrics come back bit-exact.
+as raw buffers (:mod:`repro.fleet.transport`), the daemon runs the same
+executor under the same provider and chunk size, and the result's
+spectra and metric columns come back bit-exact.
 """
 
 from __future__ import annotations
@@ -44,16 +44,28 @@ import zlib
 
 import numpy as np
 
+from ..engine.config import EngineConfig
+from ..engine.engine import build_system
 from ..errors import ConfigurationError, ReproError, TransportError
+from ..ffts.plancache import warm_execution_caches
+from ..ffts.providers.registry import available_providers
+from ..ffts.pruning import PruningSpec
+from ..hrv.metrics import MetricsBatch
+from ..lomb.fast import LombBatch
 from ..perf.context import ExecutionContext, execution
 from ..perf.workspace import WorkspaceArena
 from .transport import FrameStream, format_address, parse_address
+from .worker import SpanTask, execute_task, warm_arena
 
 __all__ = [
     "RemoteTaskError",
     "RemoteWorker",
     "WorkerDaemon",
+    "result_from_wire",
+    "result_to_wire",
     "run_worker_daemon",
+    "task_from_wire",
+    "task_to_wire",
 ]
 
 #: Wire-protocol revision; peers refuse a mismatch at handshake.
@@ -64,7 +76,12 @@ __all__ = [
 #: provenance) and the packed per-window ``metrics`` in every result
 #: frame — a v2 daemon would answer with a result the scheduler cannot
 #: unpack, so again the handshake refuses the pairing up front.
-PROTOCOL_VERSION = 3
+#: v4 replaced the task's one ``variant`` with a per-span column (the
+#: distinct ``variants`` plus each span's ``variant_rows`` index) and
+#: the packed per-group result with the kernel's columns (``spectra``
+#: and ``metrics``, one row per span); a v3 peer would run a mixed task
+#: at one level and could not read the result.
+PROTOCOL_VERSION = 4
 
 #: Seconds between ``heartbeat`` frames while a task computes.
 HEARTBEAT_INTERVAL = 1.0
@@ -81,6 +98,84 @@ DEFAULT_TIMEOUT = 15.0
 RECONNECT_ATTEMPTS = 3
 RECONNECT_BASE_DELAY = 0.05
 RECONNECT_MAX_DELAY = 1.0
+
+
+def task_to_wire(task: SpanTask) -> dict:
+    """A task's ``task`` frame payload: plain data and int64 arrays.
+
+    Variants cross as the distinct levels — ``None`` or a plain
+    ``{"system", "pruning"}`` dict, because the frame codec carries no
+    custom classes — plus each span's index into them.
+    """
+    payload = {
+        "task_id": int(task.task_id),
+        "times_key": int(task.times_key),
+        "values_key": int(task.values_key),
+        "spans": np.asarray(task.spans, dtype=np.int64).reshape(-1, 2),
+        "count_ops": bool(task.count_ops),
+        "variants": None,
+        "variant_rows": None,
+        "corrected_key": task.corrected_key,
+    }
+    if task.variants is not None:
+        levels = list(dict.fromkeys(task.variants))
+        payload["variants"] = [
+            None if level is None
+            else {"system": level[0], "pruning": level[1].to_dict()}
+            for level in levels
+        ]
+        payload["variant_rows"] = np.array(
+            [levels.index(variant) for variant in task.variants], np.int64
+        )
+    return payload
+
+
+def task_from_wire(payload: dict) -> SpanTask:
+    """The :class:`SpanTask` a :func:`task_to_wire` payload describes."""
+    spans = tuple((int(lo), int(hi)) for lo, hi in payload["spans"])
+    variants = None
+    if payload.get("variants") is not None:
+        levels = [
+            None if level is None
+            else (level["system"], PruningSpec.from_dict(level["pruning"]))
+            for level in payload["variants"]
+        ]
+        variants = tuple(levels[k] for k in payload["variant_rows"].tolist())
+        if len(variants) != len(spans):
+            raise TransportError(f"{len(variants)} variants, {len(spans)} spans")
+    corrected_key = payload.get("corrected_key")
+    return SpanTask(
+        task_id=payload.get("task_id"),
+        times_key=int(payload["times_key"]),
+        values_key=int(payload["values_key"]),
+        spans=spans,
+        count_ops=bool(payload.get("count_ops", False)),
+        variants=variants,
+        corrected_key=None if corrected_key is None else int(corrected_key),
+    )
+
+
+def result_to_wire(spectra: LombBatch, metrics: MetricsBatch) -> dict:
+    """A task result's columns, as the ``result`` frame carries them."""
+    return {"spectra": spectra.columns(), "metrics": metrics.columns()}
+
+
+def result_from_wire(payload: dict, rows: int):
+    """The ``(LombBatch, MetricsBatch)`` of a ``result`` payload.
+
+    Every column must hold ``rows`` entries, one per span of the task:
+    anything else is a :class:`TransportError`, never a misalignment.
+    """
+    try:
+        spectra = LombBatch(**payload["spectra"])
+        metrics = MetricsBatch(**payload["metrics"])
+    except (KeyError, TypeError) as exc:
+        raise TransportError(f"malformed result columns: {exc}") from exc
+    columns = (*spectra.columns().values(), *metrics.columns().values())
+    shapes = {np.shape(column)[:1] for column in columns if column is not None}
+    if shapes != {(rows,)}:
+        raise TransportError(f"result rows {sorted(shapes)} for {rows} spans")
+    return spectra, metrics
 
 
 class RemoteTaskError(ReproError):
@@ -249,12 +344,6 @@ class WorkerDaemon:
                     f"protocol version mismatch: daemon speaks "
                     f"{PROTOCOL_VERSION}, client sent {version!r}"
                 )
-            from ..engine.config import EngineConfig
-            from ..engine.engine import build_system
-            from ..ffts.plancache import warm_execution_caches
-            from ..ffts.providers.registry import available_providers
-            from .worker import warm_arena
-
             config = EngineConfig.from_dict(payload["config"])
             provider = payload["provider"]
             chunk = int(payload["chunk_windows"])
@@ -320,40 +409,12 @@ class WorkerDaemon:
         else:
             stream.send(
                 "result",
-                {
-                    "task_id": task_id,
-                    "packed": outcome["packed"],
-                    "metrics": outcome["metrics"],
-                },
+                dict(result_to_wire(*outcome["result"]), task_id=task_id),
             )
 
     def _compute(self, payload, state, outcome: dict) -> None:
         try:
-            from ..ffts.pruning import PruningSpec
-            from .worker import SpanTask, execute_task
-
-            # The wire variant is a plain {"system", "pruning"} dict: the
-            # frame codec carries no custom classes.
-            variant = payload.get("variant")
-            if variant is not None:
-                variant = (
-                    variant["system"],
-                    PruningSpec.from_dict(variant["pruning"]),
-                )
-            corrected_key = payload.get("corrected_key")
-            task = SpanTask(
-                task_id=payload.get("task_id"),
-                times_key=int(payload["times_key"]),
-                values_key=int(payload["values_key"]),
-                spans=tuple(
-                    (int(start), int(stop)) for start, stop in payload["spans"]
-                ),
-                count_ops=bool(payload.get("count_ops", False)),
-                variant=variant,
-                corrected_key=(
-                    None if corrected_key is None else int(corrected_key)
-                ),
-            )
+            task = task_from_wire(payload)
             arrays = state["arrays"]
             for key in task.array_keys:
                 if key not in arrays:
@@ -361,7 +422,7 @@ class WorkerDaemon:
                         f"task references unknown array key {key!r}"
                     )
             with self._exec_lock, execution(state["context"]):
-                outcome["packed"], outcome["metrics"] = execute_task(
+                outcome["result"] = execute_task(
                     task, arrays, state["welch"], state["config"]
                 )
         except Exception as exc:  # deterministic task failure, not death
@@ -605,53 +666,26 @@ class RemoteWorker:
             raise
         self._sent_arrays.add(key)
 
-    def run_task(
-        self,
-        task_id: int,
-        times_key: int,
-        values_key: int,
-        spans,
-        count_ops: bool,
-        variant=None,
-        corrected_key: int | None = None,
-    ) -> tuple:
-        """Run one span batch remotely.
+    def run_task(self, task: SpanTask) -> tuple[LombBatch, MetricsBatch]:
+        """Run one span-batch task remotely.
 
-        Returns ``(packed_spectra, packed_metrics)`` — what
+        Returns the ``(LombBatch, MetricsBatch)`` pair
         :func:`~repro.fleet.worker.execute_task` returns on every other
-        slot, so schedulers merge all transports identically.
-
-        ``variant`` (a ``(system_kind, PruningSpec)`` pair, or ``None``
-        for the handshake engine) selects a degraded quality level's
-        kernels on the daemon side; it crosses the wire as a plain
-        ``{"system", "pruning"}`` dict because the frame codec carries
-        no custom classes.  ``corrected_key`` names a previously
-        uploaded interpolated-beat mask (``None`` for no provenance).
-        Raises :class:`ConnectionError` (worker died or timed out —
-        reassign the task) or :class:`RemoteTaskError` (the task itself
-        failed — do not retry elsewhere).
+        slot, so schedulers merge all transports identically.  The
+        task's arrays must have been uploaded (:meth:`ensure_array`),
+        and its per-span variants select degraded quality levels'
+        kernels on the daemon side.  Raises :class:`ConnectionError`
+        (worker died, timed out, or answered with a result that is not
+        one row per span — reassign the task) or
+        :class:`RemoteTaskError` (the task itself failed — do not retry
+        elsewhere).
         """
         stream = self._require_stream()
-        spans_arr = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
-        if variant is not None:
-            system_kind, pruning = variant
-            variant = {"system": system_kind, "pruning": pruning.to_dict()}
         try:
-            stream.send(
-                "task",
-                {
-                    "task_id": int(task_id),
-                    "times_key": int(times_key),
-                    "values_key": int(values_key),
-                    "spans": spans_arr,
-                    "count_ops": bool(count_ops),
-                    "variant": variant,
-                    "corrected_key": (
-                        None if corrected_key is None else int(corrected_key)
-                    ),
-                },
-            )
+            stream.send("task", task_to_wire(task))
             kind, payload = self._recv_content(stream)
+            if kind == "result":
+                return result_from_wire(payload, len(task.spans))
         except socket.timeout as exc:
             self._drop()
             raise ConnectionError(
@@ -667,15 +701,13 @@ class RemoteWorker:
             ) from exc
         if kind == "error":
             raise RemoteTaskError(
-                f"task {task_id} failed on fleet worker {self.address}: "
+                f"task {task.task_id} failed on fleet worker {self.address}: "
                 f"{payload.get('message')}"
             )
-        if kind != "result":
-            self._drop()
-            raise ConnectionError(
-                f"fleet worker {self.address} answered task with {kind!r}"
-            )
-        return payload["packed"], payload["metrics"]
+        self._drop()
+        raise ConnectionError(
+            f"fleet worker {self.address} answered task with {kind!r}"
+        )
 
     def _drop(self) -> None:
         stream, self._stream = self._stream, None

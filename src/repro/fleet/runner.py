@@ -19,8 +19,9 @@ path:
    blocks zero-copy; remote slots upload each array once per
    connection.  Every slot runs
    :func:`~repro.fleet.worker.execute_task`;
-4. per-task spectra are reassembled in task order and fed through the
-   same :func:`~repro.lomb.welch.assemble_result` back end as the
+4. tasks return the kernel's column batches as they are; each
+   recording's are concatenated in task order and fed through the same
+   :func:`~repro.lomb.welch.assemble_result` back end as the
    single-process path, making the merged spectrograms, Welch averages
    and operation counts identical to it by construction (bit-exact:
    every per-window quantity is computed by composition-independent
@@ -51,9 +52,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ..engine.engine import build_system, span_owners
 from ..errors import ConfigurationError, SignalError
+from ..hrv.metrics import MetricsBatch
 from ..hrv.rr import RRSeries
-from ..lomb.fast import get_batch_chunk_windows
+from ..lomb.fast import LombBatch, get_batch_chunk_windows
 from ..lomb.welch import (
     RecordingWindows,
     WelchLomb,
@@ -72,15 +75,7 @@ from .sharding import (
 )
 from .shm import SharedRecordingStore
 from .transport import parse_address
-from .worker import (
-    SpanTask,
-    execute_task,
-    init_worker,
-    resolve_variant,
-    run_pool_task,
-    unpack_metrics,
-    unpack_spectra,
-)
+from .worker import SpanTask, execute_task, init_worker, run_pool_task
 
 __all__ = ["FleetReport", "FleetRunner"]
 
@@ -159,9 +154,10 @@ def _join_pool(pool, graceful: bool) -> None:
 def _teardown_pool(pool, graceful: bool = False) -> None:
     """Close (*graceful*) or terminate the pool and join it, in bounded time.
 
-    The teardown runs on a helper thread.  Past
-    :data:`_POOL_TEARDOWN_SECONDS` the pool is killed
-    (:func:`_kill_pool`), which frees whatever the helper waits on.
+    The teardown runs on a helper thread for up to
+    :data:`_POOL_TEARDOWN_SECONDS`, then :func:`_kill_pool` frees what it
+    waits on and, even after it finished, any queue lock a dead worker
+    held (CPython's pool finalizer takes it, untimed, at collection).
     """
     helper = threading.Thread(
         target=_join_pool,
@@ -171,9 +167,14 @@ def _teardown_pool(pool, graceful: bool = False) -> None:
     )
     helper.start()
     helper.join(_POOL_TEARDOWN_SECONDS)
-    if helper.is_alive():
-        _kill_pool(pool)
-        helper.join(_POOL_TEARDOWN_SECONDS)
+    _kill_pool(pool)
+    helper.join(_POOL_TEARDOWN_SECONDS)
+
+
+def _concat(results) -> tuple[LombBatch, MetricsBatch]:
+    """Several tasks' ``(LombBatch, MetricsBatch)`` results, in order, as one."""
+    spectra, metrics = zip(*results)
+    return LombBatch.concat(spectra), MetricsBatch.concat(metrics)
 
 
 class _TaskBoard:
@@ -384,8 +385,6 @@ class FleetRunner:
         across cohort calls.
         """
         if welch is None:
-            from ..engine.engine import build_system
-
             welch = build_system(config).welch
         resolved = config.resolve()
         kwargs.setdefault("workers", getattr(resolved, "workers", ()))
@@ -468,8 +467,8 @@ class FleetRunner:
             )
             for shard_id, shard in enumerate(shards)
         ]
-        packed, n_remote = self._run_scheduled(arrays, tasks, chunk, provider)
-        results = self._merge(plans, shards, packed, count_ops)
+        batches, n_remote = self._run_scheduled(arrays, tasks, chunk, provider)
+        results = self._merge(plans, shards, batches, count_ops)
         return FleetReport(
             results=tuple(results),
             n_jobs=self.n_jobs,
@@ -658,129 +657,71 @@ class FleetRunner:
                     f"cannot complete"
                 )
 
-    @staticmethod
-    def _flatten_collected(collected, slices) -> tuple[list, tuple]:
-        """Scatter per-slice packed results back into span order.
-
-        ``slices`` holds each slice's ``(variant, span indices)``, in
-        the order of ``collected``.
-        """
-        order = [i for _variant, indices in slices for i in indices]
-        spectra: list = [None] * len(order)
-        metrics: list = [None] * len(order)
-        flat_spectra = (
-            spectrum
-            for packed, _metrics in collected
-            for spectrum in unpack_spectra(packed)
-        )
-        flat_metrics = (
-            window
-            for _packed, packed_metrics in collected
-            for window in unpack_metrics(packed_metrics)
-        )
-        for i, spectrum, window in zip(order, flat_spectra, flat_metrics):
-            spectra[i] = spectrum
-            metrics[i] = window
-        return spectra, tuple(metrics)
-
     def run_spans(
         self, times, values, spans, count_ops: bool = False, variants=None,
         corrected=None,
-    ) -> tuple[list, tuple]:
+    ) -> tuple[LombBatch, MetricsBatch]:
         """Analyse one flat span batch, split across the fleet's slots.
 
         The streaming hub's execution path: ``times``/``values`` are one
-        validated sample array pair — typically many subjects' completed
-        windows concatenated back to back — and ``spans`` are its
-        ``[start, stop)`` window ranges.  A batch big enough to split
-        over more than one slot becomes one task per slice, run by the
-        same scheduler as :meth:`run` (the **persistent** worker pool,
-        created on first use, and any remote workers), and the spectra
-        come back in span order; a batch too small to split runs as one
-        in-process call.  Either way the result is bit-identical to a
-        single in-process
+        sample array pair — typically many subjects' completed windows
+        concatenated back to back — and ``spans`` its ``[start, stop)``
+        window ranges.  A batch big enough to split becomes one task per
+        contiguous slice, run by the same scheduler as :meth:`run` (the
+        **persistent** worker pool and any remote workers), whose
+        batches are concatenated in span order; a smaller batch is one
+        in-process call.  Either way the result is bit-identical to one
         :func:`~repro.lomb.welch.analyze_spans_quality` call: every
         kernel is batch-composition-independent and every process is
         pinned to the same provider and chunk size.
 
-        ``variants`` names each span's quality level: ``None`` for the
-        base engine, else a ``(system_kind, PruningSpec)`` ladder rung
-        (``variants=None`` runs every span at the base).  In-process the
-        whole batch is one kernel call with per-span FFT owners.  Split
-        batches hold one level per slice: the spans are grouped by
-        variant, each group is sliced, and every slice carries its
-        variant to an executor that resolves it through the same
-        process-wide variant memo — so a level-M span is bit-identical
-        across the in-process, shm-pool and socket transports, exactly
-        like the base engine.
-
-        ``corrected`` is the optional interpolated-beat 0/1 mask
-        aligned with ``values``; it travels to the executors exactly
-        like the sample arrays.  Returns ``(spectra, metrics)`` with
-        one :class:`~repro.hrv.metrics.WindowMetrics` per span.
+        ``variants`` names each span's quality level (``None`` for the
+        base engine, else a ``(system_kind, PruningSpec)`` ladder rung)
+        and travels with its slice; every executor resolves it with
+        :func:`~repro.engine.engine.span_owners`.  ``corrected`` is the
+        optional interpolated-beat 0/1 mask aligned with ``values``.
+        Returns the ``(LombBatch, MetricsBatch)`` pair, one row per span.
         """
         spans = tuple(spans)
         if not spans:
-            return [], ()
-        if variants is None:
-            variants = (None,) * len(spans)
-        elif len(variants) != len(spans):
+            return LombBatch.stack(), MetricsBatch.stack()
+        if variants is not None and len(variants) != len(spans):
             raise ConfigurationError(
                 f"{len(variants)} variants for {len(spans)} spans"
             )
         chunk, provider = self._resolve_execution()
         n_slots = self.n_jobs + len(self.workers)
-
-        def n_slices(n_spans: int) -> int:
-            return max(1, min(n_slots, n_spans // MIN_SPANS_PER_SLICE))
-
-        if n_slices(len(spans)) == 1:
+        n_slices = max(1, min(n_slots, len(spans) // MIN_SPANS_PER_SLICE))
+        if n_slices == 1:
             # n_jobs == 1, or a batch too small to split: a single
             # pool slice would pay shm setup + IPC per flush for work
             # the (identically pinned, hence bit-identical) in-process
             # call does cheaper.
-            analyzers = {
-                variant: resolve_variant(
-                    self.welch, self._config, variant
-                ).analyzer
-                for variant in set(variants)
-            }
             with execution(provider=provider, chunk_windows=chunk):
                 return analyze_spans_quality(
                     self.welch.analyzer, times, values, spans, count_ops,
                     corrected=corrected,
-                    owners=[analyzers[variant] for variant in variants],
+                    owners=span_owners(self.welch, self._config, variants),
                 )
-        by_variant: dict = {}
-        for i, variant in enumerate(variants):
-            by_variant.setdefault(variant, []).append(i)
-        slices: list[tuple] = []
-        for variant, indices in by_variant.items():
-            k = n_slices(len(indices))
-            bounds = [len(indices) * i // k for i in range(k + 1)]
-            slices.extend(
-                (variant, indices[lo:hi])
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            )
         arrays = [np.asarray(times), np.asarray(values)]
         corrected_key = None
         if corrected is not None:
             corrected_key = len(arrays)
             arrays.append(np.asarray(corrected))
+        bounds = [len(spans) * i // n_slices for i in range(n_slices + 1)]
         tasks = [
             SpanTask(
                 task_id=task_id,
                 times_key=0,
                 values_key=1,
-                spans=tuple(spans[i] for i in indices),
+                spans=spans[lo:hi],
                 count_ops=count_ops,
-                variant=variant,
+                variants=None if variants is None else tuple(variants[lo:hi]),
                 corrected_key=corrected_key,
             )
-            for task_id, (variant, indices) in enumerate(slices)
+            for task_id, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
         ]
-        collected, _ = self._run_scheduled(arrays, tasks, chunk, provider)
-        return self._flatten_collected(collected, slices)
+        return _concat(self._run_scheduled(arrays, tasks, chunk, provider)[0])
 
     # -- distributed scheduling ----------------------------------------
 
@@ -861,8 +802,8 @@ class FleetRunner:
         never retire, so the board always drains even if every remote
         worker dies mid-run.
 
-        Returns the packed results in task order plus the number of
-        remote workers that participated.
+        Returns every task's ``(LombBatch, MetricsBatch)`` in task
+        order plus the number of remote workers that participated.
         """
         remotes = self._ensure_remotes(chunk, provider) if self.workers else {}
         hello = self._hello(chunk, provider) if remotes else None
@@ -916,7 +857,7 @@ class FleetRunner:
                     if board.failure is not None:
                         return  # run is already lost: stop polling
                     try:
-                        packed = handle.get(timeout=_POOL_POLL_SECONDS)
+                        result = handle.get(timeout=_POOL_POLL_SECONDS)
                         break
                     except multiprocessing.TimeoutError:
                         self._raise_if_pool_worker_died()
@@ -927,7 +868,7 @@ class FleetRunner:
                 self._discard_pool()
                 board.abort(exc)
                 return
-            board.complete(task_id, packed)
+            board.complete(task_id, result)
 
     def _inprocess_loop(self, board, arrays, tasks, chunk, provider) -> None:
         """The ``n_jobs == 1`` local slot: run claimed tasks right here."""
@@ -968,16 +909,7 @@ class FleetRunner:
                     task = tasks[claimed]
                     for key in task.array_keys:
                         worker.ensure_array(key, arrays[key])
-                    packed = worker.run_task(
-                        task.task_id,
-                        task.times_key,
-                        task.values_key,
-                        task.spans,
-                        task.count_ops,
-                        variant=task.variant,
-                        corrected_key=task.corrected_key,
-                    )
-                    board.complete(claimed, packed)
+                    board.complete(claimed, worker.run_task(task))
                     claimed = None
             except ConnectionError:
                 if claimed is not None:
@@ -1001,31 +933,23 @@ class FleetRunner:
         self,
         plans: list[RecordingWindows],
         shards,
-        packed: list[tuple],
+        batches: list[tuple],
         count_ops: bool,
     ) -> list[WelchLombResult]:
-        """Reassemble per-shard spectra into per-recording results.
+        """Reassemble per-shard batches into per-recording results.
 
         Shards are emitted grouped by recording and ordered by ``lo``
-        (:func:`plan_shards`), so concatenating in dispatch order
-        restores every recording's window order (spectra and metrics
-        alike); the final assembly is the exact single-process back end.
+        (:func:`plan_shards`), so concatenating each recording's shard
+        batches in dispatch order restores its window order (spectra
+        and metrics alike); the final assembly is the exact
+        single-process back end.
         """
-        spectra_per_recording: list[list] = [[] for _ in plans]
-        metrics_per_recording: list[list] = [[] for _ in plans]
-        for shard, (shard_packed, shard_metrics) in zip(shards, packed):
-            spectra_per_recording[shard.recording].extend(
-                unpack_spectra(shard_packed)
-            )
-            metrics_per_recording[shard.recording].extend(
-                unpack_metrics(shard_metrics)
-            )
+        per_recording: list[list] = [[] for _ in plans]
+        for shard, result in zip(shards, batches):
+            per_recording[shard.recording].append(result)
         return [
             assemble_result(
-                spectra, plan.centers, plan.skipped, count_ops,
-                metrics=metrics,
+                spectra, plan.centers, plan.skipped, count_ops, metrics=metrics
             )
-            for spectra, metrics, plan in zip(
-                spectra_per_recording, metrics_per_recording, plans
-            )
+            for (spectra, metrics), plan in zip(map(_concat, per_recording), plans)
         ]

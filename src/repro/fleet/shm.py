@@ -23,7 +23,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from .._validation import as_1d_float_array
+from ..errors import SignalError
 
 __all__ = ["SharedArrayRef", "SharedRecordingStore", "attach_array"]
 
@@ -76,8 +76,10 @@ class SharedRecordingStore:
         self._blocks: list[shared_memory.SharedMemory] = []
 
     def put(self, array) -> SharedArrayRef:
-        """Copy a 1-D float array into a new shared-memory block."""
-        arr = as_1d_float_array(array, "array", min_length=1)
+        """Copy a 1-D float array (values unchecked) into a new block."""
+        arr = np.ascontiguousarray(array, dtype=np.float64)
+        if arr.ndim != 1 or not arr.size:
+            raise SignalError(f"array must be 1-D and non-empty: {arr.shape}")
         block = shared_memory.SharedMemory(create=True, size=arr.nbytes)
         view = np.ndarray(arr.shape, dtype=np.float64, buffer=block.buf)
         view[:] = arr

@@ -2,15 +2,12 @@
 
 Every unit of fleet work — a window shard of a cohort recording, or a
 slice of a span batch split across slots — is a :class:`SpanTask`:
-spans over sample arrays named by key, a ``count_ops`` flag, a quality
-variant and an optional interpolated-beat mask key.  Every slot runs it
-with :func:`execute_task`: resolve the variant's engine, call
-:func:`~repro.lomb.welch.analyze_spans_quality`, and pack the spectra
-and window metrics into the compact form that crosses processes
-(:func:`pack_spectra` / :func:`pack_metrics`; per-window frequency
-grids are rebuilt from ``df``/``nout`` on the parent side instead of
-being pickled once per window).  The slots differ only in how the
-arrays arrive:
+spans over sample arrays named by key, a ``count_ops`` flag, optional
+per-span quality variants and an optional interpolated-beat mask key.
+Every slot runs it with :func:`execute_task`, one
+:func:`~repro.lomb.welch.analyze_spans_quality` call whose
+``(LombBatch, MetricsBatch)`` columns cross processes as they are.  The
+slots differ only in how the arrays arrive:
 
 * a pool worker — initialised once with the engine and the parent's
   resolved provider and chunk size (:func:`init_worker`) — attaches
@@ -31,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..engine.engine import span_owners
 from ..ffts.plancache import warm_execution_caches
-from ..hrv.metrics import WindowMetrics
-from ..lomb.fast import LombSpectrum
+from ..hrv.metrics import MetricsBatch
+from ..lomb.fast import LombBatch
 from ..lomb.welch import WelchLomb, analyze_spans_quality
 from ..perf.context import ExecutionContext, set_execution
 from ..perf.workspace import WorkspaceArena
@@ -44,12 +41,7 @@ __all__ = [
     "SpanTask",
     "execute_task",
     "init_worker",
-    "resolve_variant",
     "run_pool_task",
-    "pack_metrics",
-    "pack_spectra",
-    "unpack_metrics",
-    "unpack_spectra",
     "warm_arena",
 ]
 
@@ -76,10 +68,10 @@ class SpanTask:
     spans:
         Sample-index ``[start, stop)`` ranges of this task's windows.
     count_ops:
-        Attach executed operation counts to every spectrum.
-    variant:
-        Quality variant: ``None`` for the base engine, or a
-        ``(system_kind, PruningSpec)`` ladder rung (load shedding).
+        Compute every window's executed operation counts.
+    variants:
+        ``None`` (every span at the base engine) or one quality variant
+        per span: ``None`` or a ``(system_kind, PruningSpec)`` rung.
     corrected_key:
         Key of the interpolated-beat 0/1 mask, or ``None`` when the
         arrays carry no provenance.
@@ -90,7 +82,7 @@ class SpanTask:
     values_key: int
     spans: tuple[tuple[int, int], ...]
     count_ops: bool
-    variant: tuple | None = None
+    variants: tuple | None = None
     corrected_key: int | None = None
 
     @property
@@ -130,9 +122,10 @@ def init_worker(
     ``(pid, task_id)`` record as each task *starts*, so the parent's
     watchdog can name the task a worker held when it died.
     ``config`` (an :class:`~repro.engine.EngineConfig`) lets this
-    worker serve *quality-variant* tasks — spans the hub's SLO
+    worker serve *quality-variant* spans — spans the hub's SLO
     controller shed to a degraded pruning mode (see
-    :func:`resolve_variant`); without it, variant tasks are rejected.
+    :func:`~repro.engine.engine.span_owners`); without it, variant
+    spans are rejected.
     """
     worker_arena = WorkspaceArena() if arena else None
     context = ExecutionContext(provider, chunk_windows, arena=worker_arena)
@@ -171,138 +164,22 @@ def _report_task_start(task_id: int) -> None:
             pass
 
 
-def pack_spectra(spectra) -> list[tuple]:
-    """Compact, picklable form of a task's spectra.
-
-    Runs of consecutive same-grid-length windows (the overwhelmingly
-    common case: a steady recording produces one grid) are packed as
-    **one** dense power matrix plus per-window scalar vectors, instead
-    of thousands of tiny per-window arrays; frequency grids are dropped
-    entirely (reconstructable as ``df * arange(1, nout + 1)``).  This
-    cuts the result traffic back to the parent by well over half.
-    """
-    groups: list[tuple] = []
-    run: list[LombSpectrum] = []
-    for spectrum in spectra:
-        if run and spectrum.frequencies.size != run[0].frequencies.size:
-            groups.append(_pack_group(run))
-            run = []
-        run.append(spectrum)
-    if run:
-        groups.append(_pack_group(run))
-    return groups
-
-
-def _pack_group(run: list[LombSpectrum]) -> tuple:
-    return (
-        run[0].frequencies.size,
-        np.array([float(s.frequencies[0]) for s in run]),
-        np.vstack([s.power for s in run]),
-        np.array([s.mean for s in run]),
-        np.array([s.variance for s in run]),
-        np.array([s.n_samples for s in run], dtype=np.int64),
-        np.array([s.duration for s in run]),
-        tuple(s.counts for s in run),
-    )
-
-
-def unpack_spectra(packed) -> list[LombSpectrum]:
-    """Rebuild :class:`LombSpectrum` records from :func:`pack_spectra`."""
-    spectra = []
-    for nout, dfs, powers, means, variances, ns, durations, counts in packed:
-        m = np.arange(1, nout + 1)
-        for i in range(dfs.size):
-            spectra.append(
-                LombSpectrum(
-                    frequencies=dfs[i] * m,
-                    power=powers[i],
-                    mean=float(means[i]),
-                    variance=float(variances[i]),
-                    n_samples=int(ns[i]),
-                    duration=float(durations[i]),
-                    counts=counts[i],
-                )
-            )
-    return spectra
-
-
-def pack_metrics(metrics) -> tuple:
-    """Compact, picklable form of a task's per-window metrics.
-
-    Eight parallel vectors (one entry per window) instead of a list of
-    dataclass instances — the same dense-over-sparse trade
-    :func:`pack_spectra` makes, and every float crosses the transports
-    as a raw float64 buffer, so the rebuilt metrics are bit-exact.
-    """
-    metrics = tuple(metrics)
-    return (
-        np.array([m.n_beats for m in metrics], dtype=np.int64),
-        np.array([m.mean_rr_ms for m in metrics]),
-        np.array([m.sdnn_ms for m in metrics]),
-        np.array([m.rmssd_ms for m in metrics]),
-        np.array([m.pnn50 for m in metrics]),
-        np.array([m.pnn20 for m in metrics]),
-        np.array([m.corrected_fraction for m in metrics]),
-        np.array([m.flags for m in metrics], dtype=np.int64),
-    )
-
-
-def unpack_metrics(packed) -> tuple[WindowMetrics, ...]:
-    """Rebuild :class:`WindowMetrics` records from :func:`pack_metrics`."""
-    n_beats, means, sdnns, rmssds, p50s, p20s, fractions, flags = packed
-    return tuple(
-        WindowMetrics(
-            n_beats=int(n_beats[i]),
-            mean_rr_ms=float(means[i]),
-            sdnn_ms=float(sdnns[i]),
-            rmssd_ms=float(rmssds[i]),
-            pnn50=float(p50s[i]),
-            pnn20=float(p20s[i]),
-            corrected_fraction=float(fractions[i]),
-            flags=int(flags[i]),
-        )
-        for i in range(n_beats.size)
-    )
-
-
-def resolve_variant(welch: WelchLomb, config, variant) -> WelchLomb:
-    """The engine a quality variant selects (``None`` = ``welch``).
-
-    A variant is a ``(system_kind, PruningSpec)`` ladder rung; its
-    engine comes from the process-wide
-    :func:`~repro.engine.engine.variant_system` memo over ``config`` —
-    the :class:`~repro.engine.EngineConfig` ``welch`` was built from,
-    without which an executor cannot be asked to shed quality.
-    """
-    if variant is None:
-        return welch
-    if config is None:
-        raise ConfigurationError(
-            "quality-variant tasks need the EngineConfig that describes "
-            "the engine: cannot build the variant's engine without it"
-        )
-    # Imported lazily: repro.engine imports the fleet package at call
-    # time only, and keeping that symmetric avoids a cycle.
-    from ..engine.engine import variant_system
-
-    return variant_system(config, variant).welch
-
-
 def execute_task(
     task: SpanTask, arrays, welch: WelchLomb, config=None
-) -> tuple:
-    """Run one task: resolve its variant, analyse its spans, pack.
+) -> tuple[LombBatch, MetricsBatch]:
+    """Run one task: one choke-point call over its spans.
 
     The one executor behind every slot — a pool worker
     (:func:`run_pool_task`), the runner's in-process slot and a remote
     :class:`~repro.fleet.remote.WorkerDaemon` — each under the fleet's
     provider and chunk pins.  ``arrays`` maps the task's array keys to
     sample arrays; ``welch`` is the base engine and ``config`` its
-    :class:`~repro.engine.EngineConfig`.  Returns ``(packed_spectra,
-    packed_metrics)`` in span order.
+    :class:`~repro.engine.EngineConfig`, which resolve the spans' FFT
+    owners.  Returns the ``(LombBatch, MetricsBatch)`` pair, one row
+    per span in span order.
     """
-    spectra, metrics = analyze_spans_quality(
-        resolve_variant(welch, config, task.variant).analyzer,
+    return analyze_spans_quality(
+        welch.analyzer,
         arrays[task.times_key],
         arrays[task.values_key],
         task.spans,
@@ -310,8 +187,8 @@ def execute_task(
         corrected=(
             None if task.corrected_key is None else arrays[task.corrected_key]
         ),
+        owners=span_owners(welch, config, task.variants),
     )
-    return pack_spectra(spectra), pack_metrics(metrics)
 
 
 def run_pool_task(task: SpanTask, refs) -> tuple:

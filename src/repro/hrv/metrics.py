@@ -5,9 +5,9 @@ on: "a ratio of LFP over HFP much less than 1 indicates a sinus
 arrhythmia condition and is an appropriate quality metric for such an
 application" (Section VI).  Time-domain metrics (SDNN, RMSSD, pNN50,
 pNN20) are the HRnV-Calc standard set, provided both as whole-recording
-functions over an :class:`RRSeries` and as the per-window
-:class:`WindowMetrics` record that rides next to each Welch window's
-spectrum through every execution layer.
+functions over an :class:`RRSeries` and per Welch window, as the
+:class:`MetricsBatch` columns (rows are :class:`WindowMetrics`) that
+ride next to the spectra through every execution layer.
 
 :func:`window_metrics_batch` is deliberately *composition-independent*.
 It gathers the windows of each beat count into one C-contiguous
@@ -22,7 +22,8 @@ hub's heterogeneous mega-batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "FLAG_FEW_BEATS",
     "FLAG_HIGH_CORRECTED",
     "HIGH_CORRECTED_FRACTION",
+    "MetricsBatch",
     "WindowMetrics",
     "lf_hf_ratio",
     "pnn20",
@@ -252,6 +254,67 @@ class WindowMetrics:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class MetricsBatch(Sequence):
+    """:class:`WindowMetrics` of many windows, as eight columns.
+
+    A read-only sequence: a slice is a batch, a row is a
+    :class:`WindowMetrics` of Python ints and floats, and ``==``
+    compares records with any sequence of them.
+    """
+
+    n_beats: np.ndarray
+    mean_rr_ms: np.ndarray
+    sdnn_ms: np.ndarray
+    rmssd_ms: np.ndarray
+    pnn50: np.ndarray
+    pnn20: np.ndarray
+    corrected_fraction: np.ndarray
+    flags: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n_beats)
+
+    def __getitem__(self, index):
+        columns = vars(self).values()
+        if isinstance(index, (slice, np.ndarray)):
+            return MetricsBatch(*(column[index] for column in columns))
+        return WindowMetrics(*(column[index].item() for column in columns))
+
+    def __iter__(self):
+        return map(WindowMetrics, *(c.tolist() for c in vars(self).values()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def columns(self) -> dict:
+        """The batch's arrays by field name (its wire form)."""
+        return dict(vars(self))
+
+    @classmethod
+    def stack(cls, records=()) -> "MetricsBatch":
+        """One batch of :class:`WindowMetrics` records."""
+        records = list(records)
+        return cls(*(
+            np.array(
+                [getattr(record, field.name) for record in records],
+                np.int64 if field.type == "int" else np.float64,
+            )
+            for field in fields(WindowMetrics)
+        ))
+
+    @classmethod
+    def concat(cls, batches) -> "MetricsBatch":
+        """The rows of several batches, in order, as one batch."""
+        batches = list(batches)
+        if len(batches) == 1:
+            return batches[0]
+        columns = zip(*(batch.columns().values() for batch in batches))
+        return cls(*map(np.concatenate, columns))
+
+
 def _rows(source: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
     """C-contiguous ``(len(starts), n)`` block of ``source[s:s + n]`` rows."""
     if starts.size == 1:
@@ -281,7 +344,7 @@ def window_metrics_batch(values, spans, corrected=None):
     that :func:`~repro._validation.span_bounds` already returned for
     them over ``values``; ``corrected`` an optional 0/1 mask (any real
     dtype) marking interpolated beats.  Returns one
-    :class:`WindowMetrics` per span; zero- and one-beat spans report
+    :class:`MetricsBatch` row per span; zero- and one-beat spans report
     zeros for the statistics they cannot support.
 
     Spans are reduced in groups of equal beat count, each gathered into
@@ -309,9 +372,9 @@ def window_metrics_batch(values, spans, corrected=None):
         lo, hi = span_bounds(spans, rr.size, allow_empty=True)
     rows = lo.size
     if not rows:
-        return ()
+        return MetricsBatch.stack()
     # Groups are runs of equal beat count in sorted order: each group's
-    # results land in its sorted columns, and the records go back into
+    # results land in its sorted columns, and the columns go back into
     # span order at the end.
     lengths = hi - lo
     order = np.argsort(lengths, kind="stable")
@@ -350,10 +413,5 @@ def window_metrics_batch(values, spans, corrected=None):
     flags = (n_beats < FEW_BEATS_THRESHOLD) * FLAG_FEW_BEATS
     flags |= (fraction > HIGH_CORRECTED_FRACTION) * FLAG_HIGH_CORRECTED
     flags |= artifact_run * FLAG_ARTIFACT_RUN
-    # tolist() keeps n_beats and flags Python ints and the statistics
-    # Python floats, as the wire form and JSON digests expect.
-    records = map(WindowMetrics, counts, *stats.tolist(), flags.tolist())
-    out = [None] * rows
-    for i, record in zip(order.tolist(), records):
-        out[i] = record
-    return tuple(out)
+    inverse = np.argsort(order)
+    return MetricsBatch(lengths.astype(np.int64), *stats[:, inverse], flags[inverse])

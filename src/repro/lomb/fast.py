@@ -29,6 +29,7 @@ Two execution paths produce the same spectra:
   operations at the chunk's widest grid, of which each row keeps its
   own bins.  A backend must implement the batch entry points its path
   calls; :class:`FastLomb` rejects one that does not at construction.
+  It returns the columns it computed, one :class:`LombBatch`.
 
 Only the FFT stage depends on the backend, which is all a quality level
 changes (the paper's Fig. 1a).  So one batch can mix levels: an optional
@@ -40,16 +41,17 @@ half too (:meth:`~repro.ffts.wavelet_fft.WaveletFFT.subbands_batch`:
 the DWT and both sub-FFTs), so it runs once over all of their rows;
 only the butterflies, band-drop gains and unpacking run per owner.
 
-The **fused real path** (``fused_real``) sits on top, with
-``np.allclose`` spectra and identical modelled op counts: plain-FFT
-backends expose ``rfft`` / ``rfft_batch`` — resolved through the
-execution-provider layer (:mod:`repro.ffts.providers`) — and the two
-real workspaces skip the pack/complex-FFT/unpack stage entirely.
+Plain-FFT backends take the **fused real path**, with ``np.allclose``
+spectra and identical modelled op counts: they expose ``rfft`` /
+``rfft_batch`` — resolved through the execution-provider layer
+(:mod:`repro.ffts.providers`) — and the two real workspaces skip the
+pack/complex-FFT/unpack stage entirely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -72,6 +74,7 @@ from .extirpolation import DEFAULT_ORDER, extirpolate, extirpolate_batch
 
 __all__ = [
     "FastLomb",
+    "LombBatch",
     "LombSpectrum",
     "BLOCK_COSTS",
     "get_batch_chunk_windows",
@@ -180,6 +183,96 @@ class LombSpectrum:
         return float(np.sum(self.power[mask]) * df)
 
 
+def _count_rows(counts) -> np.ndarray:
+    """``(rows, 3)`` int64 matrix of mults, adds and compares."""
+    return np.array(list(map(astuple, counts)), np.int64).reshape(-1, 3)
+
+
+@dataclass(frozen=True, eq=False)
+class LombBatch(Sequence):
+    """Fast-Lomb results of many windows: the columns the kernel computed.
+
+    Row ``i`` keeps ``power[i, :nout[i]]`` (the rest is padding) on the
+    grid ``df[i] * (1 .. nout[i])``, and its window's ``mean``,
+    ``variance``, ``n_samples``, ``duration`` and, unless ``None``, its
+    ``counts`` row of mults, adds and compares.  A read-only sequence: a
+    slice is a batch, and a row is the :class:`LombSpectrum`
+    :meth:`FastLomb.periodogram` returns for the window, byte for byte.
+    """
+
+    power: np.ndarray
+    nout: np.ndarray
+    df: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+    n_samples: np.ndarray
+    duration: np.ndarray
+    counts: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.nout)
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            columns = self.columns().items()
+            return LombBatch(**{k: c if c is None else c[index] for k, c in columns})
+        nout, counts = int(self.nout[index]), self.counts
+        return LombSpectrum(
+            frequencies=self.df[index] * np.arange(1, nout + 1),
+            power=self.power[index, :nout],
+            mean=self.mean[index].item(),
+            variance=self.variance[index].item(),
+            n_samples=self.n_samples[index].item(),
+            duration=self.duration[index].item(),
+            counts=None if counts is None else OpCounts(*counts[index].tolist()),
+        )
+
+    def columns(self) -> dict:
+        """The batch's arrays by field name (its wire form)."""
+        return dict(vars(self))
+
+    @classmethod
+    def stack(cls, spectra=()) -> "LombBatch":
+        """One batch of :class:`LombSpectrum` rows on ``df * (1 .. n)`` grids."""
+        spectra = list(spectra)
+        nout = np.array([s.power.size for s in spectra], dtype=np.int64)
+        power = np.zeros((nout.size, nout.max(initial=0)))
+        for row, spectrum in zip(power, spectra):
+            row[: spectrum.power.size] = spectrum.power
+        counts = None
+        if spectra and spectra[0].counts is not None:
+            counts = _count_rows(s.counts for s in spectra)
+        return cls(
+            power,
+            nout,
+            np.array([s.frequencies[0] for s in spectra], dtype=np.float64),
+            np.array([s.mean for s in spectra], dtype=np.float64),
+            np.array([s.variance for s in spectra], dtype=np.float64),
+            np.array([s.n_samples for s in spectra], dtype=np.int64),
+            np.array([s.duration for s in spectra], dtype=np.float64),
+            counts,
+        )
+
+    @classmethod
+    def concat(cls, batches) -> "LombBatch":
+        """The rows of several batches, in order, as one batch."""
+        batches = list(batches)
+        if len(batches) == 1:
+            return batches[0]
+        width = max(batch.power.shape[1] for batch in batches)
+        parts = [
+            dict(batch.columns(), power=np.pad(
+                batch.power, ((0, 0), (0, width - batch.power.shape[1]))
+            ))
+            for batch in batches
+        ]
+        return cls(**{
+            name: None if column is None
+            else np.concatenate([part[name] for part in parts])
+            for name, column in parts[0].items()
+        })
+
+
 def _row_means(x: np.ndarray, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Mean of each row's first ``ns[i]`` samples, written into ``out``.
 
@@ -197,6 +290,39 @@ def _row_means(x: np.ndarray, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
         group = ns == n
         out[group] = x[group, :n].sum(axis=1) / n
     return out
+
+
+def _check_span_samples(t, x, lo, hi) -> None:
+    """Raise the oracle's :class:`SignalError` for the first bad span.
+
+    :meth:`FastLomb.periodogram` refuses a non-finite time, a non-finite
+    value and a non-increasing time, in that order.  Only the spans'
+    range is read: fleet tasks hand every shard the whole recording.
+    """
+    first, last = int(lo.min()), int(hi.max())
+    seg_t, seg_x = t[first:last], x[first:last]
+    finite_t, finite_x = np.isfinite(seg_t), np.isfinite(seg_x)
+    increasing = seg_t[1:] > seg_t[:-1]
+    if finite_t.all() and finite_x.all() and increasing.all():
+        return
+    starts, stops = lo - first, hi - first
+    checks = (
+        (~finite_t, stops, "times contains non-finite values"),
+        (~finite_x, stops, "values contains non-finite values"),
+        # The step from sample j to j + 1 belongs to a span holding both.
+        (~increasing, stops - 1, "times must be strictly increasing"),
+    )
+    failing = np.zeros((len(checks), lo.size), dtype=bool)
+    for row, (bad, ends, _) in zip(failing, checks):
+        # A span fails if the first bad index from its start is inside.
+        where = np.flatnonzero(bad)
+        if where.size:
+            after = where[np.minimum(np.searchsorted(where, starts), where.size - 1)]
+            row[:] = (after >= starts) & (after < ends)
+    if failing.any():
+        i = int(np.argmax(failing.any(axis=0)))
+        reason = checks[int(np.argmax(failing[:, i]))][2]
+        raise SignalError(f"span {i} ({int(lo[i])}, {int(hi[i])}): {reason}")
 
 
 #: Settings every FFT owner of a batch must share with the analyser that
@@ -307,17 +433,16 @@ class FastLomb:
         ``"standard"`` — classic Lomb normalisation by ``2 * variance``;
         ``"denormalized"`` — multiplied back by ``2 * variance / n``
         (the paper's Welch de-normalisation, suitable for averaging).
-    fused_real:
-        The fused real-input path: the two real workspaces go through
-        the backend's ``rfft`` / ``rfft_batch`` instead of being packed
-        into one complex FFT and unpacked — algebraically the same
-        spectra (``np.allclose``) at roughly half the complex work,
-        with no pack/unpack stage.  ``None`` (default) enables it
-        automatically when the backend exposes the rfft entry points
-        and performs no spectrum post-processing (pruned wavelet
-        backends equalise the full packed spectrum, so they keep the
-        packed path).  Modelled operation counts are unchanged either
-        way — the sensor node is costed on the paper's packed pipeline.
+
+    A backend that exposes ``rfft`` / ``rfft_batch`` and performs no
+    spectrum post-processing takes the fused real path (``fused_real``
+    is true): the two real workspaces go through ``rfft`` instead of
+    being packed into one complex FFT and unpacked — algebraically the
+    same spectra (``np.allclose``) at roughly half the complex work.
+    Pruned wavelet backends equalise the full packed spectrum, so they
+    keep the packed path.  Modelled operation counts are the same
+    either way: the sensor node is costed on the paper's packed
+    pipeline.
     """
 
     def __init__(
@@ -328,7 +453,6 @@ class FastLomb:
         order: int = DEFAULT_ORDER,
         backend: FFTBackend | None = None,
         scaling: str = "standard",
-        fused_real: bool | None = None,
     ):
         self.workspace_size = require_power_of_two(workspace_size, "workspace_size")
         if oversample < 1.0:
@@ -356,22 +480,11 @@ class FastLomb:
                 f"scaling must be 'standard' or 'denormalized', got {scaling!r}"
             )
         self.scaling = scaling
-        rfft_capable = hasattr(self.backend, "rfft") and hasattr(
-            self.backend, "rfft_batch"
+        self.fused_real = (
+            hasattr(self.backend, "rfft")
+            and hasattr(self.backend, "rfft_batch")
+            and self._backend_gains() is None
         )
-        if fused_real is None:
-            fused_real = rfft_capable and self._backend_gains() is None
-        elif fused_real:
-            if not rfft_capable:
-                raise ConfigurationError(
-                    "fused_real requires a backend with rfft/rfft_batch"
-                )
-            if self._backend_gains() is not None:
-                raise ConfigurationError(
-                    "fused_real is incompatible with spectrum-equalising "
-                    "(band-drop) backends"
-                )
-        self.fused_real = bool(fused_real)
         if not self.fused_real:
             missing = [
                 name
@@ -612,7 +725,7 @@ class FastLomb:
         spans,
         count_ops: bool = False,
         owners=None,
-    ) -> list[LombSpectrum]:
+    ) -> LombBatch:
         """Fast-Lomb periodograms of many windows of one recording.
 
         Parameters
@@ -625,7 +738,7 @@ class FastLomb:
             :class:`~repro._validation.SpanBounds` that check returned,
             which are trusted.
         count_ops:
-            Attach executed per-window :class:`OpCounts`.
+            Fill the batch's per-window operation counts.
         owners:
             Optional per-window FFT owners, one :class:`FastLomb` per
             window (``None``: this analyser owns them all).  Window
@@ -634,19 +747,19 @@ class FastLomb:
             levels, and each window's spectrum and counts equal those
             of a call on ``owners[i]`` alone, byte for byte.
 
-        Every window needs at least 4 samples, as in :meth:`periodogram`:
-        the first with fewer raises a :class:`SignalError`, whichever
-        windows share the call.  The order of times is not checked
-        again; the planners that lay spans out validated the recording.
+        Each window is checked as :meth:`periodogram` checks its slice,
+        whichever windows share the call: the first one with fewer than
+        4 samples, a non-finite sample or a time that does not increase
+        raises a :class:`SignalError` naming it.
 
         Windows run in chunks of dense ``(rows, N)`` array operations
         (:meth:`_periodogram_group_dense`), whatever their
         frequency-grid lengths.  Each chunk gathers its windows into
         padded ``(rows, pad)`` blocks with one indexed copy; a row's
         padding is whatever samples follow its span, which the kernel's
-        lengths masks keep out of every result.  Results come back in
-        span order and match :meth:`periodogram` of each span's slice
-        (same spectra, same operation counts).
+        lengths masks keep out of every result.  The returned
+        :class:`LombBatch` rows, in span order, match :meth:`periodogram`
+        of each span's slice (same spectra, same operation counts).
         """
         t = np.asarray(times, dtype=np.float64)
         x = np.asarray(values, dtype=np.float64)
@@ -668,27 +781,33 @@ class FastLomb:
                 "samples; a window needs at least 4 samples"
             )
         if not lo.size:
-            return []
+            return LombBatch.stack()
+        _check_span_samples(t, x, lo, hi)
         durations = t[hi - 1] - t[lo]
         dfs, nouts = self._grid_rows(durations, ns)
-        metas = list(
-            zip(ns.tolist(), durations.tolist(), dfs.tolist(), nouts.tolist())
-        )
-        results: list[LombSpectrum | None] = [None] * lo.size
-        chunk_windows = get_batch_chunk_windows(self.workspace_size)
         # Rows of one owner sit together, so every chunk makes one
         # FFT-stage call per owner over a contiguous row range; rows are
         # independent, so their order changes no result (and the sort is
-        # stable).
+        # stable).  The batch is filled in that order, then unpermuted.
         order = np.argsort(ranks, kind="stable")
+        permuted = bool(np.any(order != np.arange(order.size)))
+        if permuted:
+            lo, ns, dfs, nouts, durations, ranks = (
+                column[order] for column in (lo, ns, dfs, nouts, durations, ranks)
+            )
+        batch = LombBatch(
+            np.zeros((lo.size, int(nouts.max()))), nouts, dfs,
+            np.empty(lo.size), np.empty(lo.size), ns, durations,
+            np.empty((lo.size, 3), np.int64) if count_ops else None,
+        )
+        chunk_windows = get_batch_chunk_windows(self.workspace_size)
         # Bounded sub-batches keep the dense intermediates inside the
         # CPU caches; one monolithic multi-hour batch is measurably
         # slower than cache-sized chunks (rows are independent, so
         # chunking cannot change any result).
         for start in range(0, lo.size, chunk_windows):
-            chunk = order[start : start + chunk_windows]
-            rows = chunk.size
-            chunk_ns = ns[chunk]
+            stop = start + chunk_windows
+            rows = batch[start:stop]
             # Pad width quantised up to a multiple of 64 columns: results
             # are pad-width-independent (the dense kernel's per-row
             # slices and lengths masks keep padding out of every
@@ -696,47 +815,45 @@ class FastLomb:
             # merging exact), and a handful of stable widths keeps the
             # workspace arena keyed on a few trailing shapes instead of
             # one per distinct longest-window sample count.
-            pad_n = ((int(chunk_ns.max()) + 63) // 64) * 64
+            pad_n = ((int(rows.n_samples.max()) + 63) // 64) * 64
             with scratch() as ws:
                 # Pure kernel inputs, read and never escaping: one lease.
                 index, t_pad, x_pad = carve(
-                    ws.take((3 * rows * pad_n,)),
-                    ((rows, pad_n), np.intp),
-                    (rows, pad_n),
-                    (rows, pad_n),
+                    ws.take((3 * len(rows) * pad_n,)),
+                    ((len(rows), pad_n), np.intp),
+                    (len(rows), pad_n),
+                    (len(rows), pad_n),
                 )
-                np.add(lo[chunk][:, None], np.arange(pad_n), out=index)
+                np.add(lo[start:stop, None], np.arange(pad_n), out=index)
                 # "clip" keeps the rows that end the recording in bounds
                 # and lets take write straight into ``out``.
                 np.take(t, index, out=t_pad, mode="clip")
                 np.take(x, index, out=x_pad, mode="clip")
-                spectra = self._periodogram_group_dense(
+                self._periodogram_group_dense(
                     t_pad,
                     x_pad,
-                    chunk_ns,
-                    [metas[i] for i in chunk.tolist()],
-                    count_ops,
-                    _owner_runs(distinct, ranks[chunk]),
+                    rows,
+                    _owner_runs(distinct, ranks[start:stop]),
                 )
-            for i, spectrum in zip(chunk.tolist(), spectra):
-                results[i] = spectrum
-        return results
+        if permuted:
+            batch = batch[np.argsort(order)]
+        return batch
 
     def _periodogram_group_dense(
         self,
         t_pad: np.ndarray,
         x_pad: np.ndarray,
-        ns: np.ndarray,
-        metas: list[tuple[int, float, float, int]],
-        count_ops: bool,
+        out: LombBatch,
         runs: list[tuple["FastLomb", int, int]],
-    ) -> list[LombSpectrum]:
+    ) -> None:
         """Dense ``(rows, max_n)`` kernel over one chunk of span rows.
 
-        ``t_pad`` / ``x_pad`` hold each row's ``ns[i]`` samples followed
-        by padding of any value; they are read, never written, and the
-        lengths masks keep the padding out of every stage.  Window
-        means are row reductions over each window's
+        ``out`` is the chunk's rows of the batch: the kernel reads their
+        ``n_samples``, ``df`` and ``nout`` and writes their power,
+        moments and counts.  ``t_pad`` / ``x_pad`` hold each row's
+        samples followed by padding of any value; they are read, never
+        written, and the lengths masks keep the padding out of every
+        stage.  Window means are row reductions over each window's
         own samples, bit-identical to the sequential path's 1-D
         ``x.mean()``, so the centred samples — and hence dynamic-pruning
         decisions and operation counts — match it exactly; variances
@@ -766,17 +883,15 @@ class FastLomb:
         ``out=`` ufunc calls that reproduce the original expression's
         operation structure exactly — same operations, same operand
         order, same rounding — so arena-on and arena-off results are
-        bit-for-bit identical.  Only ``power`` and the per-spectrum
-        frequency grids are freshly allocated: they escape into the
-        returned :class:`LombSpectrum` objects.
+        bit-for-bit identical.  Only the batch's columns escape.
         """
         ndim = self.workspace_size
         rows, max_n = t_pad.shape
-        dfs = np.array([meta[2] for meta in metas])
-        nout = max(meta[3] for meta in metas)
+        ns, dfs = out.n_samples, out.df
+        nout = int(out.nout.max())
+        means, variances = out.mean, out.variance
         with scratch() as ws:
             with _profile_span("prepare"):
-                means, variances = ws.take_block(2, (rows,))
                 _row_means(x_pad, ns, means)
                 valid, invalid = ws.take_block(2, (rows, max_n), np.bool_)
                 # Both workspaces' sample values and positions, stacked
@@ -841,8 +956,8 @@ class FastLomb:
             # Bins 1..nout of the data and window spectra: each owner
             # fills its own rows, and the combine reads every row.
             data_ft, win_ft = ws.take_block(2, (rows, nout), np.complex128)
+            count_ops = out.counts is not None
             fft_counts: list[OpCounts] = []
-            row_owners: list[FastLomb] = []
             with _profile_span("fft"):
                 for group in _transform_groups(runs):
                     owner, lo, hi = group[0]
@@ -861,8 +976,14 @@ class FastLomb:
                         )
                     if count_ops:
                         fft_counts.extend(counts)
-                        for owner, lo, hi in group:
-                            row_owners.extend([owner] * (hi - lo))
+            if count_ops:
+                owners = [owner for owner, lo, hi in runs for _ in range(lo, hi)]
+                out.counts[:] = _count_rows(
+                    sum(owner._non_fft_counts(n, k).values(), fft)
+                    for owner, n, k, fft in zip(
+                        owners, ns.tolist(), out.nout.tolist(), fft_counts
+                    )
+                )
 
             with _profile_span("lomb_combine"):
                 (
@@ -919,36 +1040,11 @@ class FastLomb:
                 np.divide(sterm, den_s, out=sterm)
                 raw = cterm
                 np.add(cterm, sterm, out=raw)
-                # The power matrix escapes into the returned spectra, so
-                # it is the one combine output allocated fresh.
-                power = np.empty((rows, nout))
+                power = out.power[:, :nout]
                 if self.scaling == "standard":
                     np.divide(raw, 2.0 * variances[:, None], out=power)
                 else:
                     np.divide(raw, nn, out=power)
-
-            m = np.arange(1, nout + 1)
-            spectra: list[LombSpectrum] = []
-            for i, meta in enumerate(metas):
-                n, duration, df, row_nout = meta
-                counts = None
-                if count_ops:
-                    counts = sum(
-                        row_owners[i]._non_fft_counts(n, row_nout).values(),
-                        fft_counts[i],
-                    )
-                spectra.append(
-                    LombSpectrum(
-                        frequencies=df * m[:row_nout],
-                        power=power[i, :row_nout],
-                        mean=float(means[i]),
-                        variance=float(variances[i]),
-                        n_samples=n,
-                        duration=duration,
-                        counts=counts,
-                    )
-                )
-        return spectra
 
     def _fft_rows(
         self,

@@ -24,16 +24,16 @@ facade (:mod:`repro.engine`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .._validation import as_1d_float_array, span_bounds
 from ..errors import ConfigurationError, SignalError
 from ..ffts.opcount import OpCounts
-from ..hrv.metrics import WindowMetrics, window_metrics_batch
+from ..hrv.metrics import MetricsBatch, window_metrics_batch
 from ..perf.profiler import span as _profile_span
-from .fast import FastLomb, LombSpectrum
+from .fast import FastLomb, LombBatch, LombSpectrum
 
 __all__ = [
     "MIN_BEATS_PER_WINDOW",
@@ -50,67 +50,62 @@ MIN_BEATS_PER_WINDOW = 16
 
 
 def assemble_result(
-    spectra,
+    spectra: LombBatch,
     window_times: np.ndarray,
     skipped: int,
     count_ops: bool = False,
-    metrics=None,
+    metrics: MetricsBatch | None = None,
 ) -> WelchLombResult:
-    """Assemble per-window spectra into a :class:`WelchLombResult`.
+    """Assemble a recording's window batch into a :class:`WelchLombResult`.
 
     Shared back half of :meth:`WelchLomb.analyze`; the fleet engine
-    feeds it the concatenated spectra of all shards of one recording,
+    feeds it the concatenated batches of all shards of one recording,
     which makes the sharded result identical to the single-process one
     by construction.
 
     All windows are interpolated onto the frequency grid of the
     longest-duration window so the spectrogram is rectangular even when
-    beat counts differ per window; windows already on a grid of the
-    reference length are stacked with one array assignment.
+    beat counts differ per window; rows already on a grid of the
+    reference length are copied with one array assignment.
 
-    *metrics*, when given, is the per-window :class:`WindowMetrics`
-    sequence aligned with *spectra* (one entry per kept window, in the
-    same order) and lands on the result's ``window_metrics``.
+    *metrics*, when given, is the :class:`~repro.hrv.metrics.MetricsBatch`
+    aligned with *spectra* (one row per kept window, in the same order)
+    and lands on the result's ``window_metrics``.
     """
-    spectra = list(spectra)
-    metrics = tuple(metrics) if metrics is not None else ()
-    if metrics and len(metrics) != len(spectra):
+    metrics = MetricsBatch.stack() if metrics is None else metrics
+    if len(metrics) and len(metrics) != len(spectra):
         raise SignalError(
             f"{len(metrics)} window metrics for {len(spectra)} spectra"
         )
-    if not spectra:
+    if not len(spectra):
         raise SignalError(
             "no analysable windows: recording too short or too sparse"
         )
     with _profile_span("assemble"):
-        reference = max(spectra, key=lambda s: s.frequencies.size)
-        grid = reference.frequencies
-        sizes = np.fromiter(
-            (s.frequencies.size for s in spectra),
-            dtype=np.intp,
-            count=len(spectra),
-        )
-        rows = np.empty((len(spectra), grid.size))
-        full = np.flatnonzero(sizes == grid.size)
-        if full.size:
-            rows[full] = [spectra[i].power for i in full]
-        for i in np.flatnonzero(sizes != grid.size):
-            rows[i] = np.interp(
-                grid,
-                spectra[i].frequencies,
-                spectra[i].power,
-                left=0.0,
-                right=0.0,
-            )
+        nout = spectra.nout
+        reference = int(np.argmax(nout))
+        width = int(nout[reference])
+        grid = spectra.df[reference] * np.arange(1, width + 1)
+        rows = np.empty((len(spectra), width))
+        full = nout == width
+        rows[full] = spectra.power[full, :width]
+        # The other rows' grids, one matrix per grid length.
+        for n in np.unique(nout[~full]).tolist():
+            index = np.flatnonzero(nout == n)
+            grids = spectra.df[index, None] * np.arange(1, n + 1)
+            for i, xp in zip(index.tolist(), grids):
+                rows[i] = np.interp(
+                    grid, xp, spectra.power[i, :n], left=0.0, right=0.0
+                )
         counts = None
         if count_ops:
-            counts = sum((s.counts for s in spectra), OpCounts())
+            counts = OpCounts(*spectra.counts.sum(axis=0).tolist())
         return WelchLombResult(
             frequencies=grid,
             spectrogram=rows,
             averaged=rows.mean(axis=0),
             window_times=np.asarray(window_times),
-            window_spectra=tuple(spectra),
+            window_spectra=spectra,
             counts=counts,
             skipped_windows=skipped,
             window_metrics=metrics,
@@ -167,7 +162,7 @@ def analyze_spans_quality(
     count_ops: bool = False,
     corrected: np.ndarray | None = None,
     owners=None,
-) -> tuple[list[LombSpectrum], tuple[WindowMetrics, ...]]:
+) -> tuple[LombBatch, MetricsBatch]:
     """Batch-analyse window spans of one recording, with their metrics.
 
     The one choke point of the batched execution engine: the Welch
@@ -175,10 +170,11 @@ def analyze_spans_quality(
     workers and the gateway all call it, so every execution mode takes
     the identical pipeline —
     :meth:`~repro.lomb.fast.FastLomb.periodogram_spans` for the
-    spectra, then per-window time-domain :class:`WindowMetrics` from
-    the *same* spans the Lomb kernel analysed, so spectra and metrics
-    can never disagree about which beats a window held.  ``corrected``
-    is the optional 0/1 interpolated-beat mask aligned with ``values``.
+    spectra, then per-window time-domain metrics from the *same* spans
+    the Lomb kernel analysed, so spectra and metrics can never disagree
+    about which beats a window held: two column batches, one row per
+    span.  ``corrected`` is the optional 0/1 interpolated-beat mask
+    aligned with ``values``.
 
     ``owners`` optionally names each span's FFT owner — the
     :class:`FastLomb` of its quality level — so one call analyses a
@@ -192,7 +188,8 @@ def analyze_spans_quality(
     length, and each span an integer pair with ``0 <= lo < hi <=
     len(values)``; the first violation raises a :class:`SignalError`
     before any kernel work.  That is the call's one span check: the
-    kernel and the metrics take the bounds it returned.
+    kernel and the metrics take the bounds it returned, and the kernel
+    refuses the first span whose samples the sequential oracle would.
     """
     if np.ndim(times) != 1 or np.shape(times) != np.shape(values):
         raise SignalError(
@@ -263,13 +260,14 @@ class WelchLombResult:
     window_times:
         Centre time (seconds) of every analysed window.
     window_spectra:
-        The individual :class:`LombSpectrum` records.
+        The windows' :class:`~repro.lomb.fast.LombBatch` (a row is a
+        :class:`LombSpectrum`).
     counts:
         Total executed operation counts (``None`` unless requested).
     skipped_windows:
         Number of windows rejected for having too few beats.
     window_metrics:
-        Per-window :class:`~repro.hrv.metrics.WindowMetrics` (empty
+        The windows' :class:`~repro.hrv.metrics.MetricsBatch` (empty
         when the run did not compute them).
     """
 
@@ -277,10 +275,10 @@ class WelchLombResult:
     spectrogram: np.ndarray
     averaged: np.ndarray
     window_times: np.ndarray
-    window_spectra: tuple[LombSpectrum, ...]
+    window_spectra: LombBatch
     counts: OpCounts | None = None
     skipped_windows: int = 0
-    window_metrics: tuple[WindowMetrics, ...] = ()
+    window_metrics: MetricsBatch = field(default_factory=MetricsBatch.stack)
 
     @property
     def n_windows(self) -> int:
@@ -288,20 +286,20 @@ class WelchLombResult:
 
     def averaged_spectrum(self) -> LombSpectrum:
         """The Welch average packaged as a :class:`LombSpectrum`."""
-        total_samples = sum(s.n_samples for s in self.window_spectra)
+        spectra = self.window_spectra
         # Actual recording span the analysed windows cover: window centres
         # are exact midpoints, so centre +/- duration/2 recovers the first
         # window's start and the last window's stop.  Summing per-window
         # durations would double-count overlapped stretches (50 % overlap
         # would report nearly twice the recording length).
-        start = self.window_times[0] - 0.5 * self.window_spectra[0].duration
-        stop = self.window_times[-1] + 0.5 * self.window_spectra[-1].duration
+        start = self.window_times[0] - 0.5 * spectra.duration[0]
+        stop = self.window_times[-1] + 0.5 * spectra.duration[-1]
         return LombSpectrum(
             frequencies=self.frequencies,
             power=self.averaged,
-            mean=float(np.mean([s.mean for s in self.window_spectra])),
-            variance=float(np.mean([s.variance for s in self.window_spectra])),
-            n_samples=total_samples,
+            mean=float(np.mean(spectra.mean)),
+            variance=float(np.mean(spectra.variance)),
+            n_samples=int(spectra.n_samples.sum()),
             duration=float(stop - start),
             counts=self.counts,
         )
@@ -431,12 +429,12 @@ class WelchLomb:
                 corrected=plan.corrected,
             )
         else:
-            spectra = [
+            spectra = LombBatch.stack(
                 self.analyzer.periodogram(
                     plan.times[lo:hi], plan.values[lo:hi], count_ops=count_ops
                 )
                 for lo, hi in plan.spans
-            ]
+            )
             with _profile_span("metrics"):
                 metrics = window_metrics_batch(
                     plan.values, plan.spans, corrected=plan.corrected

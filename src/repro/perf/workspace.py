@@ -23,8 +23,8 @@ Design rules:
   the allocations it saves.
 * **Results are never arena-backed.**  Kernels only borrow for
   *temporaries*; anything escaping into a result object
-  (:class:`~repro.lomb.fast.LombSpectrum` power rows, frequency grids,
-  spectrograms) is allocated fresh.  Releasing a buffer hands its
+  (the columns of a :class:`~repro.lomb.fast.LombBatch`, frequency
+  grids, spectrograms) is allocated fresh.  Releasing a buffer hands its
   storage to the next borrower, so a leaked arena view would alias live
   results.
 * **Thread-safe and fork-inherited.**  Borrow/release run under one

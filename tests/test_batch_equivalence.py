@@ -234,7 +234,8 @@ class TestFastLombBatch:
             FastLomb(backend=BatchOnly(512), max_frequency=0.4)
 
     def test_empty_batch(self):
-        assert FastLomb().periodogram_spans(np.empty(0), np.empty(0), []) == []
+        empty = FastLomb().periodogram_spans(np.empty(0), np.empty(0), [])
+        assert list(empty) == []
 
     def test_batch_validation(self, rng):
         engine = FastLomb(max_frequency=0.4)

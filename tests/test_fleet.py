@@ -347,13 +347,15 @@ class TestRunSpans:
     def test_empty_spans_short_circuit(self):
         rr = _cohort(n=1, seconds=600.0)[0]
         runner = FleetRunner(n_jobs=1, provider="numpy")
-        assert runner.run_spans(rr.times, rr.intervals, []) == ([], ())
+        spectra, metrics = runner.run_spans(rr.times, rr.intervals, [])
+        assert (list(spectra), tuple(metrics)) == ([], ())
 
 
 class TestVariantResolution:
     def test_engine_runner_and_executor_share_one_system(self, monkeypatch):
         """One process resolves one variant to one PSA system object."""
         from repro.engine.controller import degradation_ladder
+        from repro.engine.engine import variant_system
         from repro.fleet import runner as runner_module
         from repro.fleet import worker as worker_module
         from repro.fleet.worker import SpanTask, execute_task
@@ -373,7 +375,7 @@ class TestVariantResolution:
             monkeypatch.setattr(module, "analyze_spans_quality", spy)
         rr = _cohort(n=1, seconds=600.0)[0]
         with Engine(config) as engine:
-            system = engine._system_for_variant(variant)
+            system = variant_system(config, variant)
             plan = engine.welch.plan_windows(rr.times, rr.intervals)
             spans = plan.spans[:2]
             FleetRunner.from_config(config, welch=engine.welch).run_spans(
@@ -381,7 +383,7 @@ class TestVariantResolution:
             )
             task = SpanTask(
                 task_id=0, times_key=0, values_key=1, spans=spans,
-                count_ops=False, variant=variant,
+                count_ops=False, variants=(variant,) * 2,
             )
             execute_task(task, [plan.times, plan.values], engine.welch, config)
         assert system is not engine.system
@@ -403,7 +405,7 @@ class TestVariantResolution:
             )
         task = SpanTask(
             task_id=0, times_key=0, values_key=1, spans=plan.spans[:2],
-            count_ops=False, variant=variant,
+            count_ops=False, variants=(variant,) * 2,
         )
         with pytest.raises(ConfigurationError, match="EngineConfig"):
             execute_task(task, [plan.times, plan.values], welch)
@@ -620,6 +622,38 @@ def _kill_idle_workers(pool, workers) -> None:
 
 
 class TestPoolTeardown:
+    def test_finished_close_frees_an_orphaned_task_queue_lock(self):
+        """A teardown that finished in time still frees a dead worker's lock.
+
+        A worker killed while idle dies holding the task queue's read
+        lock; a graceful close can then finish without waiting on it,
+        and CPython's own pool finalizer takes it, with no timeout, when
+        the pool is collected.  This hung tier-1 about once in 20 runs.
+        """
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method required")
+        from repro.fleet import runner as runner_module
+
+        pool = multiprocessing.get_context("fork").Pool(2)
+        try:
+            pool.close()
+            for worker in pool._pool:
+                worker.join(10.0)
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child
+                pool._inqueue._rlock.acquire()
+                os._exit(0)
+            os.waitpid(pid, 0)
+            runner_module._teardown_pool(pool, graceful=True)
+            finalizer = threading.Thread(target=pool._terminate, daemon=True)
+            finalizer.start()
+            finalizer.join(10.0)
+            assert not finalizer.is_alive(), "pool finalizer hung"
+        finally:
+            for worker in pool._pool:
+                if worker.exitcode is None:
+                    worker.kill()
+
     @pytest.mark.parametrize(
         "teardown", ["_discard_pool", "close", "finalizer"],
         ids=["discard", "close", "finalizer"],

@@ -246,6 +246,64 @@ class TestBoundedCache:
                 "evictions",
             } == set(row)
 
+    def test_concurrent_get_and_put_keep_the_cache_consistent(self):
+        """Threads racing get/put/eviction raise nothing and count every call.
+
+        Without one lock around the LRU bookkeeping, a ``get`` that found
+        its key could lose it to another thread's eviction before
+        ``move_to_end`` ran, which raised ``KeyError``.
+        """
+        import sys
+        import threading
+
+        cache = self._make(maxsize=4)
+        errors: list[BaseException] = []
+        rounds = 4000
+
+        def hammer(seed: int) -> None:
+            try:
+                for i in range(rounds):
+                    key = (seed + i) % 8
+                    if cache.get(key) is None:
+                        cache.put(key, key)
+            except BaseException as exc:  # collected for the assertion
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(k,)) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == 4 * rounds
+        assert stats["size"] <= 4
+
+    def test_forked_child_gets_a_free_lock(self):
+        """A fork while a parent thread holds the lock leaves the child a free one.
+
+        Pool workers are forked from a process whose other threads use
+        the caches; without a fresh lock, the child's first cache access
+        would wait forever on a holder that does not exist in it.
+        """
+        import os
+
+        cache = self._make()
+        with cache._lock:
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                os._exit(0 if cache._lock.acquire(timeout=5.0) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
     def test_warm_pins_provider_plan(self):
         from repro.ffts.plancache import (
             _PROVIDER_PLANS,

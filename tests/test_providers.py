@@ -327,30 +327,22 @@ class TestFusedRealPath:
         backend = WaveletFFT(512, pruning=PruningSpec.band_only())
         assert FastLomb(backend=backend).fused_real is False
 
-    def test_forcing_on_band_drop_backend_errors(self):
-        backend = WaveletFFT(512, pruning=PruningSpec.band_only())
-        with pytest.raises(ConfigurationError, match="fused_real"):
-            FastLomb(backend=backend, fused_real=True)
-
-    def test_forcing_without_rfft_backend_errors(self):
-        backend = WaveletFFT(512)
-        with pytest.raises(ConfigurationError, match="rfft"):
-            FastLomb(backend=backend, fused_real=True)
-
     def test_fused_matches_packed_path(self, rng):
+        """The fused rfft path agrees with the unpruned packed wavelet path.
+
+        Their modelled op counts differ by design (the wavelet kernel is
+        costed as the paper's wavelet FFT), so only spectra compare.
+        """
         recording, _ = _ragged_windows(rng)
         fused = FastLomb(scaling="denormalized")
-        packed = FastLomb(scaling="denormalized", fused_real=False)
+        packed = FastLomb(backend=WaveletFFT(512), scaling="denormalized")
         assert fused.fused_real and not packed.fused_real
-        for fast_lomb in (fused, packed):
-            assert fast_lomb.backend is packed.backend  # shared cached plan
         a = fused.periodogram_spans(*recording, count_ops=True)
         b = packed.periodogram_spans(*recording, count_ops=True)
         for got, want in zip(a, b):
             np.testing.assert_allclose(
                 got.power, want.power, rtol=1e-9, atol=1e-12
             )
-            assert got.counts == want.counts
 
     def test_sequential_fused_matches_batched(self, rng):
         recording, windows = _ragged_windows(rng, n_windows=3)

@@ -43,8 +43,17 @@ from repro.fleet import (
     format_address,
     parse_address,
 )
-from repro.fleet.remote import PROTOCOL_VERSION
+from repro.fleet.remote import (
+    PROTOCOL_VERSION,
+    result_from_wire,
+    result_to_wire,
+    task_from_wire,
+    task_to_wire,
+)
 from repro.fleet.transport import MAX_FRAME_BYTES, decode_value, encode_value
+from repro.fleet.worker import SpanTask
+from repro.lomb.fast import FastLomb
+from repro.lomb.welch import analyze_spans_quality
 
 
 def _cohort(n=3, seconds=600.0):
@@ -52,6 +61,16 @@ def _cohort(n=3, seconds=600.0):
         generate_tachogram(TachogramSpec(seed=seed), seconds)
         for seed in range(1, n + 1)
     ]
+
+
+def _one_row_result(count_ops: bool = False) -> dict:
+    """The ``result`` payload of a one-span task over a tiny recording."""
+    times = np.arange(8.0)
+    return result_to_wire(
+        *analyze_spans_quality(
+            FastLomb(), times, np.cos(times), [(0, 8)], count_ops
+        )
+    )
 
 
 def _providers():
@@ -161,7 +180,7 @@ class TestCodec:
             encode_value(object())
 
     def test_task_variant_wire_form(self):
-        """A task's variant crosses in protocol v3's field order."""
+        """A task's variants cross in protocol v4's field order."""
         from repro.ffts.pruning import PruningSpec
 
         sent = []
@@ -171,14 +190,17 @@ class TestCodec:
                 sent.append(payload)
 
             def recv(self):
-                return "result", {"packed": [], "metrics": ()}
+                return "result", _one_row_result()
 
         spec = PruningSpec.paper_mode(2, dynamic=True)
         spec = spec.with_dynamic_threshold(0.25)
         worker = RemoteWorker("127.0.0.1:1")
         worker._stream = Stream()
         worker.run_task(
-            0, 0, 1, [(0, 8)], False, variant=("quality-scalable", spec)
+            SpanTask(
+                0, 0, 1, ((0, 8),), False,
+                variants=(("quality-scalable", spec),),
+            )
         )
         pruning = {
             "band_drop": True,
@@ -186,11 +208,60 @@ class TestCodec:
             "dynamic": True,
             "dynamic_threshold": 0.25,
         }
-        variant = sent[0]["variant"]
+        variant = sent[0]["variants"][0]
         assert variant == {"system": "quality-scalable", "pruning": pruning}
         assert list(variant["pruning"]) == list(pruning)
         assert EngineConfig(pruning=spec).to_dict()["pruning"] == pruning
         assert PruningSpec.from_dict(variant["pruning"]) == spec
+
+    def test_mixed_variant_task_and_result_columns_round_trip(self):
+        """Protocol v4 carries per-span variants and result columns exactly."""
+        from repro.engine.controller import degradation_ladder
+
+        rungs = [
+            (rung.system, rung.pruning)
+            for rung in degradation_ladder(EngineConfig())[1:3]
+        ]
+        task = SpanTask(
+            task_id=7, times_key=0, values_key=1,
+            spans=((0, 8), (3, 12), (5, 20), (9, 30)),
+            count_ops=True,
+            variants=(None, rungs[0], rungs[1], rungs[0]),
+            corrected_key=2,
+        )
+        data = encode_value(task_to_wire(task))
+        assert task_from_wire(decode_value(data)) == task
+        assert encode_value(task_to_wire(task_from_wire(decode_value(data)))) == data
+
+        payload = _one_row_result(count_ops=True)
+        data = encode_value(payload)
+        spectra, metrics = result_from_wire(decode_value(data), rows=1)
+        for name, column in {**spectra.columns(), **metrics.columns()}.items():
+            sent = {**payload["spectra"], **payload["metrics"]}[name]
+            assert column.dtype == sent.dtype, name
+            assert column.tobytes() == sent.tobytes(), name
+        assert encode_value(result_to_wire(spectra, metrics)) == data
+
+    def test_result_with_wrong_row_count_is_connection_error(self):
+        """A result that is not one row per span is refused, not aligned."""
+
+        class Stream:
+            bytes_sent = bytes_received = 0
+
+            def send(self, kind, payload):
+                pass
+
+            def recv(self):
+                return "result", _one_row_result()
+
+            def close(self):
+                pass
+
+        worker = RemoteWorker("127.0.0.1:1")
+        worker._stream = Stream()
+        with pytest.raises(ConnectionError, match="for 2 spans"):
+            worker.run_task(SpanTask(0, 0, 1, ((0, 8), (0, 8)), False))
+        assert not worker.connected
 
 
 class TestAddresses:
@@ -342,7 +413,7 @@ class TestWorkerDaemon:
                 }
             )
             with pytest.raises(RemoteTaskError):
-                worker.run_task(0, 0, 1, [(0, 8)], False)
+                worker.run_task(SpanTask(0, 0, 1, ((0, 8),), False))
             worker.close()
 
     def test_unreachable_worker_is_connection_error(self):
@@ -391,6 +462,55 @@ class TestRemoteBitIdentity:
             report = runner.run_report(cohort, count_ops=True)
         assert report.n_remote_workers == 1
         _assert_identical(reference, report.results)
+
+    @pytest.mark.slow
+    def test_result_rows_read_the_same_on_every_transport(
+        self, shared_daemon
+    ):
+        """Column results slice, index and compare alike on every transport.
+
+        In-process, shm-pool and socket results are the kernel's column
+        batches merged per recording; their rows must read as the
+        in-process ones do.
+        """
+        config = EngineConfig.for_mode("set3", provider="numpy", jobs=1)
+        welch = build_system(config).welch
+        cohort = _cohort(2)
+        reference = FleetRunner.from_config(config, welch=welch).run(
+            cohort, count_ops=True
+        )
+        runners = {
+            "pool": FleetRunner.from_config(
+                config.replace(jobs=2), welch=welch
+            ),
+            "daemon": FleetRunner.from_config(
+                config.replace(workers=(shared_daemon.address,)), welch=welch
+            ),
+        }
+        for name, runner in runners.items():
+            with runner:
+                results = runner.run(cohort, count_ops=True)
+            for ref, got in zip(reference, results):
+                rows = got.window_spectra[2:5]
+                assert len(rows) == 3, name
+                for want, spectrum in zip(ref.window_spectra[2:5], rows):
+                    assert spectrum.power.tobytes() == want.power.tobytes()
+                    assert spectrum.frequencies.tobytes() == (
+                        want.frequencies.tobytes()
+                    )
+                    assert spectrum.counts == want.counts
+                last = got.window_spectra[-1]
+                assert last.power.tobytes() == (
+                    ref.window_spectra[-1].power.tobytes()
+                )
+                assert (last.mean, last.variance, last.n_samples) == (
+                    ref.window_spectra[-1].mean,
+                    ref.window_spectra[-1].variance,
+                    ref.window_spectra[-1].n_samples,
+                )
+                assert got.window_metrics == ref.window_metrics, name
+                assert got.window_metrics[1:4] == ref.window_metrics[1:4]
+                assert list(got.window_metrics) == list(ref.window_metrics)
 
     def test_remote_equals_shm_pool(self, shared_daemon):
         """The three transports agree: in-process == shm pool == socket."""

@@ -116,3 +116,62 @@ def test_one_batch_entry_into_the_dense_kernel():
             ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         )
     assert callers.found == [("lomb/fast.py", "periodogram_spans")]
+
+
+def test_per_window_objects_are_built_only_on_access():
+    """Window results stay columns until a caller reads one row.
+
+    The kernel's :class:`~repro.lomb.fast.LombBatch` and the metrics'
+    :class:`~repro.hrv.metrics.MetricsBatch` flow unchanged from the
+    kernel through every fleet transport to result assembly.  A
+    :class:`LombSpectrum` is built only by the sequential oracle, the
+    batch's row accessor and the Welch average; a
+    :class:`WindowMetrics` only by its batch's row accessors (indexing
+    and iteration) and by ``WindowMetrics.from_dict``, through ``cls``.  Building or mapping
+    either anywhere else reintroduces a per-window round trip.
+    """
+    import ast
+
+    built = ("LombSpectrum", "WindowMetrics")
+
+    def named(node) -> str | None:
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return None
+
+    class Builders(ast.NodeVisitor):
+        def __init__(self):
+            self.path, self.scopes, self.found = None, [], set()
+
+        def visit_ClassDef(self, node):
+            self.scopes.append(node.name)
+            self.generic_visit(node)
+            self.scopes.pop()
+
+        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef
+
+        def visit_Call(self, node):
+            name = named(node.func)
+            if name == "map" and node.args:
+                name = named(node.args[0])
+            if name in built:
+                scope = ".".join(self.scopes) or "<module>"
+                self.found.add((self.path, scope, name))
+            self.generic_visit(node)
+
+    package = REPO_ROOT / "src" / "repro"
+    builders = Builders()
+    for path in sorted(package.rglob("*.py")):
+        builders.path = path.relative_to(package).as_posix()
+        builders.visit(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+    assert builders.found == {
+        ("hrv/metrics.py", "MetricsBatch.__getitem__", "WindowMetrics"),
+        ("hrv/metrics.py", "MetricsBatch.__iter__", "WindowMetrics"),
+        ("lomb/fast.py", "FastLomb.periodogram", "LombSpectrum"),
+        ("lomb/fast.py", "LombBatch.__getitem__", "LombSpectrum"),
+        ("lomb/welch.py", "WelchLombResult.averaged_spectrum", "LombSpectrum"),
+    }

@@ -34,7 +34,7 @@ from repro.ecg.rr_synthesis import TachogramSpec, generate_tachogram
 from repro.engine import Engine, EngineConfig
 from repro.errors import SignalError
 from repro.fleet import RemoteTaskError, RemoteWorker, WorkerDaemon
-from repro.fleet.worker import unpack_metrics
+from repro.fleet.worker import SpanTask
 from repro.hrv.bands import HF_BAND
 from repro.hrv.metrics import (
     ARTIFACT_RUN_LENGTH,
@@ -49,7 +49,8 @@ from repro.hrv.metrics import (
     window_metrics_batch,
 )
 from repro.hrv.preprocessing import filter_artifacts
-from repro.lomb.fast import _row_means
+from repro.fleet import FleetRunner
+from repro.lomb.fast import FastLomb, _row_means
 from repro.lomb.welch import WelchLomb, analyze_spans_quality
 from repro.perf import ExecutionContext, current_execution
 
@@ -357,6 +358,10 @@ def recording_920():
     return rr.times[:920].copy(), rr.intervals[:920].copy()
 
 
+def _task(task_id, times_key, values_key, spans) -> SpanTask:
+    return SpanTask(task_id, times_key, values_key, tuple(spans), False)
+
+
 class _UntouchedKernel:
     """An analyzer that fails the test if the kernel is reached."""
 
@@ -416,7 +421,7 @@ class TestMalformedSpans:
         spectra, metrics = analyze_spans_quality(
             WelchLomb().analyzer, times, values, []
         )
-        assert spectra == [] and metrics == ()
+        assert list(spectra) == [] and tuple(metrics) == ()
 
     @pytest.mark.slow
     def test_worker_daemon_returns_task_error(self, recording_920):
@@ -447,12 +452,117 @@ class TestMalformedSpans:
                     with pytest.raises(
                         RemoteTaskError, match=r"SignalError: span 0 \("
                     ):
-                        worker.run_task(task_id, 0, 1, spans, False)
+                        worker.run_task(_task(task_id, 0, 1, spans))
                 # The connection survives a rejected task.
-                _packed, metrics = worker.run_task(9, 0, 1, good, False)
-                assert unpack_metrics(metrics) == window_metrics_batch(
+                _spectra, metrics = worker.run_task(_task(9, 0, 1, good))
+                assert metrics == window_metrics_batch(
                     values, good
                 )
+            finally:
+                worker.close()
+
+
+# ----------------------------------------------------------------------
+# Hostile samples inside a span
+# ----------------------------------------------------------------------
+
+#: Corruption of one sample -> the sequential oracle's refusal of it.
+HOSTILE = {
+    "nan_value": "values contains non-finite values",
+    "inf_value": "values contains non-finite values",
+    "nan_time": "times contains non-finite values",
+    "repeated_time": "times must be strictly increasing",
+    "decreasing_time": "times must be strictly increasing",
+}
+
+
+def _corrupt(times, values, kind, at):
+    times, values = times.copy(), values.copy()
+    if kind == "nan_value":
+        values[at] = np.nan
+    elif kind == "inf_value":
+        values[at] = np.inf
+    elif kind == "nan_time":
+        times[at] = np.nan
+    elif kind == "repeated_time":
+        times[at] = times[at - 1]
+    else:
+        times[at] = times[at - 1] - 0.5
+    return times, values
+
+
+class TestHostileSamples:
+    """Every transport refuses what the sequential oracle refuses.
+
+    Before the check, a NaN or infinite sample inside a span gave
+    non-finite power (and NaN metrics with no flag), and a repeated or
+    decreasing time was analysed; the oracle raised for each.
+    """
+
+    SPANS = [(0, 150), (75, 240)]
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE))
+    def test_choke_point_names_the_first_offending_span(
+        self, recording_920, kind
+    ):
+        # Sample 200 lies in the second span only.
+        times, values = _corrupt(*recording_920, kind, 200)
+        reason = HOSTILE[kind]
+        with pytest.raises(SignalError, match=reason):
+            FastLomb().periodogram(times[75:240], values[75:240])
+        with pytest.raises(SignalError, match=rf"span 1 \(75, 240\): {reason}"):
+            analyze_spans_quality(
+                WelchLomb().analyzer, times, values, self.SPANS
+            )
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE))
+    def test_samples_between_spans_are_not_read(self, recording_920, kind):
+        times, values = _corrupt(*recording_920, kind, 200)
+        spans = [(0, 150), (201, 360)]
+        dirty, _ = analyze_spans_quality(
+            WelchLomb().analyzer, times, values, spans
+        )
+        clean, _ = analyze_spans_quality(
+            WelchLomb().analyzer, *recording_920, spans
+        )
+        assert dirty.power.tobytes() == clean.power.tobytes()
+
+    @pytest.mark.slow
+    def test_pool_transport_raises_the_oracle_error(self, recording_920):
+        times, values = _corrupt(*recording_920, "nan_value", 700)
+        # Sample 700 lies in the last two of 16 spans, which the split
+        # batch hands the second pool slice.
+        spans = [(40 * k, 40 * k + 150) for k in range(16)]
+        with FleetRunner(n_jobs=2, provider="numpy") as runner:
+            with pytest.raises(
+                SignalError,
+                match=r"span \d+ \(560, 710\): values contains non-finite",
+            ):
+                runner.run_spans(times, values, spans)
+
+    @pytest.mark.slow
+    def test_worker_daemon_returns_task_error(self, recording_920):
+        times, values = _corrupt(*recording_920, "decreasing_time", 200)
+        config = EngineConfig(provider="numpy")
+        resolved = config.resolve()
+        with WorkerDaemon() as daemon:
+            daemon.start()
+            worker = RemoteWorker(daemon.address, timeout=10.0)
+            worker.connect(
+                {
+                    "config": config.to_dict(),
+                    "provider": resolved.provider,
+                    "chunk_windows": resolved.chunk_windows,
+                }
+            )
+            try:
+                worker.ensure_array(0, times)
+                worker.ensure_array(1, values)
+                with pytest.raises(
+                    RemoteTaskError,
+                    match=r"SignalError: span 1 \(75, 240\): times must be",
+                ):
+                    worker.run_task(_task(0, 0, 1, self.SPANS))
             finally:
                 worker.close()
 
@@ -517,12 +627,14 @@ class TestMismatchedSampleArrays:
                         match="SignalError: times and values must be 1-D",
                     ):
                         worker.run_task(
-                            task_id, 2 + 2 * task_id, 3 + 2 * task_id,
-                            [(0, 150)], False,
+                            _task(
+                                task_id, 2 + 2 * task_id, 3 + 2 * task_id,
+                                [(0, 150)],
+                            )
                         )
                 # The connection survives a rejected task.
-                _packed, metrics = worker.run_task(9, 0, 1, good, False)
-                assert unpack_metrics(metrics) == window_metrics_batch(
+                _spectra, metrics = worker.run_task(_task(9, 0, 1, good))
+                assert metrics == window_metrics_batch(
                     values, good
                 )
             finally:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.lomb.fast import FastLomb, LombSpectrum
+from repro.lomb.fast import FastLomb, LombBatch, LombSpectrum
 from repro.lomb.welch import (
     MIN_BEATS_PER_WINDOW,
     WelchLomb,
@@ -125,7 +125,7 @@ class TestAssembleResult:
         grid = 0.01 * np.arange(1, 33)
         powers = [np.full(32, float(k)) for k in range(3)]
         result = assemble_result(
-            [self._spectrum(grid, p) for p in powers],
+            LombBatch.stack(self._spectrum(grid, p) for p in powers),
             window_times=np.array([50.0, 100.0, 150.0]),
             skipped=2,
         )
@@ -142,7 +142,9 @@ class TestAssembleResult:
         full = self._spectrum(grid, np.ones(32))
         ragged = self._spectrum(short_grid, np.arange(16.0), duration=50.0)
         result = assemble_result(
-            [full, ragged], window_times=np.array([50.0, 110.0]), skipped=0
+            LombBatch.stack([full, ragged]),
+            window_times=np.array([50.0, 110.0]),
+            skipped=0,
         )
         np.testing.assert_array_equal(result.spectrogram[0], np.ones(32))
         expected = np.interp(
@@ -154,4 +156,6 @@ class TestAssembleResult:
         from repro.errors import SignalError
 
         with pytest.raises(SignalError):
-            assemble_result([], window_times=np.empty(0), skipped=0)
+            assemble_result(
+                LombBatch.stack([]), window_times=np.empty(0), skipped=0
+            )
