@@ -53,7 +53,6 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from repro.core.config import PSAConfig  # noqa: E402
-from repro.core.system import ConventionalPSA, QualityScalablePSA  # noqa: E402
 from repro.ecg.rr_synthesis import TachogramSpec, generate_tachogram  # noqa: E402
 from repro.engine.config import EngineConfig  # noqa: E402
 from repro.ffts.pruning import PruningSpec  # noqa: E402
@@ -130,7 +129,7 @@ def _stop_daemons(daemons) -> None:
 
 
 def _bench_distributed(
-    engine_config, welch, addresses, recordings, batched, repeats: int
+    engine_config, addresses, recordings, batched, repeats: int
 ) -> dict:
     """Time the cohort over localhost worker daemons for one system.
 
@@ -140,7 +139,7 @@ def _bench_distributed(
     """
     n_windows_total = sum(result.n_windows for result in batched)
     config = engine_config.replace(workers=tuple(addresses))
-    with FleetRunner.from_config(config, welch=welch) as runner:
+    with FleetRunner(config) as runner:
         report = runner.run_report(recordings, count_ops=True)
         max_rel_diff = max(
             float(
@@ -258,12 +257,6 @@ def run_fleet_benchmark(
     """
     config = PSAConfig()
     recordings = _make_cohort(n_patients, duration_hours, seed)
-    systems = {
-        "conventional_split_radix": ConventionalPSA(config),
-        "quality_scalable_wavelet_mode3": QualityScalablePSA(
-            config, pruning=PruningSpec.paper_mode(3)
-        ),
-    }
     engine_configs = {
         "conventional_split_radix": EngineConfig(
             system="conventional", psa=config
@@ -282,19 +275,17 @@ def run_fleet_benchmark(
     daemons = _spawn_daemons(workers) if workers > 0 else []
     try:
         addresses = [address for _proc, address in daemons]
-        for name, system in systems.items():
-            welch = system.welch
-            with FleetRunner(welch=welch, n_jobs=jobs) as runner:
+        for name, engine_config in engine_configs.items():
+            with FleetRunner(engine_config.replace(jobs=jobs)) as runner:
                 results[name] = _bench_system(
-                    welch, runner, recordings, repeats
+                    runner.welch, runner, recordings, repeats
                 )
             n_windows_total = results[name].pop("_n_windows_total")
             start_method = results[name].pop("_start_method")
             batched = results[name].pop("_batched")
             if addresses:
                 distributed[name] = _bench_distributed(
-                    engine_configs[name], welch, addresses, recordings,
-                    batched, repeats,
+                    engine_config, addresses, recordings, batched, repeats
                 )
     finally:
         _stop_daemons(daemons)

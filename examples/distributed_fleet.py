@@ -111,9 +111,7 @@ def main() -> None:
             assert same_gram and same_ops
 
         # --- Act 2: under the facade — who did the work? -------------
-        with FleetRunner.from_config(
-            config.replace(workers=addresses)
-        ) as runner:
+        with FleetRunner(config.replace(workers=addresses)) as runner:
             report = runner.run_report(recordings)
             stats = runner.transport_stats()
         print(

@@ -151,18 +151,14 @@ class _BasePSA:
             counts=welch.counts,
         )
 
-    def to_engine_config(
-        self,
-        jobs: int | None = 1,
-        provider: str | None = None,
-        chunk_windows: int | None = None,
-    ):
+    def to_engine_config(self):
         """This system's declarative :class:`~repro.engine.EngineConfig`.
 
         The bridge from the legacy object-construction style to the
-        facade: the returned config rebuilds (or describes) exactly
-        this system — kind, pruning spec, pipeline geometry and band
-        edges — plus the given execution settings.
+        facade: the returned config rebuilds exactly this system —
+        kind, pruning spec, pipeline geometry and band edges — with the
+        default execution settings (one process, the rest resolved as
+        an engine's are).
         """
         from ..engine.config import EngineConfig
 
@@ -174,9 +170,6 @@ class _BasePSA:
             ),
             pruning=getattr(self, "pruning", PruningSpec.none()),
             psa=self.config,
-            provider=provider,
-            chunk_windows=chunk_windows,
-            jobs=jobs,
             bands=self.bands,
         )
 
@@ -187,11 +180,11 @@ class _BasePSA:
 
         Thin delegating wrapper over the engine facade: the cohort runs
         through :meth:`repro.engine.Engine.analyze_cohort` on a
-        transient single-process engine wrapping this system, so
-        spectra, averages and operation counts are identical to
-        per-recording :meth:`analyze` calls.  Execution settings are
-        :class:`~repro.engine.EngineConfig` fields
-        (``Engine(EngineConfig(jobs=..., provider=...))``).
+        transient single-process engine over :meth:`to_engine_config`,
+        which rebuilds this system, so spectra, averages and operation
+        counts are identical to per-recording :meth:`analyze` calls.
+        Execution settings are :class:`~repro.engine.EngineConfig`
+        fields (``Engine(EngineConfig(jobs=..., provider=...))``).
         """
         rr_list = list(recordings)
         for rr in rr_list:
@@ -199,7 +192,7 @@ class _BasePSA:
                 raise SignalError("analyze_cohort expects RRSeries recordings")
         from ..engine.engine import Engine
 
-        with Engine(self.to_engine_config(), system=self) as engine:
+        with Engine(self.to_engine_config()) as engine:
             return engine.analyze_cohort(rr_list, count_ops=count_ops)
 
     def window_counts(self, n_beats: int | None = None) -> OpCounts:

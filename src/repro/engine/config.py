@@ -14,20 +14,22 @@ knob (environment pins are folded in *here*, via
 environment):
 
 ====================  =================================================
-provider              explicit argument → config field →
-                      ``REPRO_FFT_PROVIDER`` env pin → autoselect
-                      probe
-chunk_windows         explicit argument → config field →
-                      ``REPRO_BATCH_CHUNK_WINDOWS`` env pin →
-                      per-host auto-tuner
-jobs                  explicit argument → config field → one per CPU
-worker_timeout        explicit argument → config field →
-                      ``REPRO_WORKER_TIMEOUT`` env pin → 15 s default
+provider              config field → ``REPRO_FFT_PROVIDER`` env pin →
+                      autoselect probe
+chunk_windows         config field → ``REPRO_BATCH_CHUNK_WINDOWS`` env
+                      pin → per-host auto-tuner
+jobs                  config field → one per CPU
+workers               config field → none (local only)
+worker_timeout        config field → ``REPRO_WORKER_TIMEOUT`` env pin →
+                      15 s default
 ====================  =================================================
 
 The current :class:`~repro.perf.ExecutionContext` is not a layer: an
 engine's settings come from its config, the environment and the
-probes, wherever it is built.
+probes, wherever it is built.  To fix a setting, set its field;
+:meth:`EngineConfig.pinned` fixes all of them to one resolution, which
+is how an engine hands its settings to its fleet runner and the runner
+to its pool workers and worker daemons.
 """
 
 from __future__ import annotations
@@ -62,25 +64,25 @@ class ResolvedExecution:
     provider:
         Resolved FFT execution provider name (always concrete).
     provider_source:
-        Which precedence layer decided: ``"explicit"``, ``"config"``,
-        ``"env"`` or ``"autoselect"``.
+        Which precedence layer decided: ``"config"``, ``"env"`` or
+        ``"autoselect"``.
     chunk_windows:
         Resolved windows-per-sub-batch of the batched execution path.
     chunk_source:
-        ``"explicit"``, ``"config"``, ``"env"`` or ``"autotuned"``.
+        ``"config"``, ``"env"`` or ``"autotuned"``.
     jobs:
         Concrete worker-process count for cohort runs (>= 1).
     jobs_source:
-        ``"explicit"``, ``"config"`` or ``"cpu-count"``.
+        ``"config"`` or ``"cpu-count"``.
     workers:
         Remote worker daemon addresses (``host:port``) cohort runs
         schedule onto alongside the local slots; empty for local-only.
     workers_source:
-        ``"explicit"``, ``"config"`` or ``"default"``.
+        ``"config"`` or ``"default"``.
     worker_timeout:
         Remote worker connect/heartbeat timeout in seconds (> 0).
     worker_timeout_source:
-        ``"explicit"``, ``"config"``, ``"env"`` or ``"default"``.
+        ``"config"``, ``"env"`` or ``"default"``.
     """
 
     provider: str
@@ -396,24 +398,16 @@ class EngineConfig:
     # Resolution
     # ------------------------------------------------------------------
 
-    def resolve(
-        self,
-        provider: str | None = None,
-        chunk_windows: int | None = None,
-        jobs: int | None = None,
-        workers=None,
-        worker_timeout: float | None = None,
-    ) -> ResolvedExecution:
+    def resolve(self) -> ResolvedExecution:
         """Resolve every execution knob through its precedence chain.
 
-        The arguments are per-call explicit pins (the top of each
-        chain); everything below them is the config field, then the
-        environment pins (read through :mod:`repro.envpins` — the env
-        vars are folded in *here*, at resolve time, never stored in the
-        config), then the automatic probes.  An env-pinned provider
-        that is unavailable on this host falls back to ``"numpy"`` (the
-        documented optional-dependency fallback); every other layer
-        validates strictly.
+        The config field first, then the environment pins (read through
+        :mod:`repro.envpins` — the env vars are folded in *here*, at
+        resolve time, never stored in the config), then the automatic
+        probes.  An env-pinned provider that is unavailable on this
+        host falls back to ``"numpy"`` (the documented
+        optional-dependency fallback); a config field must name an
+        available provider.
         """
         from ..envpins import (
             chunk_env_pin,
@@ -423,13 +417,7 @@ class EngineConfig:
         from ..ffts.providers import registry
 
         workspace = self.psa.fft_size
-        if provider is not None:
-            provider = registry.require_known(provider)
-            provider_name, provider_source = (
-                registry.resolve_provider_name(provider, workspace),
-                "explicit",
-            )
-        elif self.provider is not None:
+        if self.provider is not None:
             provider_name, provider_source = (
                 registry.resolve_provider_name(self.provider, workspace),
                 "config",
@@ -450,14 +438,7 @@ class EngineConfig:
 
         from ..lomb.fast import host_chunk_windows
 
-        if chunk_windows is not None:
-            chunk_windows = int(chunk_windows)
-            if chunk_windows < 1:
-                raise ConfigurationError(
-                    f"chunk_windows must be >= 1, got {chunk_windows}"
-                )
-            chunk, chunk_source = chunk_windows, "explicit"
-        elif self.chunk_windows is not None:
+        if self.chunk_windows is not None:
             chunk, chunk_source = self.chunk_windows, "config"
         elif chunk_env_pin() is not None:
             chunk, chunk_source = chunk_env_pin(), "env"
@@ -470,35 +451,14 @@ class EngineConfig:
                 "autotuned",
             )
 
-        if jobs is not None:
-            if int(jobs) < 1:
-                raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-            n_jobs, jobs_source = int(jobs), "explicit"
-        elif self.jobs is not None:
+        if self.jobs is not None:
             n_jobs, jobs_source = self.jobs, "config"
         else:
             n_jobs, jobs_source = os.cpu_count() or 1, "cpu-count"
 
-        if workers is not None:
-            from ..fleet.transport import parse_address
+        workers_source = "config" if self.workers else "default"
 
-            worker_list = tuple(workers)
-            for address in worker_list:
-                parse_address(address)
-            workers_source = "explicit"
-        elif self.workers:
-            worker_list, workers_source = self.workers, "config"
-        else:
-            worker_list, workers_source = (), "default"
-
-        if worker_timeout is not None:
-            timeout = float(worker_timeout)
-            if not timeout > 0:
-                raise ConfigurationError(
-                    f"worker_timeout must be > 0, got {worker_timeout}"
-                )
-            timeout_source = "explicit"
-        elif self.worker_timeout is not None:
+        if self.worker_timeout is not None:
             timeout, timeout_source = self.worker_timeout, "config"
         elif worker_timeout_env_pin() is not None:
             timeout, timeout_source = worker_timeout_env_pin(), "env"
@@ -514,8 +474,31 @@ class EngineConfig:
             chunk_source=chunk_source,
             jobs=n_jobs,
             jobs_source=jobs_source,
-            workers=worker_list,
+            workers=self.workers,
             workers_source=workers_source,
             worker_timeout=float(timeout),
             worker_timeout_source=timeout_source,
+        )
+
+    def pinned(
+        self, resolved: ResolvedExecution | None = None
+    ) -> "EngineConfig":
+        """Copy with every execution field fixed to one resolution.
+
+        ``resolved`` (default: :meth:`resolve`'s) supplies the provider,
+        chunk size, jobs, workers and worker timeout, so the copy
+        resolves to the same settings on any host, whatever its
+        environment: it is what a fleet runner, its pool workers and
+        its worker daemons run, so every process of one fleet rounds
+        one way.
+        """
+        if resolved is None:
+            resolved = self.resolve()
+        return replace(
+            self,
+            provider=resolved.provider,
+            chunk_windows=resolved.chunk_windows,
+            jobs=resolved.jobs,
+            workers=resolved.workers,
+            worker_timeout=resolved.worker_timeout,
         )

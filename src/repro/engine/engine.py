@@ -16,7 +16,10 @@ see each other's settings):
 * :meth:`Engine.analyze` — one completed recording,
 * :meth:`Engine.analyze_cohort` — many recordings over a **persistent**
   fleet pool (created lazily, reused across calls, released by
-  :meth:`Engine.close` / the context-manager exit),
+  :meth:`Engine.close` / the context-manager exit); the
+  :class:`~repro.fleet.FleetRunner` runs this engine's config pinned to
+  what it resolved (:meth:`EngineConfig.pinned`), and so do its pool
+  processes and worker daemons,
 * :meth:`Engine.open_stream` — a :class:`~repro.engine.streaming.StreamingSession`
   that accepts RR samples as they arrive and emits per-window spectra
   the moment each Welch window completes,
@@ -64,8 +67,11 @@ def build_system(config: EngineConfig):
     return system
 
 
-#: The process's quality-variant PSA systems, keyed by ``(config,
-#: variant)``.  Bounded: a worker daemon builds them from the configs its
+#: The process's quality-variant PSA systems, keyed by what builds one:
+#: ``(config.psa, config.bands, variant)``.  An engine and its fleet
+#: runner (whose config is the engine's, pinned) therefore share every
+#: entry, as do daemon clients whose configs differ only in how they
+#: run.  Bounded: a worker daemon builds them from the configs its
 #: clients send.
 _VARIANT_SYSTEMS = _BoundedCache(maxsize=32)
 
@@ -80,7 +86,7 @@ def variant_system(config: EngineConfig, variant):
     variants here, so a process builds each one once (kernels come from
     the shared plan caches) and every path runs the same objects.
     """
-    key = (config, variant)
+    key = (config.psa, config.bands, variant)
     system = _VARIANT_SYSTEMS.get(key)
     if system is None:
         system_kind, pruning = variant
@@ -101,13 +107,11 @@ def span_owners(welch, config, variants):
     """
     if variants is None:
         return None
-    base = None if config is None else (config.system, config.pruning)
+    base = (config.system, config.pruning)
     analyzers = {}
     for variant in set(variants):
         if variant is None or variant == base:
             analyzers[variant] = welch.analyzer
-        elif config is None:
-            raise ConfigurationError("variant spans need the engine's EngineConfig")
         else:
             analyzers[variant] = variant_system(config, variant).welch.analyzer
     if all(analyzer is welch.analyzer for analyzer in analyzers.values()):
@@ -123,15 +127,6 @@ class Engine:
     config:
         The declarative analysis description; defaults to the paper's
         conventional system with auto-resolved execution settings.
-    system:
-        Pre-built PSA system to wrap instead of building one from the
-        config (the legacy entry points delegate through this so their
-        existing kernel instances — and any caller-installed state —
-        stay in use).  The config still decides execution settings.
-    warm:
-        Warm the resolved provider's execution caches at construction
-        (default); disable only when constructing many engines whose
-        providers are already warm.
 
     The engine is cheap after the first construction for a given
     geometry — kernels come from the shared plan cache — and safe to
@@ -139,13 +134,7 @@ class Engine:
     fleet pool.
     """
 
-    def __init__(
-        self,
-        config: EngineConfig | None = None,
-        *,
-        system=None,
-        warm: bool = True,
-    ):
+    def __init__(self, config: EngineConfig | None = None):
         if config is None:
             config = EngineConfig()
         elif not isinstance(config, EngineConfig):
@@ -153,13 +142,12 @@ class Engine:
                 f"config must be an EngineConfig, got {type(config).__name__}"
             )
         self.config = config
-        self._system = system if system is not None else build_system(config)
+        self._system = build_system(config)
         self.resolved = config.resolve()
-        if warm:
-            analyzer = self._system.welch.analyzer
-            warm_execution_caches(
-                analyzer.workspace_size, analyzer.order, self.resolved.provider
-            )
+        analyzer = self._system.welch.analyzer
+        warm_execution_caches(
+            analyzer.workspace_size, analyzer.order, self.resolved.provider
+        )
         self._fleet = None
         # The engine owns its workspace arena (shared by every workload
         # it serves, like the plan caches) and its per-stage profiler.
@@ -343,20 +331,16 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _ensure_fleet(self):
-        """The persistent fleet runner, created on first cohort call."""
+        """The persistent fleet runner, created on first cohort call.
+
+        It runs this engine's config pinned to what the engine
+        resolved, so however late it is built it runs the engine's
+        provider, chunk size, jobs and workers.
+        """
         if self._fleet is None:
             from ..fleet.runner import FleetRunner
 
-            self._fleet = FleetRunner(
-                welch=self._system.welch,
-                n_jobs=self.resolved.jobs,
-                chunk_windows=self.resolved.chunk_windows,
-                provider=self.resolved.provider,
-                arena=self.config.arena,
-                workers=self.resolved.workers,
-                worker_timeout=self.resolved.worker_timeout,
-                config=self.config,
-            )
+            self._fleet = FleetRunner(self.config.pinned(self.resolved))
         return self._fleet
 
     def close(self) -> None:

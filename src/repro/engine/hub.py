@@ -137,6 +137,15 @@ class StreamHub:
                 f"unknown subject {subject_id!r}; open it or feed it first"
             ) from None
 
+    def async_session(self, subject_id):
+        """The subject's live async endpoint (:meth:`open_async`), or ``None``.
+
+        An endpoint deregisters itself when it ends (finalized,
+        ``aclose``'d or the hub closed), so an ended one — whose
+        bounded queue has no reader left — is never returned.
+        """
+        return self._async_sessions.get(subject_id)
+
     # ------------------------------------------------------------------
     # Quality control
     # ------------------------------------------------------------------

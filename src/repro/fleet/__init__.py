@@ -11,8 +11,10 @@ auto-tuned instead of hard-coded.
 Entry points:
 
 * :class:`~repro.fleet.runner.FleetRunner` — the cohort runner
-  (``run`` / ``run_report``), scheduling over local pool slots and any
-  configured remote workers;
+  (``run`` / ``run_report``), built from one
+  :class:`~repro.engine.EngineConfig` that it pins once and hands as it
+  is to every pool process and worker daemon, scheduling over local
+  pool slots and any configured remote workers;
 * :class:`~repro.fleet.remote.WorkerDaemon` /
   :func:`~repro.fleet.remote.run_worker_daemon` — the cross-machine
   worker (``python -m repro worker --listen HOST:PORT``);

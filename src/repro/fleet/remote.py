@@ -6,13 +6,13 @@ boundary; this module carries the fleet's one task shape,
 
 * :class:`WorkerDaemon` — ``python -m repro worker --listen HOST:PORT``.
   One daemon is one remote execution slot.  A connecting scheduler
-  sends a ``hello`` carrying a serialized
-  :class:`~repro.engine.config.EngineConfig` blob plus the *parent's
-  already-resolved* provider and chunk size; the daemon reconstructs
-  the identical execution state (same system geometry, same pinned
-  provider — never re-resolved, because two hosts may auto-probe
-  differently — plan caches warmed) as one
-  :class:`~repro.perf.ExecutionContext` per connection, and then serves
+  sends a ``hello`` carrying its serialized
+  :class:`~repro.engine.config.EngineConfig`, pinned to what the
+  scheduler resolved; the daemon builds the identical execution state
+  from it with :func:`~repro.fleet.worker.worker_state`, the builder
+  every pool process runs (same system geometry, same provider and
+  chunk size — never re-resolved, because two hosts may auto-probe
+  differently — plan caches warmed), once per connection, and then serves
   ``task`` messages: it decodes each into a ``SpanTask`` over its
   uploaded arrays, runs :func:`~repro.fleet.worker.execute_task`, the
   executor every pool and in-process slot runs, and sends back the
@@ -45,17 +45,14 @@ import zlib
 import numpy as np
 
 from ..engine.config import EngineConfig
-from ..engine.engine import build_system
 from ..errors import ConfigurationError, ReproError, TransportError
-from ..ffts.plancache import warm_execution_caches
-from ..ffts.providers.registry import available_providers
 from ..ffts.pruning import PruningSpec
 from ..hrv.metrics import MetricsBatch
 from ..lomb.fast import LombBatch
-from ..perf.context import ExecutionContext, execution
+from ..perf.context import execution
 from ..perf.workspace import WorkspaceArena
 from .transport import FrameStream, format_address, parse_address
-from .worker import SpanTask, execute_task, warm_arena
+from .worker import SpanTask, execute_task, worker_state
 
 __all__ = [
     "RemoteTaskError",
@@ -81,7 +78,11 @@ __all__ = [
 #: the packed per-group result with the kernel's columns (``spectra``
 #: and ``metrics``, one row per span); a v3 peer would run a mixed task
 #: at one level and could not read the result.
-PROTOCOL_VERSION = 4
+#: v5 reduced the ``hello`` to ``{"version", "config"}``: the config is
+#: pinned (:meth:`~repro.engine.EngineConfig.pinned`), so the separate
+#: ``provider``, ``chunk_windows`` and ``arena`` keys that repeated its
+#: fields are gone; a v4 peer would send (or expect) them.
+PROTOCOL_VERSION = 5
 
 #: Seconds between ``heartbeat`` frames while a task computes.
 HEARTBEAT_INTERVAL = 1.0
@@ -229,8 +230,8 @@ class WorkerDaemon:
         # remote analogue of one pool process (schedulers wanting more
         # slots per host run more daemons).
         self._exec_lock = threading.Lock()
-        # Kernel temporaries of every connection whose hello asks for an
-        # arena lease from this one (thread-safe) pool.
+        # Kernel temporaries of every connection whose config asks for
+        # an arena lease from this one (thread-safe) pool.
         self._arena = WorkspaceArena()
 
     @property
@@ -336,7 +337,12 @@ class WorkerDaemon:
             stream.close()
 
     def _handshake(self, stream, payload, state) -> bool:
-        """Install the client's execution state; False ends the session."""
+        """Install the client's execution state; False ends the session.
+
+        The ``hello`` is ``{"version", "config"}``; the config must be
+        pinned (:func:`~repro.fleet.worker.worker_state` refuses it
+        otherwise) and is never re-resolved here.
+        """
         try:
             version = payload.get("version")
             if version != PROTOCOL_VERSION:
@@ -344,23 +350,13 @@ class WorkerDaemon:
                     f"protocol version mismatch: daemon speaks "
                     f"{PROTOCOL_VERSION}, client sent {version!r}"
                 )
-            config = EngineConfig.from_dict(payload["config"])
-            provider = payload["provider"]
-            chunk = int(payload["chunk_windows"])
-            if not available_providers().get(provider, False):
-                raise ConfigurationError(
-                    f"FFT provider {provider!r} pinned by the scheduler is "
-                    f"not available on this worker host"
+            if set(payload) != {"version", "config"}:
+                raise TransportError(
+                    f"hello carries version and config only, got "
+                    f"{sorted(payload)}"
                 )
-            arena = self._arena if payload.get("arena", True) else None
-            context = ExecutionContext(provider, chunk, arena=arena)
-            welch = build_system(config).welch
-            analyzer = welch.analyzer
-            warm_execution_caches(
-                analyzer.workspace_size, analyzer.order, provider
-            )
-            if arena is not None:
-                warm_arena(arena, chunk, analyzer.workspace_size)
+            config = EngineConfig.from_dict(payload["config"])
+            welch, context = worker_state(config, self._arena)
             state.update(
                 welch=welch, context=context, arrays={}, config=config
             )
@@ -517,12 +513,12 @@ class RemoteWorker:
         live = self._stream.bytes_received if self._stream is not None else 0
         return self._closed_received + live
 
-    def connect(self, hello: dict) -> dict:
+    def connect(self, config: EngineConfig) -> dict:
         """Connect and handshake; returns the daemon's ``ready`` payload.
 
-        ``hello`` carries the serialized engine config and the
-        scheduler's resolved provider/chunk (see
-        :meth:`WorkerDaemon._handshake`).  Raises
+        ``config`` is the scheduler's pinned
+        :class:`~repro.engine.EngineConfig`, the ``hello``'s only
+        content (see :meth:`WorkerDaemon._handshake`).  Raises
         :class:`ConnectionError` if the daemon is unreachable and
         :class:`~repro.errors.ConfigurationError` if it refuses the
         configuration (these are not retried: the worker is healthy,
@@ -542,7 +538,10 @@ class RemoteWorker:
         stream = FrameStream(sock)
         stream.settimeout(self.timeout)
         try:
-            stream.send("hello", dict(hello, version=PROTOCOL_VERSION))
+            stream.send(
+                "hello",
+                {"version": PROTOCOL_VERSION, "config": config.to_dict()},
+            )
             kind, payload = self._recv_content(stream)
         except (ConnectionError, TransportError, socket.timeout) as exc:
             stream.close()
@@ -571,7 +570,7 @@ class RemoteWorker:
 
     def reconnect(
         self,
-        hello: dict,
+        config: EngineConfig,
         attempts: int = RECONNECT_ATTEMPTS,
         base_delay: float = RECONNECT_BASE_DELAY,
         max_delay: float = RECONNECT_MAX_DELAY,
@@ -599,7 +598,7 @@ class RemoteWorker:
             seed = zlib.crc32(f"{self.address}#{attempt}".encode())
             time.sleep(delay * (1.0 + 0.5 * (seed % 1000) / 1000.0))
             try:
-                return self.connect(hello)
+                return self.connect(config)
             except ConnectionError as exc:
                 last = exc
         raise ConnectionError(

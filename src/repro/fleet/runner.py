@@ -3,7 +3,10 @@
 :class:`FleetRunner` runs many recordings — or the window shards of one
 huge recording, or one span batch split into slices — across local pool
 processes, the calling process and remote worker daemons, all by one
-path:
+path.  It is built from one :class:`~repro.engine.EngineConfig`, pinned
+once to what it resolves (:meth:`~repro.engine.EngineConfig.pinned`);
+that pinned copy is the whole description of a run, handed as it is to
+every pool process and worker daemon:
 
 1. the parent validates every recording and lays out its windows
    (:meth:`WelchLomb.plan_windows`), then shards the kept windows into
@@ -13,7 +16,7 @@ path:
 3. slots claim the tasks from a work-stealing board
    (:class:`_TaskBoard`): two threads per pool process, so one task
    waits in the pool's queue behind each running one; the calling
-   thread when ``n_jobs == 1``; one thread per remote worker.  Pool
+   thread when ``jobs == 1``; one thread per remote worker.  Pool
    slots pass the arrays through POSIX shared memory
    (:mod:`repro.fleet.shm`), workers slicing windows out of the mapped
    blocks zero-copy; remote slots upload each array once per
@@ -41,40 +44,36 @@ instead.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_module
 import threading
 import weakref
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.pool import TERMINATE as POOL_TERMINATE
-from typing import Sequence
 
 import numpy as np
 
+from ..engine.config import EngineConfig
 from ..engine.engine import build_system, span_owners
 from ..errors import ConfigurationError, SignalError
 from ..hrv.metrics import MetricsBatch
 from ..hrv.rr import RRSeries
-from ..lomb.fast import LombBatch, get_batch_chunk_windows
+from ..lomb.fast import LombBatch
 from ..lomb.welch import (
     RecordingWindows,
-    WelchLomb,
     WelchLombResult,
     analyze_spans_quality,
     assemble_result,
 )
 from ..ffts.plancache import warm_execution_caches
-from ..ffts.providers.registry import resolve_provider_name
 from ..perf.context import execution
-from .remote import DEFAULT_TIMEOUT, RemoteTaskError, RemoteWorker
+from .remote import RemoteWorker
 from .sharding import (
     DEFAULT_MIN_WINDOWS_PER_SHARD,
     DEFAULT_OVERSUBSCRIPTION,
     plan_shards,
 )
 from .shm import SharedRecordingStore
-from .transport import parse_address
 from .worker import SpanTask, execute_task, init_worker, run_pool_task
 
 __all__ = ["FleetReport", "FleetRunner"]
@@ -96,6 +95,14 @@ _POOL_TEARDOWN_SECONDS = 5.0
 #: queue behind each running one, so a worker starts its next task the
 #: moment it finishes one instead of idling for a result round trip.
 _SLOTS_PER_POOL_PROCESS = 2
+
+#: Start method of the worker pool: ``fork`` where available, so the
+#: workers inherit the warmed plan caches copy-on-write.
+START_METHOD = (
+    "fork"
+    if "fork" in multiprocessing.get_all_start_methods()
+    else multiprocessing.get_all_start_methods()[0]
+)
 
 
 def _terminate_abandoned_pool(pool) -> None:
@@ -274,129 +281,43 @@ class FleetRunner:
 
     Parameters
     ----------
-    welch:
-        The windowed engine to replicate into every worker; defaults to
-        a paper-standard :class:`WelchLomb` (2-minute windows, 50 %
-        overlap, denormalized scaling).
-    n_jobs:
-        Worker processes; ``None`` means one per available CPU.
-    start_method:
-        ``multiprocessing`` start method; ``None`` prefers ``fork``
-        (copy-on-write plan-cache inheritance) where available.
-    min_windows_per_shard, oversubscription:
-        Shard-granularity knobs, see :func:`repro.fleet.sharding.plan_shards`.
-    chunk_windows:
-        Batch sub-batch size to pin across the fleet; ``None`` resolves
-        the current execution context's, else the host-tuned value
-        (:func:`repro.lomb.fast.get_batch_chunk_windows`).
-    provider:
-        FFT execution provider to pin across the fleet; ``None``
-        resolves the registry chain — the current execution context,
-        the env pin, the probe
-        (:func:`repro.ffts.providers.registry.resolve_provider_name`) —
-        **once in the parent**.  The resolved name is in every
-        worker's context so all shards round identically, which is
-        what keeps sharded results bit-identical to single-process ones
-        under every provider.
-    arena:
-        Give every worker's context a :class:`~repro.perf.WorkspaceArena`
-        of its own (pre-warmed with the fleet's hot kernel shapes) so
-        steady-state shards reuse buffers instead of reallocating them;
-        never affects results.
-    workers:
-        ``host:port`` addresses of remote :class:`~repro.fleet.remote.WorkerDaemon`
-        processes to schedule shards onto alongside the local slots.
-        Requires ``config`` (the daemon rebuilds the engine from it).
-    worker_timeout:
-        Seconds of remote silence (no heartbeat) before a worker is
-        presumed dead and its shard reassigned.
     config:
-        The :class:`~repro.engine.EngineConfig` describing ``welch``,
-        serialized to remote daemons at handshake and the base of every
-        quality variant.  Only needed when ``workers`` is non-empty or
-        span batches carry variants.
+        The :class:`~repro.engine.EngineConfig` to run.  It is resolved
+        once, here, like an engine's (config field, then environment,
+        then probe — never the current execution context), and the
+        pinned copy (:meth:`EngineConfig.pinned`) is :attr:`config`:
+        the system it describes is :attr:`welch`, its ``jobs`` are the
+        pool processes (1 runs in this process), its ``workers`` the
+        remote :class:`~repro.fleet.remote.WorkerDaemon` addresses
+        scheduled alongside them, and its provider and chunk size pin
+        every process, so all shards round identically — which keeps
+        sharded results bit-identical to single-process ones under
+        every provider.  Pool processes and daemons build their state
+        from the same pinned copy; each gets a
+        :class:`~repro.perf.WorkspaceArena` of its own when
+        ``config.arena`` is set.  An :class:`~repro.engine.Engine`
+        builds its runner from its own config pinned to what it
+        resolved.
     """
 
-    def __init__(
-        self,
-        welch: WelchLomb | None = None,
-        n_jobs: int | None = None,
-        start_method: str | None = None,
-        min_windows_per_shard: int = DEFAULT_MIN_WINDOWS_PER_SHARD,
-        oversubscription: int = DEFAULT_OVERSUBSCRIPTION,
-        chunk_windows: int | None = None,
-        provider: str | None = None,
-        arena: bool = True,
-        workers: Sequence[str] = (),
-        worker_timeout: float = DEFAULT_TIMEOUT,
-        config=None,
-    ):
-        self.welch = welch if welch is not None else WelchLomb()
-        if n_jobs is None:
-            n_jobs = os.cpu_count() or 1
-        if n_jobs < 1:
-            raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
-        self.n_jobs = int(n_jobs)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
-        self.min_windows_per_shard = int(min_windows_per_shard)
-        self.oversubscription = int(oversubscription)
-        self._chunk_windows = chunk_windows
-        self._provider = provider
-        self._arena = bool(arena)
-        self.workers = tuple(workers or ())
-        for address in self.workers:
-            parse_address(address)  # reject malformed addresses up front
-        self.worker_timeout = float(worker_timeout)
-        self._config = config
-        if self.workers and config is None:
+    def __init__(self, config: EngineConfig):
+        if not isinstance(config, EngineConfig):
             raise ConfigurationError(
-                "remote workers need the EngineConfig that describes the "
-                "engine: pass config=, or build the runner via from_config()"
+                f"config must be an EngineConfig, got {type(config).__name__}"
             )
+        self.config = config.pinned()
+        self.welch = build_system(self.config).welch
         self._pool = None
-        self._pool_key: tuple[int, str] | None = None
         self._pool_finalizer: weakref.finalize | None = None
         self._pool_processes: list = []
         self._progress = None
         self._progress_lock = threading.Lock()
         self._last_task_by_pid: dict[int, int] = {}
-        # _remotes is the *live* set one run schedules onto; the
-        # registry keeps every RemoteWorker ever dialled so cumulative
-        # transport counters (bytes, reconnects) survive close() and
-        # between-run disconnects.
-        self._remotes: dict[str, RemoteWorker] = {}
+        # Every RemoteWorker ever dialled, so cumulative transport
+        # counters (bytes, reconnects) survive close() and between-run
+        # disconnects.
         self._remote_registry: dict[str, RemoteWorker] = {}
         self._remote_ever: set[str] = set()
-        self._remote_key: tuple[int, str] | None = None
-
-    @classmethod
-    def from_config(cls, config, welch: WelchLomb | None = None, **kwargs):
-        """Runner matching one :class:`~repro.engine.EngineConfig`.
-
-        Execution settings (jobs, chunk size, provider) are resolved
-        through the config's documented precedence chain; ``welch``
-        defaults to the engine the config's system kind and geometry
-        describe.  The engine facade
-        (:meth:`repro.engine.Engine.analyze_cohort`) is the usual owner
-        of a runner built this way — it keeps the pool persistent
-        across cohort calls.
-        """
-        if welch is None:
-            welch = build_system(config).welch
-        resolved = config.resolve()
-        kwargs.setdefault("workers", getattr(resolved, "workers", ()))
-        kwargs.setdefault("config", config)
-        return cls(
-            welch=welch,
-            n_jobs=resolved.jobs,
-            chunk_windows=resolved.chunk_windows,
-            provider=resolved.provider,
-            arena=getattr(config, "arena", True),
-            **kwargs,
-        )
 
     # ------------------------------------------------------------------
 
@@ -434,13 +355,13 @@ class FleetRunner:
                 raise SignalError(
                     "no analysable windows: recording too short or too sparse"
                 )
+        # Module globals, read per run (a test can monkeypatch them).
         shards = plan_shards(
             [plan.n_windows for plan in plans],
-            self.n_jobs + len(self.workers),
-            min_windows_per_shard=self.min_windows_per_shard,
-            oversubscription=self.oversubscription,
+            self.config.jobs + len(self.config.workers),
+            min_windows_per_shard=DEFAULT_MIN_WINDOWS_PER_SHARD,
+            oversubscription=DEFAULT_OVERSUBSCRIPTION,
         )
-        chunk, provider = self._resolve_execution()
         # Shard geometry above counted the remote slots; spectra merge
         # in task order, so which slot ran which shard can never change
         # the result.
@@ -467,15 +388,15 @@ class FleetRunner:
             )
             for shard_id, shard in enumerate(shards)
         ]
-        batches, n_remote = self._run_scheduled(arrays, tasks, chunk, provider)
+        batches, n_remote = self._run_scheduled(arrays, tasks)
         results = self._merge(plans, shards, batches, count_ops)
         return FleetReport(
             results=tuple(results),
-            n_jobs=self.n_jobs,
+            n_jobs=self.config.jobs,
             n_shards=len(shards),
-            chunk_windows=chunk,
-            start_method=self.start_method if self.n_jobs > 1 else None,
-            provider=provider,
+            chunk_windows=self.config.chunk_windows,
+            start_method=START_METHOD if self.config.jobs > 1 else None,
+            provider=self.config.provider,
             n_remote_workers=n_remote,
         )
 
@@ -491,7 +412,6 @@ class FleetRunner:
         self._close_remotes()
         self._detach_finalizer()
         pool, self._pool = self._pool, None
-        self._pool_key = None
         self._pool_processes = []
         self._progress = None
         if pool is not None:
@@ -503,8 +423,6 @@ class FleetRunner:
         Connections close; the worker handles stay in the registry so
         their cumulative counters keep accumulating across reconnects.
         """
-        self._remotes = {}
-        self._remote_key = None
         for worker in self._remote_registry.values():
             worker.close()
 
@@ -537,16 +455,13 @@ class FleetRunner:
         """Tear the live pool down hard and forget every handle to it.
 
         The failure path: queued sibling tasks must not keep running
-        against unlinked shared memory, and both ``_pool`` *and*
-        ``_pool_key`` must be cleared together — a stale key paired
-        with a fresh pool would claim the wrong execution settings.
-        The teardown returns even when a dead worker left one of the
-        pool's queue locks held (:func:`_teardown_pool`), so the run
+        against unlinked shared memory, so the next run starts a fresh
+        pool.  The teardown returns even when a dead worker left one of
+        the pool's queue locks held (:func:`_teardown_pool`), so the run
         still raises its original error instead of hanging.
         """
         self._detach_finalizer()
         pool, self._pool = self._pool, None
-        self._pool_key = None
         self._pool_processes = []
         self._progress = None
         if pool is not None:
@@ -560,53 +475,32 @@ class FleetRunner:
 
     # ------------------------------------------------------------------
 
-    def _resolve_execution(self) -> tuple[int, str]:
-        """Resolve the (chunk, provider) pair one run executes under.
-
-        Shared by every entry point (:meth:`run_report`,
-        :meth:`run_spans`): the provider is resolved once, in the
-        parent, so every process — including this one on the
-        in-process paths — runs the same engine (results are
-        provider-dependent at the ulp level; one fleet must round one
-        way).
-        """
-        workspace = self.welch.analyzer.workspace_size
-        chunk = (
-            self._chunk_windows
-            if self._chunk_windows is not None
-            else get_batch_chunk_windows(workspace)
-        )
-        return chunk, resolve_provider_name(self._provider, workspace)
-
-    def _ensure_pool(self, chunk: int, provider: str):
+    def _ensure_pool(self):
         """Create (or reuse) the persistent worker pool.
 
         The pool outlives individual :meth:`run` calls so repeated
         cohort runs — the serving pattern — pay the fork/initialise
         cost once.  Pre-fork warm-up happens right before creation:
         with the fork start method the workers inherit every plan-cache
-        table — including the resolved provider's per-size execution
+        table — including the pinned provider's per-size execution
         state — copy-on-write, so nothing is re-derived N-workers
-        times.  (Plan objects themselves were built when the engine was
-        constructed.)
+        times.  Every worker builds its state from :attr:`config`
+        (:func:`~repro.fleet.worker.init_worker`).
         """
-        if self._pool is not None and self._pool_key == (chunk, provider):
+        if self._pool is not None:
             return self._pool
-        self.close()
         analyzer = self.welch.analyzer
-        warm_execution_caches(analyzer.workspace_size, analyzer.order, provider)
-        ctx = multiprocessing.get_context(self.start_method)
+        warm_execution_caches(
+            analyzer.workspace_size, analyzer.order, self.config.provider
+        )
+        ctx = multiprocessing.get_context(START_METHOD)
         self._progress = ctx.Queue()
         self._last_task_by_pid = {}
         self._pool = ctx.Pool(
-            processes=self.n_jobs,
+            processes=self.config.jobs,
             initializer=init_worker,
-            initargs=(
-                self.welch, chunk, provider, self._arena, self._progress,
-                self._config,
-            ),
+            initargs=(self.config, self._progress),
         )
-        self._pool_key = (chunk, provider)
         # Hold our own references to the worker Process objects: the
         # pool quietly replaces dead workers in its internal list, but
         # these handles keep reporting the original pid and exit code,
@@ -689,19 +583,21 @@ class FleetRunner:
             raise ConfigurationError(
                 f"{len(variants)} variants for {len(spans)} spans"
             )
-        chunk, provider = self._resolve_execution()
-        n_slots = self.n_jobs + len(self.workers)
+        config = self.config
+        n_slots = config.jobs + len(config.workers)
         n_slices = max(1, min(n_slots, len(spans) // MIN_SPANS_PER_SLICE))
         if n_slices == 1:
-            # n_jobs == 1, or a batch too small to split: a single
-            # pool slice would pay shm setup + IPC per flush for work
-            # the (identically pinned, hence bit-identical) in-process
-            # call does cheaper.
-            with execution(provider=provider, chunk_windows=chunk):
+            # jobs == 1, or a batch too small to split: a single pool
+            # slice would pay shm setup + IPC per flush for work the
+            # (identically pinned, hence bit-identical) in-process call
+            # does cheaper.
+            with execution(
+                provider=config.provider, chunk_windows=config.chunk_windows
+            ):
                 return analyze_spans_quality(
                     self.welch.analyzer, times, values, spans, count_ops,
                     corrected=corrected,
-                    owners=span_owners(self.welch, self._config, variants),
+                    owners=span_owners(self.welch, config, variants),
                 )
         arrays = [np.asarray(times), np.asarray(values)]
         corrected_key = None
@@ -721,25 +617,11 @@ class FleetRunner:
             )
             for task_id, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
         ]
-        return _concat(self._run_scheduled(arrays, tasks, chunk, provider)[0])
+        return _concat(self._run_scheduled(arrays, tasks)[0])
 
     # -- distributed scheduling ----------------------------------------
 
-    def _hello(self, chunk: int, provider: str) -> dict:
-        """Handshake payload: config blob plus the parent-resolved pins.
-
-        The daemon rebuilds the engine from the config but never
-        re-resolves provider or chunk — two hosts may auto-probe
-        differently, and one fleet must round one way.
-        """
-        return {
-            "config": self._config.to_dict(),
-            "provider": provider,
-            "chunk_windows": int(chunk),
-            "arena": self._arena,
-        }
-
-    def _ensure_remotes(self, chunk: int, provider: str) -> dict[str, RemoteWorker]:
+    def _ensure_remotes(self) -> dict[str, RemoteWorker]:
         """Connect (or reuse) the remote workers for one run.
 
         A *first-ever* connection failure raises
@@ -750,17 +632,13 @@ class FleetRunner:
         this run (and retried on the next), because absorbing degraded
         capacity is exactly what the fault-tolerant scheduler is for.
         """
-        if self._remote_key != (chunk, provider):
-            # Execution pins changed: every open session's handshake is
-            # stale, so start the connections over.
-            self._close_remotes()
-            self._remote_key = (chunk, provider)
-        hello = self._hello(chunk, provider)
         live: dict[str, RemoteWorker] = {}
-        for address in self.workers:
+        for address in self.config.workers:
             worker = self._remote_registry.get(address)
             if worker is None:
-                worker = RemoteWorker(address, timeout=self.worker_timeout)
+                worker = RemoteWorker(
+                    address, timeout=self.config.worker_timeout
+                )
                 self._remote_registry[address] = worker
             if worker.connected:
                 try:
@@ -772,7 +650,7 @@ class FleetRunner:
                 except ConnectionError:
                     pass  # died between runs: fall through and reconnect
             try:
-                worker.connect(hello)
+                worker.connect(self.config)
             except ConnectionError as exc:
                 if address not in self._remote_ever:
                     raise ConfigurationError(
@@ -781,15 +659,10 @@ class FleetRunner:
                 continue  # previously healthy: run degraded this time
             self._remote_ever.add(address)
             live[address] = worker
-        self._remotes = live
         return live
 
     def _run_scheduled(
-        self,
-        arrays: list[np.ndarray],
-        tasks: list[SpanTask],
-        chunk: int,
-        provider: str,
+        self, arrays: list[np.ndarray], tasks: list[SpanTask]
     ) -> tuple[list[tuple], int]:
         """Run tasks across the local slots and the remote daemons.
 
@@ -805,15 +678,15 @@ class FleetRunner:
         Returns every task's ``(LombBatch, MetricsBatch)`` in task
         order plus the number of remote workers that participated.
         """
-        remotes = self._ensure_remotes(chunk, provider) if self.workers else {}
-        hello = self._hello(chunk, provider) if remotes else None
+        jobs = self.config.jobs
+        remotes = self._ensure_remotes() if self.config.workers else {}
         board = _TaskBoard(len(tasks))
         threads: list[threading.Thread] = []
         with SharedRecordingStore() as store:
-            if self.n_jobs > 1:
-                pool = self._ensure_pool(chunk, provider)
+            if jobs > 1:
+                pool = self._ensure_pool()
                 refs = [store.put(array) for array in arrays]
-                for slot in range(_SLOTS_PER_POOL_PROCESS * self.n_jobs):
+                for slot in range(_SLOTS_PER_POOL_PROCESS * jobs):
                     threads.append(
                         threading.Thread(
                             target=self._pool_slot_loop,
@@ -826,15 +699,15 @@ class FleetRunner:
                 threads.append(
                     threading.Thread(
                         target=self._remote_loop,
-                        args=(board, worker, arrays, tasks, hello),
+                        args=(board, worker, arrays, tasks),
                         name=f"fleet-remote-{address}",
                         daemon=True,
                     )
                 )
             for thread in threads:
                 thread.start()
-            if self.n_jobs == 1:
-                self._inprocess_loop(board, arrays, tasks, chunk, provider)
+            if jobs == 1:
+                self._inprocess_loop(board, arrays, tasks)
             board.wait()
             for thread in threads:
                 thread.join()
@@ -870,24 +743,25 @@ class FleetRunner:
                 return
             board.complete(task_id, result)
 
-    def _inprocess_loop(self, board, arrays, tasks, chunk, provider) -> None:
-        """The ``n_jobs == 1`` local slot: run claimed tasks right here."""
+    def _inprocess_loop(self, board, arrays, tasks) -> None:
+        """The ``jobs == 1`` local slot: run claimed tasks right here."""
+        config = self.config
         try:
-            with execution(provider=provider, chunk_windows=chunk):
+            with execution(
+                provider=config.provider, chunk_windows=config.chunk_windows
+            ):
                 while True:
                     task_id = board.claim()
                     if task_id is None:
                         return
-                    board.complete(
-                        task_id,
-                        execute_task(
-                            tasks[task_id], arrays, self.welch, self._config
-                        ),
+                    result = execute_task(
+                        tasks[task_id], arrays, self.welch, config
                     )
+                    board.complete(task_id, result)
         except BaseException as exc:
             board.abort(exc)
 
-    def _remote_loop(self, board, worker, arrays, tasks, hello) -> None:
+    def _remote_loop(self, board, worker, arrays, tasks) -> None:
         """One remote slot: ship claimed tasks; rejoin if the worker dies.
 
         A :class:`ConnectionError` requeues the claimed task
@@ -918,7 +792,7 @@ class FleetRunner:
                 if board.failure is not None:
                     return  # run already lost: no point rejoining
                 try:
-                    worker.reconnect(hello)
+                    worker.reconnect(self.config)
                     worker.reset_arrays()
                 except (ConnectionError, ConfigurationError):
                     return  # rejoin failed: retire for this run

@@ -14,7 +14,10 @@ protocol the worker daemon (:mod:`repro.fleet.remote`) speaks:
   :class:`~repro.ffts.opcount.OpCounts`).  Nothing on the wire is ever
   unpickled: a daemon listening on a port must not grant arbitrary code
   execution to whoever can reach it, so the decoder only materialises
-  the value types the protocol needs.
+  the value types the protocol needs, and any payload it cannot decode
+  — a bad dtype, extent, digit string or UTF-8 sequence, or nesting
+  deeper than :data:`MAX_NESTING` — is a
+  :class:`~repro.errors.TransportError`.
 * **Exactness** — arrays are shipped as their raw C-order buffers with
   dtype and shape, so the bytes a worker analyses are *bit-identical*
   to the bytes the scheduler holds; floats ride as IEEE-754 doubles via
@@ -27,6 +30,7 @@ serialization/framing overhead.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 
@@ -53,6 +57,11 @@ FRAME_MAGIC = b"RPF1"
 #: is treated as protocol corruption rather than an allocation request —
 #: a single garbage frame must not make the receiver reserve petabytes.
 MAX_FRAME_BYTES = 1 << 34
+
+#: Deepest nesting of tuples, lists and dicts the decoder accepts.  The
+#: protocol's messages nest a few levels; a frame nesting thousands must
+#: fail as a protocol error, not exhaust the interpreter's recursion.
+MAX_NESTING = 32
 
 _HEADER = struct.Struct("!4sQ")
 _I64 = struct.Struct("!q")
@@ -162,8 +171,14 @@ class _Reader:
         return chunk
 
 
-def _decode_from(reader: _Reader):
+def _decode_from(reader: _Reader, depth: int = 0):
     tag = reader.take(1)
+    if tag in (b"t", b"l", b"d"):
+        if depth >= MAX_NESTING:
+            raise TransportError(
+                f"wire value nests deeper than {MAX_NESTING} levels"
+            )
+        depth += 1
     if tag == b"N":
         return None
     if tag == b"T":
@@ -185,18 +200,18 @@ def _decode_from(reader: _Reader):
         return reader.take(length)
     if tag == b"t":
         (count,) = _U32.unpack(reader.take(4))
-        return tuple(_decode_from(reader) for _ in range(count))
+        return tuple(_decode_from(reader, depth) for _ in range(count))
     if tag == b"l":
         (count,) = _U32.unpack(reader.take(4))
-        return [_decode_from(reader) for _ in range(count)]
+        return [_decode_from(reader, depth) for _ in range(count)]
     if tag == b"d":
         (count,) = _U32.unpack(reader.take(4))
         out = {}
         for _ in range(count):
-            key = _decode_from(reader)
+            key = _decode_from(reader, depth)
             if not isinstance(key, str):
                 raise TransportError("wire dict key is not a string")
-            out[key] = _decode_from(reader)
+            out[key] = _decode_from(reader, depth)
         return out
     if tag == b"o":
         mults = _I64.unpack(reader.take(8))[0]
@@ -212,8 +227,11 @@ def _decode_from(reader: _Reader):
         shape = tuple(
             _I64.unpack(reader.take(8))[0] for _ in range(ndim)
         )
+        if min(shape, default=0) < 0:
+            raise TransportError(f"negative array extent in shape {shape}")
         (nbytes,) = _I64.unpack(reader.take(8))
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+        # Python integers: an int64 product could wrap to a small size.
+        expected = dtype.itemsize * math.prod(shape)
         if nbytes != expected:
             raise TransportError(
                 f"array payload is {nbytes} bytes, shape/dtype need {expected}"
@@ -227,9 +245,18 @@ def _decode_from(reader: _Reader):
 
 
 def decode_value(data: bytes):
-    """Decode codec bytes back into the value :func:`encode_value` took."""
+    """Decode codec bytes back into the value :func:`encode_value` took.
+
+    Raises :class:`~repro.errors.TransportError` for every payload that
+    is not one encoded value.
+    """
     reader = _Reader(data)
-    value = _decode_from(reader)
+    try:
+        value = _decode_from(reader)
+    except (TypeError, ValueError) as exc:
+        # An unknown dtype string (TypeError), a non-decimal integer or
+        # invalid ASCII/UTF-8 text (ValueError, UnicodeDecodeError).
+        raise TransportError(f"undecodable wire value: {exc}") from exc
     if reader.pos != len(data):
         raise TransportError(
             f"{len(data) - reader.pos} trailing bytes after wire value"

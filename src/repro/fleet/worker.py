@@ -9,16 +9,17 @@ Every slot runs it with :func:`execute_task`, one
 ``(LombBatch, MetricsBatch)`` columns cross processes as they are.  The
 slots differ only in how the arrays arrive:
 
-* a pool worker — initialised once with the engine and the parent's
-  resolved provider and chunk size (:func:`init_worker`) — attaches
+* a pool worker — initialised once (:func:`init_worker`) — attaches
   them from shared memory (:func:`run_pool_task`);
 * the runner's in-process slot hands them over directly;
 * a remote :class:`~repro.fleet.remote.WorkerDaemon` holds the copies
   its client uploaded.
 
-With the default ``fork`` start method the engine and every plan-cache
-table are inherited copy-on-write from the warmed parent; with
-``spawn`` the initializer re-warms this process's own caches.
+Pool processes and daemon connections build their engine and execution
+context one way, :func:`worker_state`, from the runner's pinned
+:class:`~repro.engine.EngineConfig`.  With the ``fork`` start method
+every plan-cache table is inherited copy-on-write from the warmed
+parent; with ``spawn`` the initializer warms this process's own caches.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine.engine import span_owners
+from ..engine.engine import build_system, span_owners
+from ..errors import ConfigurationError
 from ..ffts.plancache import warm_execution_caches
 from ..hrv.metrics import MetricsBatch
 from ..lomb.fast import LombBatch
@@ -42,7 +44,7 @@ __all__ = [
     "execute_task",
     "init_worker",
     "run_pool_task",
-    "warm_arena",
+    "worker_state",
 ]
 
 #: Per-process state installed by :func:`init_worker`.
@@ -94,64 +96,68 @@ class SpanTask:
         return keys + (self.corrected_key,)
 
 
-def init_worker(
-    welch: WelchLomb,
-    chunk_windows: int | None,
-    provider: str | None = None,
-    arena: bool = True,
-    progress_queue=None,
-    config=None,
-) -> None:
-    """Pool initializer: install the engine and warm this process.
+def worker_state(config, arena: WorkspaceArena | None = None):
+    """A fleet worker's ``(welch, context)``, built from a pinned config.
 
-    Sets this process's :class:`~repro.perf.ExecutionContext` once;
-    every task the process runs executes under it.
-    ``chunk_windows`` pins the batch sub-batch size to the parent's
-    resolved value so the whole fleet runs one consistent chunking
-    policy (results never depend on it; only throughput does).
-    ``provider`` pins the FFT execution provider to the parent's
-    resolved choice — here results *do* depend on it (different engines
-    round differently), so pinning is what keeps every shard, and hence
-    the merged cohort, bit-identical to the single-process run.
-    ``arena`` gives the context a :class:`~repro.perf.WorkspaceArena`
-    of this process's own, pre-warmed for its hottest shapes — the
-    ``(chunk, workspace)`` kernel matrices — so even a worker's first
-    shard reuses pooled buffers (arenas never change results; the
-    kernels run the same operations either way).
-    ``progress_queue`` (a ``multiprocessing`` queue) receives a
-    ``(pid, task_id)`` record as each task *starts*, so the parent's
-    watchdog can name the task a worker held when it died.
-    ``config`` (an :class:`~repro.engine.EngineConfig`) lets this
-    worker serve *quality-variant* spans — spans the hub's SLO
-    controller shed to a degraded pruning mode (see
-    :func:`~repro.engine.engine.span_owners`); without it, variant
-    spans are rejected.
+    The one builder behind both kinds of worker: a pool process
+    (:func:`init_worker`) and a daemon connection
+    (:class:`~repro.fleet.remote.WorkerDaemon`).  ``config`` is the
+    scheduler's :class:`~repro.engine.EngineConfig`, pinned
+    (:meth:`~repro.engine.EngineConfig.pinned`): its provider and chunk
+    size are used as they are, never re-resolved — two hosts may probe
+    differently, and results depend on the provider (different engines
+    round differently), so one fleet must round one way.  An unpinned
+    config is a :class:`~repro.errors.ConfigurationError`.
+
+    Builds the config's system, warms the provider's plan caches and
+    returns the system's Welch engine with the
+    :class:`~repro.perf.ExecutionContext` its tasks run under.  When
+    ``config.arena`` is set the context leases from ``arena`` (a new
+    :class:`~repro.perf.WorkspaceArena` when ``None``), pre-warmed with
+    two float64 and two complex128 ``(chunk, workspace)`` matrices, the
+    dense kernel's hottest shapes, so even a worker's first task reuses
+    pooled buffers (arenas never change results; the kernels run the
+    same operations either way).
     """
-    worker_arena = WorkspaceArena() if arena else None
-    context = ExecutionContext(provider, chunk_windows, arena=worker_arena)
-    set_execution(context)
+    if config.provider is None or config.chunk_windows is None:
+        raise ConfigurationError(
+            "a fleet worker runs a pinned EngineConfig (provider and "
+            f"chunk_windows set), got provider={config.provider!r}, "
+            f"chunk_windows={config.chunk_windows!r}"
+        )
+    if not config.arena:
+        arena = None
+    elif arena is None:
+        arena = WorkspaceArena()
+    context = ExecutionContext(
+        config.provider, config.chunk_windows, arena=arena
+    )
+    welch = build_system(config).welch
     analyzer = welch.analyzer
-    warm_execution_caches(analyzer.workspace_size, analyzer.order, provider)
-    if worker_arena is not None:
-        warm_arena(worker_arena, chunk_windows, analyzer.workspace_size)
+    warm_execution_caches(
+        analyzer.workspace_size, analyzer.order, config.provider
+    )
+    if arena is not None:
+        shape = (config.chunk_windows, analyzer.workspace_size)
+        arena.warm(shape, np.float64, count=2)
+        arena.warm(shape, np.complex128, count=2)
+    return welch, context
+
+
+def init_worker(config, progress_queue) -> None:
+    """Pool initializer: build this process's worker state from ``config``.
+
+    Sets this process's :class:`~repro.perf.ExecutionContext` once,
+    from :func:`worker_state`; every task the process runs executes
+    under it.  ``progress_queue`` (a ``multiprocessing`` queue)
+    receives a ``(pid, task_id)`` record as each task *starts*, so the
+    parent's watchdog can name the task a worker held when it died.
+    """
+    welch, context = worker_state(config)
+    set_execution(context)
     _STATE["welch"] = welch
     _STATE["progress"] = progress_queue
     _STATE["config"] = config
-
-
-def warm_arena(
-    arena: WorkspaceArena, chunk_windows: int | None, workspace_size: int
-) -> None:
-    """Pre-pool the dense kernel's hottest shapes in ``arena``.
-
-    Two float64 and two complex128 ``(chunk, workspace)`` matrices, so
-    an executor's first task already reuses pooled buffers.  Nothing to
-    warm when the chunk size is not pinned.
-    """
-    if chunk_windows is not None:
-        shape = (chunk_windows, workspace_size)
-        arena.warm(shape, np.float64, count=2)
-        arena.warm(shape, np.complex128, count=2)
 
 
 def _report_task_start(task_id: int) -> None:
@@ -165,7 +171,7 @@ def _report_task_start(task_id: int) -> None:
 
 
 def execute_task(
-    task: SpanTask, arrays, welch: WelchLomb, config=None
+    task: SpanTask, arrays, welch: WelchLomb, config
 ) -> tuple[LombBatch, MetricsBatch]:
     """Run one task: one choke-point call over its spans.
 

@@ -11,10 +11,12 @@ driven from two threads never overwrite each other's settings.
 enters ``ctx``, ``with execution(chunk_windows=64):`` derives a context
 from the current one, and the previous context comes back on exit.
 An :class:`~repro.engine.Engine` enters a context whose provider and
-chunk size its own config resolved, so the ambient context only
-governs code that runs outside any engine — a bare
-:class:`~repro.fleet.FleetRunner` or a raw
-:class:`~repro.lomb.fast.FastLomb` call.
+chunk size its own config resolved, and a
+:class:`~repro.fleet.FleetRunner` and its workers run under the
+provider and chunk size of their pinned config, so the ambient context
+only governs code that runs outside any engine or runner — a raw
+:class:`~repro.lomb.fast.FastLomb` or
+:meth:`~repro.lomb.welch.WelchLomb.analyze_windows` call.
 """
 
 from __future__ import annotations

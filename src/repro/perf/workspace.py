@@ -30,9 +30,11 @@ Design rules:
 * **Thread-safe and fork-inherited.**  Borrow/release run under one
   lock (hub flushes and async feeders may race); a forked fleet worker
   inherits the parent's pooled buffers copy-on-write exactly like the
-  plan caches, and each worker builds its own arena in its initializer
-  (:func:`repro.fleet.worker.init_worker`) — processes receive the
-  ``arena`` setting, never an arena object (it holds a lock).
+  plan caches, and each pool worker builds its own arena from the
+  pinned config's ``arena`` field
+  (:func:`repro.fleet.worker.worker_state`, run by its initializer) —
+  processes receive the setting, never an arena object (it holds a
+  lock).
 * **Bounded.**  Pooled bytes are capped (``max_bytes``); releasing past
   the cap evicts the largest pooled buffers first, so a transient giant
   batch cannot pin its peak footprint forever.
@@ -42,7 +44,8 @@ over the arena of the current
 :class:`~repro.perf.context.ExecutionContext` (:func:`scratch`), which
 falls back to plain ``np.empty``/``np.zeros`` when the context carries
 none.  An engine's context carries the engine's arena; a fleet worker's
-carries the one its initializer built.  One code path, two allocation
+carries the one :func:`repro.fleet.worker.worker_state` built or, on a
+worker daemon, the daemon's shared arena.  One code path, two allocation
 sources — which is what keeps arena-on and arena-off bit-identical by
 construction.
 """

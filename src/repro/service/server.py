@@ -226,7 +226,7 @@ class GatewayServer:
     async def _drain_tenant(self, tenant: _Tenant) -> None:
         """Finalize every open subject of one tenant, shared-batch style."""
         hub = tenant.hub
-        if not hub._sessions:
+        if not hub.subjects:
             return
         # Deliver everything already completed before finalizing, so
         # connected consumers see their windows in order ahead of any
@@ -235,7 +235,7 @@ class GatewayServer:
         for subject in list(hub.subjects):
             if subject in tenant.results:
                 continue
-            async_session = hub._async_sessions.get(subject)
+            async_session = hub.async_session(subject)
             try:
                 if async_session is not None:
                     # The async path delivers the tail windows to the
@@ -635,29 +635,28 @@ class GatewayServer:
     def _rest_windows(self, headers, subject):
         spec = self._authenticate_token(self._bearer(headers))
         tenant = self._tenant(spec)
-        if subject not in tenant.hub._sessions:
-            if subject in tenant.results:
-                # Hub already drained (post-shutdown REST): serve the
-                # retained result's windows.
-                payload = tenant.results[subject]
-                metrics = payload.get("window_metrics") or []
-                return 200, {
-                    "subject": subject,
-                    "finalized": True,
-                    "windows": [
-                        {
-                            "index": i,
-                            "center": payload["window_times"][i],
-                            "metrics": (
-                                metrics[i] if i < len(metrics) else None
-                            ),
-                            "power": payload["spectrogram"][i],
-                        }
-                        for i in range(payload["n_windows"])
-                    ],
-                }
-            return 404, {"error": f"unknown subject {subject!r}"}
-        session = tenant.hub.session(subject)
+        try:
+            session = tenant.hub.session(subject)
+        except SignalError:
+            if subject not in tenant.results:
+                return 404, {"error": f"unknown subject {subject!r}"}
+            # Hub already drained (post-shutdown REST): serve the
+            # retained result's windows.
+            payload = tenant.results[subject]
+            metrics = payload.get("window_metrics") or []
+            return 200, {
+                "subject": subject,
+                "finalized": True,
+                "windows": [
+                    {
+                        "index": i,
+                        "center": payload["window_times"][i],
+                        "metrics": metrics[i] if i < len(metrics) else None,
+                        "power": payload["spectrogram"][i],
+                    }
+                    for i in range(payload["n_windows"])
+                ],
+            }
         return 200, {
             "subject": subject,
             "finalized": session.finalized,

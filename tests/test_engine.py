@@ -159,21 +159,6 @@ class TestEngineConfigValidation:
 class TestResolvePrecedence:
     """One test per layer of the documented resolution chain."""
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(PROVIDER_ENV_VAR, "numpy")
-        monkeypatch.setenv(CHUNK_ENV_VAR, "128")
-        config = EngineConfig(provider="numpy", chunk_windows=32, jobs=2)
-        resolved = config.resolve(
-            provider="explicit", chunk_windows=7, jobs=3
-        )
-        assert (resolved.provider, resolved.provider_source) == (
-            "explicit", "explicit",
-        )
-        assert (resolved.chunk_windows, resolved.chunk_source) == (
-            7, "explicit",
-        )
-        assert (resolved.jobs, resolved.jobs_source) == (3, "explicit")
-
     def test_config_field_beats_env(self, monkeypatch):
         monkeypatch.setenv(PROVIDER_ENV_VAR, "explicit")
         monkeypatch.setenv(CHUNK_ENV_VAR, "128")
@@ -226,13 +211,30 @@ class TestResolvePrecedence:
         resolved = EngineConfig(provider="numpy", chunk_windows=8).resolve()
         assert isinstance(resolved, ResolvedExecution)
 
-    def test_bad_explicit_arguments(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig().resolve(provider="fftw")
-        with pytest.raises(ConfigurationError):
-            EngineConfig().resolve(chunk_windows=0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig().resolve(jobs=0)
+    def test_pinned_config_resolves_to_itself(self, monkeypatch):
+        """A pinned copy holds one resolution in its own fields."""
+        monkeypatch.setenv(PROVIDER_ENV_VAR, "explicit")
+        monkeypatch.setenv(CHUNK_ENV_VAR, "96")
+        config = EngineConfig(jobs=None, workers=("10.0.0.1:9100",))
+        resolved = config.resolve()
+        pinned = config.pinned()
+        assert pinned == config.pinned(resolved)
+        assert (pinned.provider, pinned.chunk_windows, pinned.jobs) == (
+            "explicit", 96, resolved.jobs,
+        )
+        assert pinned.workers == config.workers
+        assert pinned.worker_timeout == resolved.worker_timeout
+        monkeypatch.setenv(PROVIDER_ENV_VAR, "numpy")
+        monkeypatch.setenv(CHUNK_ENV_VAR, "7")
+        again = pinned.resolve()
+        assert (again.provider, again.chunk_windows, again.jobs) == (
+            "explicit", 96, resolved.jobs,
+        )
+        assert {
+            again.provider_source, again.chunk_source, again.jobs_source,
+            again.workers_source, again.worker_timeout_source,
+        } == {"config"}
+        assert pinned.pinned() == pinned
 
 
 class TestEnvPins:
@@ -296,11 +298,11 @@ class TestBuildSystem:
 
     def test_to_engine_config_bridges_back(self):
         system = QualityScalablePSA(pruning=PruningSpec.paper_mode(2))
-        config = system.to_engine_config(jobs=2, provider="numpy")
+        config = system.to_engine_config()
         assert config.system == "quality-scalable"
         assert config.pruning == PruningSpec.paper_mode(2)
         assert config.psa == system.config
-        assert (config.jobs, config.provider) == (2, "numpy")
+        assert (config.jobs, config.provider) == (1, None)
         rebuilt = build_system(config)
         assert rebuilt.pruning == system.pruning
 
@@ -360,6 +362,7 @@ class TestEngineExecution:
             engine.analyze_cohort(cohort_recordings)
             runner = engine._fleet
             assert isinstance(runner, FleetRunner)
+            assert runner.config == engine.config.pinned(engine.resolved)
             engine.analyze_cohort(cohort_recordings)
             assert engine._fleet is runner
         assert engine._fleet is None  # close() released it
@@ -395,7 +398,7 @@ class TestEngineExecution:
 
     def test_fleet_runner_from_config(self, cohort_recordings):
         config = EngineConfig(provider="numpy", chunk_windows=64, jobs=1)
-        with FleetRunner.from_config(config) as runner:
+        with FleetRunner(config) as runner:
             report = runner.run_report(
                 [(rr.times, rr.intervals) for rr in cohort_recordings]
             )

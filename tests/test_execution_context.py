@@ -146,6 +146,23 @@ class TestScope:
             inside = EngineConfig().resolve()
         assert inside == outside
 
+    def test_runner_settings_ignore_the_ambient_context(self, monkeypatch):
+        """A runner built directly resolves like an engine."""
+        from repro.fleet import FleetRunner
+
+        monkeypatch.delenv(PROVIDER_ENV_VAR, raising=False)
+        monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)
+        outside = FleetRunner(EngineConfig()).config
+        with execution(provider="explicit", chunk_windows=3):
+            runner = FleetRunner(EngineConfig())
+            report = runner.run_report(
+                [generate_tachogram(TachogramSpec(seed=6), 900.0)]
+            )
+        assert runner.config == outside
+        assert (report.provider, report.chunk_windows) == (
+            outside.provider, outside.chunk_windows,
+        )
+
     def test_in_process_fleet_slot_keeps_engine_arena_and_profiler(self):
         rr = generate_tachogram(TachogramSpec(seed=6), 900.0)
         config = EngineConfig(jobs=1, provider="numpy", profile=True)
@@ -174,14 +191,11 @@ def _pool_context() -> tuple:
 @pytest.mark.slow
 def test_pool_process_runs_under_parent_settings():
     from repro.fleet.worker import init_worker
-    from repro.lomb.welch import WelchLomb
 
-    settings = EngineConfig(provider="explicit", chunk_windows=32).resolve()
+    config = EngineConfig(provider="explicit", chunk_windows=32).pinned()
     fork = multiprocessing.get_context("fork")
     with fork.Pool(
-        1,
-        initializer=init_worker,
-        initargs=(WelchLomb(), settings.chunk_windows, settings.provider),
+        1, initializer=init_worker, initargs=(config, None)
     ) as pool:
         seen = pool.apply(_pool_context)
     provider, chunk, resolved, effective, pooled = seen

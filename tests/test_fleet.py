@@ -30,8 +30,6 @@ from repro.fleet import (
     attach_array,
     plan_shards,
 )
-from repro.lomb.fast import FastLomb
-from repro.lomb.welch import WelchLomb
 
 
 def _cohort(n=3, seconds=900.0):
@@ -144,8 +142,8 @@ class TestFleetRunnerInProcess:
 
     def test_matches_single_process_batched(self):
         recordings = _cohort()
-        welch = WelchLomb()
-        runner = FleetRunner(welch=welch, n_jobs=1)
+        runner = FleetRunner(EngineConfig(jobs=1))
+        welch = runner.welch
         fleet_results = runner.run(recordings, count_ops=True)
         for rr, fleet in zip(recordings, fleet_results):
             single = welch.analyze(rr.times, rr.intervals, count_ops=True)
@@ -164,7 +162,7 @@ class TestFleetRunnerInProcess:
 
     def test_accepts_time_value_pairs(self):
         rr = _cohort(n=1)[0]
-        runner = FleetRunner(n_jobs=1)
+        runner = FleetRunner(EngineConfig(jobs=1))
         by_series = runner.run([rr])[0]
         by_pair = runner.run([(rr.times, rr.intervals)])[0]
         np.testing.assert_array_equal(
@@ -173,23 +171,24 @@ class TestFleetRunnerInProcess:
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(SignalError):
-            FleetRunner(n_jobs=1).run([])
+            FleetRunner(EngineConfig(jobs=1)).run([])
 
     def test_unanalysable_recording_rejected(self):
         times = np.linspace(0.0, 20.0, 24)
         values = 0.8 + 0.01 * np.sin(times)
         with pytest.raises(SignalError):
-            FleetRunner(n_jobs=1).run([(times, values)])
+            FleetRunner(EngineConfig(jobs=1)).run([(times, values)])
 
     def test_bad_n_jobs(self):
         with pytest.raises(ConfigurationError):
-            FleetRunner(n_jobs=0)
+            FleetRunner(EngineConfig(jobs=0))
 
-    def test_report_geometry(self):
+    def test_report_geometry(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.fleet.runner.DEFAULT_MIN_WINDOWS_PER_SHARD", 4
+        )
         recordings = _cohort()
-        report = FleetRunner(
-            welch=WelchLomb(), n_jobs=1, min_windows_per_shard=4
-        ).run_report(recordings)
+        report = FleetRunner(EngineConfig(jobs=1)).run_report(recordings)
         assert report.n_jobs == 1
         assert report.start_method is None
         assert report.n_shards >= len(recordings)
@@ -199,12 +198,13 @@ class TestFleetRunnerInProcess:
 
 @pytest.mark.slow
 class TestFleetRunnerMultiprocess:
-    def test_pool_matches_single_process_batched(self):
+    def test_pool_matches_single_process_batched(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.fleet.runner.DEFAULT_MIN_WINDOWS_PER_SHARD", 4
+        )
         recordings = _cohort()
-        welch = WelchLomb()
-        with FleetRunner(
-            welch=welch, n_jobs=2, min_windows_per_shard=4
-        ) as runner:
+        with FleetRunner(EngineConfig(jobs=2)) as runner:
+            welch = runner.welch
             report = runner.run_report(recordings, count_ops=True)
         assert report.n_jobs == 2
         assert report.start_method is not None
@@ -216,13 +216,15 @@ class TestFleetRunnerMultiprocess:
             np.testing.assert_array_equal(fleet.averaged, single.averaged)
             assert fleet.counts == single.counts
 
-    def test_window_shards_of_one_huge_recording(self):
+    def test_window_shards_of_one_huge_recording(self, monkeypatch):
         # One recording, forced into several window-range shards.
+        monkeypatch.setattr(
+            "repro.fleet.runner.DEFAULT_MIN_WINDOWS_PER_SHARD", 8
+        )
+        monkeypatch.setattr("repro.fleet.runner.DEFAULT_OVERSUBSCRIPTION", 2)
         rr = generate_tachogram(TachogramSpec(seed=9), 3600.0)
-        welch = WelchLomb()
-        with FleetRunner(
-            welch=welch, n_jobs=2, min_windows_per_shard=8, oversubscription=2
-        ) as runner:
+        with FleetRunner(EngineConfig(jobs=2)) as runner:
+            welch = runner.welch
             report = runner.run_report([rr])
             # The persistent pool makes repeated runs (the serving
             # pattern) reuse the forked workers.
@@ -234,18 +236,20 @@ class TestFleetRunnerMultiprocess:
         )
         np.testing.assert_array_equal(again.spectrogram, single.spectrogram)
 
-    def test_wavelet_dynamic_pruning_counts_identical(self):
+    def test_wavelet_dynamic_pruning_counts_identical(self, monkeypatch):
         # Dynamic pruning makes executed counts data-dependent — the
         # sharded path must reproduce them exactly.
+        monkeypatch.setattr(
+            "repro.fleet.runner.DEFAULT_MIN_WINDOWS_PER_SHARD", 4
+        )
         rr = generate_tachogram(TachogramSpec(seed=4), 900.0)
         system = QualityScalablePSA(
             pruning=PruningSpec.paper_mode(3, dynamic=True)
         )
         welch = system.welch
         single = welch.analyze(rr.times, rr.intervals, count_ops=True)
-        with FleetRunner(
-            welch=welch, n_jobs=2, min_windows_per_shard=4
-        ) as runner:
+        config = system.to_engine_config().replace(jobs=2)
+        with FleetRunner(config) as runner:
             fleet = runner.run([rr], count_ops=True)[0]
         np.testing.assert_array_equal(fleet.spectrogram, single.spectrogram)
         assert fleet.counts == single.counts
@@ -267,10 +271,9 @@ class TestFleetRunnerMultiprocess:
 
     def test_custom_chunk_pin_does_not_change_results(self):
         recordings = _cohort(n=2, seconds=600.0)
-        welch = WelchLomb(FastLomb(scaling="denormalized"))
-        with FleetRunner(welch=welch, n_jobs=2) as runner:
+        with FleetRunner(EngineConfig(jobs=2)) as runner:
             baseline = runner.run(recordings)
-        with FleetRunner(welch=welch, n_jobs=2, chunk_windows=7) as runner:
+        with FleetRunner(EngineConfig(jobs=2, chunk_windows=7)) as runner:
             pinned = runner.run(recordings)
         for a, b in zip(baseline, pinned):
             np.testing.assert_array_equal(a.spectrogram, b.spectrogram)
@@ -327,9 +330,9 @@ class TestRunSpans:
         from repro.perf import execution
 
         rr = _cohort(n=1, seconds=900.0)[0]
-        welch = WelchLomb(FastLomb(scaling="denormalized"))
+        runner = FleetRunner(EngineConfig(jobs=1, provider="numpy"))
+        welch = runner.welch
         plan = welch.plan_windows(rr.times, rr.intervals)
-        runner = FleetRunner(welch=welch, n_jobs=1, provider="numpy")
         spectra, metrics = runner.run_spans(
             plan.times, plan.values, plan.spans, count_ops=True
         )
@@ -346,7 +349,7 @@ class TestRunSpans:
 
     def test_empty_spans_short_circuit(self):
         rr = _cohort(n=1, seconds=600.0)[0]
-        runner = FleetRunner(n_jobs=1, provider="numpy")
+        runner = FleetRunner(EngineConfig(jobs=1, provider="numpy"))
         spectra, metrics = runner.run_spans(rr.times, rr.intervals, [])
         assert (list(spectra), tuple(metrics)) == ([], ())
 
@@ -378,7 +381,7 @@ class TestVariantResolution:
             system = variant_system(config, variant)
             plan = engine.welch.plan_windows(rr.times, rr.intervals)
             spans = plan.spans[:2]
-            FleetRunner.from_config(config, welch=engine.welch).run_spans(
+            FleetRunner(config).run_spans(
                 plan.times, plan.values, spans, variants=[variant] * 2
             )
             task = SpanTask(
@@ -389,42 +392,19 @@ class TestVariantResolution:
         assert system is not engine.system
         assert analyzers == [system.welch.analyzer] * 2
 
-    def test_variant_without_config_is_configuration_error(self):
-        from repro.engine.controller import degradation_ladder
-        from repro.fleet.worker import SpanTask, execute_task
-
-        rung = degradation_ladder(EngineConfig(system="quality-scalable"))[-1]
-        variant = (rung.system, rung.pruning)
-        rr = _cohort(n=1, seconds=600.0)[0]
-        welch = WelchLomb()
-        plan = welch.plan_windows(rr.times, rr.intervals)
-        runner = FleetRunner(welch=welch, n_jobs=1, provider="numpy")
-        with pytest.raises(ConfigurationError, match="EngineConfig"):
-            runner.run_spans(
-                plan.times, plan.values, plan.spans[:2], variants=[variant] * 2
-            )
-        task = SpanTask(
-            task_id=0, times_key=0, values_key=1, spans=plan.spans[:2],
-            count_ops=False, variants=(variant,) * 2,
-        )
-        with pytest.raises(ConfigurationError, match="EngineConfig"):
-            execute_task(task, [plan.times, plan.values], welch)
-
 
 @pytest.mark.slow
 class TestRunSpansMultiprocess:
     def test_pool_dispatch_bit_identical(self):
         rr = _cohort(n=1, seconds=2400.0)[0]
-        welch = WelchLomb(FastLomb(scaling="denormalized"))
-        plan = welch.plan_windows(rr.times, rr.intervals)
+        config = EngineConfig(provider="numpy")
+        single = FleetRunner(config.replace(jobs=1))
+        plan = single.welch.plan_windows(rr.times, rr.intervals)
         assert plan.n_windows >= 16  # enough to split across workers
-        single = FleetRunner(welch=welch, n_jobs=1, provider="numpy")
         reference, ref_metrics = single.run_spans(
             plan.times, plan.values, plan.spans, count_ops=True
         )
-        with FleetRunner(
-            welch=welch, n_jobs=2, provider="numpy"
-        ) as runner:
+        with FleetRunner(config.replace(jobs=2)) as runner:
             spectra, metrics = runner.run_spans(
                 plan.times, plan.values, plan.spans, count_ops=True
             )
@@ -454,16 +434,12 @@ class TestRunSpansMultiprocess:
             (rung.system, rung.pruning) for rung in degradation_ladder(config)
         ][1:]
         variants = [rungs[i % len(rungs)] for i in range(plan.n_windows)]
-        single = FleetRunner(
-            welch=welch, n_jobs=1, provider="numpy", config=config
-        )
+        single = FleetRunner(config.replace(jobs=1))
         reference, ref_metrics = single.run_spans(
             plan.times, plan.values, plan.spans, count_ops=True,
             variants=variants,
         )
-        with FleetRunner(
-            welch=welch, n_jobs=2, provider="numpy", config=config
-        ) as runner:
+        with FleetRunner(config.replace(jobs=2)) as runner:
             spectra, metrics = runner.run_spans(
                 plan.times, plan.values, plan.spans, count_ops=True,
                 variants=variants,
@@ -478,16 +454,15 @@ class TestRunSpansMultiprocess:
 class TestPoolLifecycle:
     def test_failure_clears_pool_and_key_then_recovers(self, monkeypatch):
         recordings = _cohort(n=2, seconds=600.0)
-        runner = FleetRunner(n_jobs=2)
+        runner = FleetRunner(EngineConfig(jobs=2))
         try:
             with monkeypatch.context() as patch:
                 patch.setattr("repro.fleet.runner.run_pool_task", _boom)
                 with pytest.raises(ValueError, match="injected"):
                     runner.run(recordings)
-            # The failure path must clear *both* pool handles — a stale
-            # key next to a fresh pool would claim the wrong settings.
+            # The failure path must clear every pool handle, so the
+            # next run starts a fresh pool.
             assert runner._pool is None
-            assert runner._pool_key is None
             assert runner._pool_finalizer is None
             results = runner.run(recordings)  # pool rebuilt cleanly
             assert len(results) == 2
@@ -496,14 +471,12 @@ class TestPoolLifecycle:
 
     def test_close_clears_key_and_finalizer(self):
         recordings = _cohort(n=2, seconds=600.0)
-        runner = FleetRunner(n_jobs=2)
+        runner = FleetRunner(EngineConfig(jobs=2))
         runner.run(recordings)
         assert runner._pool is not None
-        assert runner._pool_key is not None
         assert runner._pool_finalizer is not None
         runner.close()
         assert runner._pool is None
-        assert runner._pool_key is None
         assert runner._pool_finalizer is None
         runner.close()  # idempotent
 
@@ -523,7 +496,7 @@ class TestPoolLifecycle:
             return True
 
         recordings = _cohort(n=2, seconds=600.0)
-        runner = FleetRunner(n_jobs=2)
+        runner = FleetRunner(EngineConfig(jobs=2))
         runner.run(recordings)
         pids = [worker.pid for worker in runner._pool._pool]
         assert pids and all(alive(pid) for pid in pids)
@@ -570,7 +543,7 @@ class TestPoolWorkerDeath:
         monkeypatch.setattr(
             runner_module, "run_pool_task", _die_holding_first_shard
         )
-        with FleetRunner(n_jobs=2, start_method="fork") as runner:
+        with FleetRunner(EngineConfig(jobs=2)) as runner:
             with pytest.raises(RuntimeError) as excinfo:
                 runner.run(_cohort(3))
         message = str(excinfo.value)
@@ -589,12 +562,9 @@ class TestPoolWorkerDeath:
             runner_module, "run_pool_task", _die_holding_first_shard
         )
         rr = _cohort(n=1, seconds=2400.0)[0]
-        welch = WelchLomb(FastLomb(scaling="denormalized"))
-        plan = welch.plan_windows(rr.times, rr.intervals)
-        assert plan.n_windows >= 16  # enough to split across workers
-        with FleetRunner(
-            welch=welch, n_jobs=2, start_method="fork", provider="numpy"
-        ) as runner:
+        with FleetRunner(EngineConfig(jobs=2, provider="numpy")) as runner:
+            plan = runner.welch.plan_windows(rr.times, rr.intervals)
+            assert plan.n_windows >= 16  # enough to split across workers
             with pytest.raises(RuntimeError) as excinfo:
                 runner.run_spans(plan.times, plan.values, plan.spans)
         message = str(excinfo.value)
@@ -680,7 +650,7 @@ class TestPoolTeardown:
         from repro.fleet import runner as runner_module
 
         monkeypatch.setattr(runner_module, "_POOL_TEARDOWN_SECONDS", 1.0)
-        runner = FleetRunner(n_jobs=2, start_method="fork")
+        runner = FleetRunner(EngineConfig(jobs=2))
         pool, workers = None, []
         try:
             runner.run(_cohort(n=2, seconds=600.0))
@@ -699,7 +669,6 @@ class TestPoolTeardown:
                 assert not stop.alive
             else:
                 assert runner._pool is None
-                assert runner._pool_key is None
                 assert runner._pool_finalizer is None
             assert all(worker.exitcode is not None for worker in workers)
         finally:

@@ -377,30 +377,29 @@ class TestSteadyStateAllocations:
         )
 
 
-def _init_worker_context(**kwargs) -> ExecutionContext:
+def _init_worker_context(**fields) -> ExecutionContext:
     """The context ``init_worker`` sets, read in a throwaway copy.
 
     A pool process runs its initializer and then every task in one
     context; a copy of the test's stands in for it, so the test's own
     context is never touched.
     """
+    from repro.engine import EngineConfig
     from repro.fleet.worker import init_worker
-    from repro.lomb.welch import WelchLomb
 
+    config = EngineConfig(provider="numpy", chunk_windows=32, **fields)
     process = contextvars.copy_context()
-    process.run(init_worker, WelchLomb(), **kwargs)
+    process.run(init_worker, config.pinned(), None)
     assert current_execution() == ExecutionContext()
     return process.run(current_execution)
 
 
 class TestFleetWorkerArena:
     def test_init_worker_installs_process_arena(self):
-        installed = _init_worker_context(chunk_windows=None, arena=True)
-        assert installed.arena is not None
-        warmed = _init_worker_context(chunk_windows=32, arena=True)
+        warmed = _init_worker_context(arena=True)
         assert warmed.arena is not None
         assert warmed.arena.stats()["pooled_buffers"] > 0
 
     def test_init_worker_without_arena_keeps_state(self):
-        context = _init_worker_context(chunk_windows=None, arena=False)
+        context = _init_worker_context(arena=False)
         assert context.arena is None

@@ -382,15 +382,15 @@ class TestUniformMatrixPath:
 
 
 class TestFleetProviderPinning:
-    def test_report_records_resolved_provider(self):
+    def test_report_records_resolved_provider(self, monkeypatch):
+        monkeypatch.setenv(registry.PROVIDER_ENV_VAR, "numpy")
         rr = generate_tachogram(TachogramSpec(seed=3), 900.0)
-        with execution(provider="numpy"):
-            report = FleetRunner(n_jobs=1).run_report([rr])
+        report = FleetRunner(EngineConfig(jobs=1)).run_report([rr])
         assert report.provider == "numpy"
 
     def test_in_process_pin_restored(self):
         rr = generate_tachogram(TachogramSpec(seed=3), 900.0)
-        runner = FleetRunner(n_jobs=1, provider="explicit")
+        runner = FleetRunner(EngineConfig(jobs=1, provider="explicit"))
         report = runner.run_report([rr])
         assert report.provider == "explicit"
         assert current_execution().provider is None
@@ -398,10 +398,9 @@ class TestFleetProviderPinning:
     @pytest.mark.parametrize("name", AVAILABLE)
     def test_in_process_matches_direct_analyze(self, name):
         rr = generate_tachogram(TachogramSpec(seed=5), 900.0)
-        welch = WelchLomb()
-        fleet = FleetRunner(welch=welch, n_jobs=1, provider=name).run(
-            [rr], count_ops=True
-        )[0]
+        runner = FleetRunner(EngineConfig(jobs=1, provider=name))
+        welch = runner.welch
+        fleet = runner.run([rr], count_ops=True)[0]
         with execution(provider=name):
             single = welch.analyze(rr.times, rr.intervals, count_ops=True)
         np.testing.assert_array_equal(fleet.spectrogram, single.spectrogram)
@@ -409,21 +408,19 @@ class TestFleetProviderPinning:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", FAST_PROVIDERS)
-    def test_sharded_bit_identical_per_provider(self, name):
+    def test_sharded_bit_identical_per_provider(self, name, monkeypatch):
+        monkeypatch.setattr(
+            "repro.fleet.runner.DEFAULT_MIN_WINDOWS_PER_SHARD", 2
+        )
         recordings = [
             generate_tachogram(TachogramSpec(seed=seed), 900.0)
             for seed in (11, 12)
         ]
-        welch = WelchLomb()
-        single = FleetRunner(welch=welch, n_jobs=1, provider=name).run(
+        config = EngineConfig(provider=name)
+        single = FleetRunner(config.replace(jobs=1)).run(
             recordings, count_ops=True
         )
-        with FleetRunner(
-            welch=welch,
-            n_jobs=2,
-            provider=name,
-            min_windows_per_shard=2,
-        ) as runner:
+        with FleetRunner(config.replace(jobs=2)) as runner:
             sharded = runner.run(recordings, count_ops=True)
         for a, b in zip(sharded, single):
             np.testing.assert_array_equal(a.spectrogram, b.spectrogram)
@@ -431,18 +428,20 @@ class TestFleetProviderPinning:
             assert a.counts == b.counts
 
     @pytest.mark.slow
-    def test_uniform_recording_sharded_bit_identical(self):
+    def test_uniform_recording_sharded_bit_identical(self, monkeypatch):
         # Uniformly-sampled recording (equal beat counts at a constant
         # stride): the single-process path and every shard must agree
         # bit-for-bit.
+        monkeypatch.setattr(
+            "repro.fleet.runner.DEFAULT_MIN_WINDOWS_PER_SHARD", 4
+        )
         t = np.arange(0.0, 3600.0, 0.5)
         x = 0.9 + 0.05 * np.sin(2 * np.pi * 0.1 * t)
-        welch = WelchLomb()
-        single = FleetRunner(welch=welch, n_jobs=1).run([(t, x)])[0]
+        single_runner = FleetRunner(EngineConfig(jobs=1))
+        welch = single_runner.welch
+        single = single_runner.run([(t, x)])[0]
         direct = welch.analyze(t, x)
-        with FleetRunner(
-            welch=welch, n_jobs=2, min_windows_per_shard=4
-        ) as runner:
+        with FleetRunner(EngineConfig(jobs=2)) as runner:
             sharded = runner.run([(t, x)])[0]
         np.testing.assert_array_equal(sharded.spectrogram, single.spectrogram)
         np.testing.assert_array_equal(sharded.spectrogram, direct.spectrogram)

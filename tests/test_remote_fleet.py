@@ -73,6 +73,43 @@ def _one_row_result(count_ops: bool = False) -> dict:
     )
 
 
+_U32, _I64 = struct.Struct("!I"), struct.Struct("!q")
+
+
+def _wire_array(dtype: bytes, shape, nbytes: int, raw: bytes = b"") -> bytes:
+    """Codec bytes of one array as a peer might send them, valid or not."""
+    return (
+        b"a" + _U32.pack(len(dtype)) + dtype + _U32.pack(len(shape))
+        + b"".join(_I64.pack(extent) for extent in shape)
+        + _I64.pack(nbytes) + raw
+    )
+
+
+#: Payloads the codec cannot decode, each of which once escaped the
+#: decoder as an untyped exception.
+_UNDECODABLE = {
+    "unknown-dtype": _wire_array(b"nope", (2,), 16, bytes(16)),
+    "negative-extent": _wire_array(b"<f8", (-2, -3), 48, bytes(48)),
+    # 2**64 elements wrap an int64 product to 0, matching nbytes=0.
+    "overflowing-count": _wire_array(b"<f8", (2**62, 4), 0),
+    "non-decimal-int": b"I" + _U32.pack(3) + b"abc",
+    "invalid-utf8": b"s" + _U32.pack(2) + b"\xff\xfe",
+    "deep-nesting": (b"l" + _U32.pack(1)) * 5000 + b"N",
+}
+
+#: A ``result`` message whose spectra column cannot be decoded.
+_UNDECODABLE_RESULT = (
+    b"t" + _U32.pack(2) + encode_value("result")
+    + b"d" + _U32.pack(1) + encode_value("spectra")
+    + _UNDECODABLE["unknown-dtype"]
+)
+
+
+def _frame(body: bytes) -> bytes:
+    """One RPF1 frame around raw codec bytes."""
+    return b"RPF1" + struct.pack("!Q", len(body)) + body
+
+
 def _providers():
     return sorted(
         name for name, ok in available_providers().items() if ok
@@ -170,6 +207,13 @@ class TestCodec:
     def test_unknown_tag_is_transport_error(self):
         with pytest.raises(TransportError):
             decode_value(b"Z")
+
+    @pytest.mark.parametrize(
+        "payload", _UNDECODABLE.values(), ids=_UNDECODABLE
+    )
+    def test_undecodable_payload_is_transport_error(self, payload):
+        with pytest.raises(TransportError):
+            decode_value(payload)
 
     def test_non_string_dict_key_rejected(self):
         with pytest.raises(TransportError):
@@ -346,21 +390,14 @@ class TestWorkerDaemon:
         with WorkerDaemon() as daemon:
             daemon.start()
             worker = RemoteWorker(daemon.address, timeout=10.0)
-            info = worker.connect(
-                {
-                    "config": config.to_dict(),
-                    "provider": resolved.provider,
-                    "chunk_windows": resolved.chunk_windows,
-                }
-            )
+            info = worker.connect(config.pinned())
             assert info["provider"] == resolved.provider
             assert info["chunk_windows"] == resolved.chunk_windows
             assert info["version"] == PROTOCOL_VERSION
             worker.close()
 
     def test_version_mismatch_refused(self):
-        config = EngineConfig()
-        resolved = config.resolve()
+        config = EngineConfig().pinned()
         with WorkerDaemon() as daemon:
             daemon.start()
             sock = socket.create_connection(
@@ -374,8 +411,6 @@ class TestWorkerDaemon:
                     {
                         "version": PROTOCOL_VERSION + 1,
                         "config": config.to_dict(),
-                        "provider": resolved.provider,
-                        "chunk_windows": resolved.chunk_windows,
                     },
                 )
                 kind, payload = stream.recv()
@@ -384,37 +419,90 @@ class TestWorkerDaemon:
             finally:
                 stream.close()
 
-    def test_unknown_provider_refused(self):
-        config = EngineConfig()
-        resolved = config.resolve()
+    @pytest.mark.parametrize("version", [4, PROTOCOL_VERSION])
+    def test_v4_hello_refused(self, version):
+        """A hello with v4's keys beside the config is a typed refusal."""
+        config = EngineConfig().pinned()
+        hello = {
+            "version": version,
+            "config": config.to_dict(),
+            "provider": config.provider,
+            "chunk_windows": config.chunk_windows,
+            "arena": True,
+        }
+        with WorkerDaemon() as daemon:
+            daemon.start()
+            sock = socket.create_connection(
+                (daemon.host, daemon.port), timeout=5.0
+            )
+            stream = FrameStream(sock)
+            stream.settimeout(5.0)
+            try:
+                stream.send("hello", hello)
+                kind, payload = stream.recv()
+                assert kind == "error"
+                assert "version" in payload["message"]
+            finally:
+                stream.close()
+
+    def test_unknown_provider_refused(self, monkeypatch):
+        """A provider the scheduler pinned but this host lacks is refused."""
+        from repro.ffts.providers import registry
+
+        config = EngineConfig(provider="scipy").pinned()
+        monkeypatch.setattr(registry, "provider_available", lambda name: False)
         with WorkerDaemon() as daemon:
             daemon.start()
             worker = RemoteWorker(daemon.address, timeout=10.0)
-            with pytest.raises(ConfigurationError, match="not available"):
-                worker.connect(
-                    {
-                        "config": config.to_dict(),
-                        "provider": "no-such-provider",
-                        "chunk_windows": resolved.chunk_windows,
-                    }
-                )
+            with pytest.raises(ConfigurationError, match="unavailable"):
+                worker.connect(config)
+
+    def test_unpinned_config_refused(self):
+        """The daemon never resolves: an unpinned config is refused."""
+        with WorkerDaemon() as daemon:
+            daemon.start()
+            worker = RemoteWorker(daemon.address, timeout=10.0)
+            with pytest.raises(ConfigurationError, match="pinned"):
+                worker.connect(EngineConfig(provider="numpy"))
+            assert not worker.connected
 
     def test_task_with_unknown_array_key_is_task_error(self):
-        config = EngineConfig()
-        resolved = config.resolve()
         with WorkerDaemon() as daemon:
             daemon.start()
             worker = RemoteWorker(daemon.address, timeout=10.0)
-            worker.connect(
-                {
-                    "config": config.to_dict(),
-                    "provider": resolved.provider,
-                    "chunk_windows": resolved.chunk_windows,
-                }
-            )
+            worker.connect(EngineConfig().pinned())
             with pytest.raises(RemoteTaskError):
                 worker.run_task(SpanTask(0, 0, 1, ((0, 8),), False))
             worker.close()
+
+    def test_undecodable_frame_ends_only_its_connection(self, monkeypatch):
+        """A frame the codec refuses closes its connection cleanly.
+
+        No serving thread dies with an uncaught exception, and the
+        daemon goes on serving the next connection.
+        """
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        times = np.arange(8.0)
+        with WorkerDaemon() as daemon:
+            daemon.start()
+            for body in _UNDECODABLE.values():
+                sock = socket.create_connection(
+                    (daemon.host, daemon.port), timeout=5.0
+                )
+                try:
+                    sock.sendall(_frame(body))
+                    assert sock.recv(1) == b""  # the daemon hung up
+                finally:
+                    sock.close()
+            worker = RemoteWorker(daemon.address, timeout=10.0)
+            worker.connect(EngineConfig().pinned())
+            worker.ensure_array(0, times)
+            worker.ensure_array(1, np.cos(times))
+            spectra, _ = worker.run_task(SpanTask(0, 0, 1, ((0, 8),), False))
+            worker.close()
+        assert len(spectra) == 1
+        assert uncaught == []
 
     def test_unreachable_worker_is_connection_error(self):
         # Bind-then-close guarantees a dead port.
@@ -424,8 +512,7 @@ class TestWorkerDaemon:
         probe.close()
         worker = RemoteWorker(f"127.0.0.1:{port}", timeout=2.0)
         with pytest.raises(ConnectionError):
-            worker.connect({"config": EngineConfig().to_dict(),
-                            "provider": "numpy", "chunk_windows": 64})
+            worker.connect(EngineConfig(provider="numpy", chunk_windows=64))
 
 
 # ----------------------------------------------------------------------
@@ -450,14 +537,9 @@ class TestRemoteBitIdentity:
         the quality-scalable one, so both PSA systems are covered.
         """
         config = EngineConfig.for_mode(mode, provider=provider, jobs=1)
-        welch = build_system(config).welch
         cohort = _cohort(2)
-        reference = FleetRunner.from_config(config, welch=welch).run(
-            cohort, count_ops=True
-        )
-        runner = FleetRunner.from_config(
-            config.replace(workers=(shared_daemon.address,)), welch=welch
-        )
+        reference = FleetRunner(config).run(cohort, count_ops=True)
+        runner = FleetRunner(config.replace(workers=(shared_daemon.address,)))
         with runner:
             report = runner.run_report(cohort, count_ops=True)
         assert report.n_remote_workers == 1
@@ -474,17 +556,12 @@ class TestRemoteBitIdentity:
         in-process ones do.
         """
         config = EngineConfig.for_mode("set3", provider="numpy", jobs=1)
-        welch = build_system(config).welch
         cohort = _cohort(2)
-        reference = FleetRunner.from_config(config, welch=welch).run(
-            cohort, count_ops=True
-        )
+        reference = FleetRunner(config).run(cohort, count_ops=True)
         runners = {
-            "pool": FleetRunner.from_config(
-                config.replace(jobs=2), welch=welch
-            ),
-            "daemon": FleetRunner.from_config(
-                config.replace(workers=(shared_daemon.address,)), welch=welch
+            "pool": FleetRunner(config.replace(jobs=2)),
+            "daemon": FleetRunner(
+                config.replace(workers=(shared_daemon.address,))
             ),
         }
         for name, runner in runners.items():
@@ -515,18 +592,12 @@ class TestRemoteBitIdentity:
     def test_remote_equals_shm_pool(self, shared_daemon):
         """The three transports agree: in-process == shm pool == socket."""
         config = EngineConfig.for_mode("set3", jobs=1)
-        welch = build_system(config).welch
         cohort = _cohort(3)
-        reference = FleetRunner.from_config(config, welch=welch).run(
-            cohort, count_ops=True
-        )
-        with FleetRunner.from_config(
-            config.replace(jobs=2), welch=welch
-        ) as pool_runner:
+        reference = FleetRunner(config).run(cohort, count_ops=True)
+        with FleetRunner(config.replace(jobs=2)) as pool_runner:
             pool_results = pool_runner.run(cohort, count_ops=True)
-        with FleetRunner.from_config(
-            config.replace(jobs=2, workers=(shared_daemon.address,)),
-            welch=welch,
+        with FleetRunner(
+            config.replace(jobs=2, workers=(shared_daemon.address,))
         ) as mixed_runner:
             mixed = mixed_runner.run_report(cohort, count_ops=True)
         _assert_identical(reference, pool_results)
@@ -556,12 +627,10 @@ class TestRemoteBitIdentity:
         welch = build_system(config).welch
         rr = _cohort(1, seconds=1800.0)[0]
         plan = welch.plan_windows(rr.times, rr.intervals)
-        reference, ref_metrics = FleetRunner.from_config(
-            config, welch=welch
-        ).run_spans(plan.times, plan.values, plan.spans, count_ops=True)
-        runner = FleetRunner.from_config(
-            config.replace(workers=(shared_daemon.address,)), welch=welch
+        reference, ref_metrics = FleetRunner(config).run_spans(
+            plan.times, plan.values, plan.spans, count_ops=True
         )
+        runner = FleetRunner(config.replace(workers=(shared_daemon.address,)))
         with runner:
             remote, remote_metrics = runner.run_spans(
                 plan.times, plan.values, plan.spans, count_ops=True
@@ -576,11 +645,8 @@ class TestRemoteBitIdentity:
     def test_second_run_reuses_connection(self, shared_daemon):
         """Persistent connections reset array keys between runs."""
         config = EngineConfig(jobs=1, workers=(shared_daemon.address,))
-        welch = build_system(config).welch
-        reference_runner = FleetRunner.from_config(
-            config.replace(workers=()), welch=welch
-        )
-        with FleetRunner.from_config(config, welch=welch) as runner:
+        reference_runner = FleetRunner(config.replace(workers=()))
+        with FleetRunner(config) as runner:
             first_cohort = _cohort(2)
             second_cohort = _cohort(2, seconds=900.0)
             first = runner.run_report(first_cohort, count_ops=True)
@@ -624,22 +690,53 @@ class _DyingDaemon(WorkerDaemon):
         super()._run_task(stream, payload, state)
 
 
+class _CorruptingDaemon(WorkerDaemon):
+    """A daemon that answers its first task with an undecodable result."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.corrupted = 0
+
+    def _run_task(self, stream, payload, state) -> None:
+        if self.corrupted:
+            super()._run_task(stream, payload, state)
+            return
+        self.corrupted += 1
+        stream._sock.sendall(_frame(_UNDECODABLE_RESULT))
+
+
 class TestFaultTolerance:
-    def test_worker_death_mid_run_reassigns_shards(self):
-        """A daemon dying after its first task never fails the cohort."""
-        config = EngineConfig.for_mode("set3", jobs=1)
-        welch = build_system(config).welch
-        cohort = _cohort(4)
-        reference = FleetRunner.from_config(config, welch=welch).run(
-            cohort, count_ops=True
+    def test_undecodable_result_requeues_the_task(self, monkeypatch):
+        """A corrupt result frame is a dead connection, not a failed run.
+
+        The scheduler sees a :class:`ConnectionError`, requeues the
+        task, rejoins the daemon and completes the cohort bit-identically.
+        """
+        monkeypatch.setattr(
+            "repro.fleet.runner.DEFAULT_MIN_WINDOWS_PER_SHARD", 1
         )
+        config = EngineConfig.for_mode("set3", jobs=1)
+        cohort = _cohort(2)
+        reference = FleetRunner(config).run(cohort, count_ops=True)
+        with _CorruptingDaemon() as daemon:
+            daemon.start()
+            runner = FleetRunner(config.replace(workers=(daemon.address,)))
+            with runner:
+                results = runner.run(cohort, count_ops=True)
+        assert daemon.corrupted == 1
+        _assert_identical(reference, results)
+
+    def test_worker_death_mid_run_reassigns_shards(self, monkeypatch):
+        """A daemon dying after its first task never fails the cohort."""
+        monkeypatch.setattr(
+            "repro.fleet.runner.DEFAULT_MIN_WINDOWS_PER_SHARD", 1
+        )
+        config = EngineConfig.for_mode("set3", jobs=1)
+        cohort = _cohort(4)
+        reference = FleetRunner(config).run(cohort, count_ops=True)
         with _DyingDaemon(die_after=1) as daemon:
             daemon.start()
-            runner = FleetRunner.from_config(
-                config.replace(workers=(daemon.address,)),
-                welch=welch,
-                min_windows_per_shard=1,
-            )
+            runner = FleetRunner(config.replace(workers=(daemon.address,)))
             with runner:
                 report = runner.run_report(cohort, count_ops=True)
         assert report.n_shards > 2  # the death actually left work behind
@@ -651,23 +748,18 @@ class TestFaultTolerance:
         port = probe.getsockname()[1]
         probe.close()
         config = EngineConfig(jobs=1, workers=(f"127.0.0.1:{port}",))
-        runner = FleetRunner.from_config(config)
+        runner = FleetRunner(config)
         with pytest.raises(ConfigurationError, match="unreachable"):
             runner.run(_cohort(1))
 
     def test_previously_healthy_worker_death_degrades_gracefully(self):
         """A worker that served run 1 but is gone for run 2 is skipped."""
         config = EngineConfig.for_mode("band", jobs=1)
-        welch = build_system(config).welch
         cohort = _cohort(2)
-        reference = FleetRunner.from_config(config, welch=welch).run(
-            cohort, count_ops=True
-        )
+        reference = FleetRunner(config).run(cohort, count_ops=True)
         daemon = WorkerDaemon()
         daemon.start()
-        runner = FleetRunner.from_config(
-            config.replace(workers=(daemon.address,)), welch=welch
-        )
+        runner = FleetRunner(config.replace(workers=(daemon.address,)))
         with runner:
             first = runner.run_report(cohort, count_ops=True)
             assert first.n_remote_workers == 1
@@ -677,8 +769,11 @@ class TestFaultTolerance:
         _assert_identical(reference, first.results)
         _assert_identical(reference, second.results)
 
-    def test_sigkill_subprocess_daemon_mid_run(self):
+    def test_sigkill_subprocess_daemon_mid_run(self, monkeypatch):
         """Kill -9 a real daemon process mid-cohort: run still completes."""
+        monkeypatch.setattr(
+            "repro.fleet.runner.DEFAULT_MIN_WINDOWS_PER_SHARD", 1
+        )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, ["src", env.get("PYTHONPATH")])
@@ -694,16 +789,10 @@ class TestFaultTolerance:
             banner = proc.stdout.readline()
             address = re.search(r"listening on (\S+)", banner).group(1)
             config = EngineConfig.for_mode("set3", jobs=1)
-            welch = build_system(config).welch
             cohort = _cohort(4)
-            reference = FleetRunner.from_config(config, welch=welch).run(
-                cohort, count_ops=True
-            )
-            runner = FleetRunner.from_config(
-                config.replace(workers=(address,)),
-                welch=welch,
-                min_windows_per_shard=1,
-                worker_timeout=5.0,
+            reference = FleetRunner(config).run(cohort, count_ops=True)
+            runner = FleetRunner(
+                config.replace(workers=(address,), worker_timeout=5.0)
             )
             killer = threading.Timer(
                 0.15, lambda: proc.send_signal(signal.SIGKILL)
@@ -737,9 +826,6 @@ class TestWorkersConfig:
         resolved = config.resolve()
         assert resolved.workers == ("10.0.0.1:9100",)
         assert resolved.workers_source == "config"
-        explicit = config.resolve(workers=("10.0.0.9:9200",))
-        assert explicit.workers == ("10.0.0.9:9200",)
-        assert explicit.workers_source == "explicit"
         assert EngineConfig().resolve().workers_source == "default"
 
     def test_malformed_worker_address_rejected(self):
@@ -747,7 +833,3 @@ class TestWorkersConfig:
             EngineConfig(workers=("not-an-address",))
         with pytest.raises(ConfigurationError):
             EngineConfig.from_dict({"workers": "10.0.0.1:9100"})
-
-    def test_runner_requires_config_for_workers(self):
-        with pytest.raises(ConfigurationError, match="config"):
-            FleetRunner(n_jobs=1, workers=("127.0.0.1:9100",))

@@ -5,7 +5,7 @@ Satellite coverage of PR 8's robustness work on the socket transport:
 deterministic jitter, cumulative ``reconnects``/``connect_failures``
 counters, refusals not retried), scheduler re-admission after an
 injected mid-run death, and the ``worker_timeout`` resolution chain
-(explicit → config → ``REPRO_WORKER_TIMEOUT`` env pin → default).
+(config → ``REPRO_WORKER_TIMEOUT`` env pin → default).
 """
 
 from __future__ import annotations
@@ -33,25 +33,15 @@ def shared_daemon():
         yield daemon
 
 
-def make_hello(config=None):
-    config = config or EngineConfig()
-    resolved = config.resolve()
-    return {
-        "config": config.to_dict(),
-        "provider": resolved.provider,
-        "chunk_windows": resolved.chunk_windows,
-    }
-
-
 class TestReconnect:
     def test_rejoins_after_connection_drop(self, shared_daemon):
         worker = RemoteWorker(shared_daemon.address, timeout=10.0)
-        hello = make_hello()
-        worker.connect(hello)
+        config = EngineConfig().pinned()
+        worker.connect(config)
         assert worker.reconnects == 0
         worker._drop()  # the wire dies; the daemon survives
-        info = worker.reconnect(hello, base_delay=0.001)
-        assert info["provider"] == hello["provider"]
+        info = worker.reconnect(config, base_delay=0.001)
+        assert info["provider"] == config.provider
         assert worker.reconnects == 1
         assert worker.connect_failures == 0
         worker.reset_arrays()  # ping/pong works on the new session
@@ -61,18 +51,21 @@ class TestReconnect:
         worker = RemoteWorker("127.0.0.1:9", timeout=0.25)
         with pytest.raises(ConnectionError, match="2 reconnect attempts"):
             worker.reconnect(
-                make_hello(), attempts=2, base_delay=0.001, max_delay=0.002
+                EngineConfig().pinned(),
+                attempts=2, base_delay=0.001, max_delay=0.002,
             )
         assert worker.connect_failures == 2
         assert worker.reconnects == 0
 
-    def test_refusal_is_not_retried(self, shared_daemon):
+    def test_refusal_is_not_retried(self, shared_daemon, monkeypatch):
         """A daemon that *answers* and refuses fails fast, no backoff."""
+        from repro.ffts.providers import registry
+
         worker = RemoteWorker(shared_daemon.address, timeout=10.0)
-        hello = make_hello()
-        hello["provider"] = "no-such-provider"
-        with pytest.raises(ConfigurationError, match="not available"):
-            worker.reconnect(hello, base_delay=0.001)
+        config = EngineConfig(provider="scipy").pinned()
+        monkeypatch.setattr(registry, "provider_available", lambda name: False)
+        with pytest.raises(ConfigurationError, match="unavailable"):
+            worker.reconnect(config, base_delay=0.001)
         worker.close()
 
     def test_default_attempt_budget_is_bounded(self):
@@ -142,13 +135,6 @@ class TestWorkerTimeoutResolution:
         assert resolved.worker_timeout == 3.5
         assert resolved.worker_timeout_source == "config"
 
-    def test_explicit_beats_config(self):
-        resolved = EngineConfig(worker_timeout=3.5).resolve(
-            worker_timeout=2.0
-        )
-        assert resolved.worker_timeout == 2.0
-        assert resolved.worker_timeout_source == "explicit"
-
     def test_env_pin(self, monkeypatch):
         monkeypatch.setenv(WORKER_TIMEOUT_ENV_VAR, "7.5")
         resolved = EngineConfig().resolve()
@@ -172,10 +158,6 @@ class TestWorkerTimeoutResolution:
         with pytest.raises(ConfigurationError, match="worker_timeout"):
             EngineConfig(worker_timeout=bad)
 
-    def test_resolve_rejects_bad_explicit(self):
-        with pytest.raises(ConfigurationError, match="worker_timeout"):
-            EngineConfig().resolve(worker_timeout=0.0)
-
     def test_round_trips_through_dict(self):
         config = EngineConfig(worker_timeout=4.25)
         assert EngineConfig.from_dict(config.to_dict()).worker_timeout == 4.25
@@ -183,7 +165,7 @@ class TestWorkerTimeoutResolution:
     def test_engine_passes_timeout_to_fleet(self):
         with Engine(EngineConfig(worker_timeout=6.0, jobs=1)) as engine:
             assert engine.resolved.worker_timeout == 6.0
-            assert engine._ensure_fleet().worker_timeout == 6.0
+            assert engine._ensure_fleet().config.worker_timeout == 6.0
 
 
 class TestDaemonHeartbeatOption:

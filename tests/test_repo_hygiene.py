@@ -118,21 +118,12 @@ def test_one_batch_entry_into_the_dense_kernel():
     assert callers.found == [("lomb/fast.py", "periodogram_spans")]
 
 
-def test_per_window_objects_are_built_only_on_access():
-    """Window results stay columns until a caller reads one row.
+def _constructions(names) -> set:
+    """``(module, scope, name)`` of every call building one of ``names``.
 
-    The kernel's :class:`~repro.lomb.fast.LombBatch` and the metrics'
-    :class:`~repro.hrv.metrics.MetricsBatch` flow unchanged from the
-    kernel through every fleet transport to result assembly.  A
-    :class:`LombSpectrum` is built only by the sequential oracle, the
-    batch's row accessor and the Welch average; a
-    :class:`WindowMetrics` only by its batch's row accessors (indexing
-    and iteration) and by ``WindowMetrics.from_dict``, through ``cls``.  Building or mapping
-    either anywhere else reintroduces a per-window round trip.
+    ``map(Name, ...)`` counts as building ``Name``.
     """
     import ast
-
-    built = ("LombSpectrum", "WindowMetrics")
 
     def named(node) -> str | None:
         if isinstance(node, ast.Name):
@@ -156,7 +147,7 @@ def test_per_window_objects_are_built_only_on_access():
             name = named(node.func)
             if name == "map" and node.args:
                 name = named(node.args[0])
-            if name in built:
+            if name in names:
                 scope = ".".join(self.scopes) or "<module>"
                 self.found.add((self.path, scope, name))
             self.generic_visit(node)
@@ -168,10 +159,71 @@ def test_per_window_objects_are_built_only_on_access():
         builders.visit(
             ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         )
-    assert builders.found == {
+    return builders.found
+
+
+def test_per_window_objects_are_built_only_on_access():
+    """Window results stay columns until a caller reads one row.
+
+    The kernel's :class:`~repro.lomb.fast.LombBatch` and the metrics'
+    :class:`~repro.hrv.metrics.MetricsBatch` flow unchanged from the
+    kernel through every fleet transport to result assembly.  A
+    :class:`LombSpectrum` is built only by the sequential oracle, the
+    batch's row accessor and the Welch average; a
+    :class:`WindowMetrics` only by its batch's row accessors (indexing
+    and iteration) and by ``WindowMetrics.from_dict``, through ``cls``.  Building or mapping
+    either anywhere else reintroduces a per-window round trip.
+    """
+    assert _constructions({"LombSpectrum", "WindowMetrics"}) == {
         ("hrv/metrics.py", "MetricsBatch.__getitem__", "WindowMetrics"),
         ("hrv/metrics.py", "MetricsBatch.__iter__", "WindowMetrics"),
         ("lomb/fast.py", "FastLomb.periodogram", "LombSpectrum"),
         ("lomb/fast.py", "LombBatch.__getitem__", "LombSpectrum"),
         ("lomb/welch.py", "WelchLombResult.averaged_spectrum", "LombSpectrum"),
     }
+
+
+def test_one_builder_of_execution_state():
+    """An engine and a fleet worker each build their state one way.
+
+    The context module's default, :class:`~repro.engine.Engine` and
+    :func:`~repro.fleet.worker.worker_state` — shared by pool processes
+    and daemon connections — are the only code that builds an
+    :class:`~repro.perf.ExecutionContext`, and only an engine builds a
+    :class:`~repro.fleet.FleetRunner`, from its config pinned to what
+    it resolved.  A second builder would be a second description of a
+    fleet run, free to drift from the engine's.
+    """
+    assert _constructions({"ExecutionContext", "FleetRunner"}) == {
+        ("engine/engine.py", "Engine.__init__", "ExecutionContext"),
+        ("engine/engine.py", "Engine._ensure_fleet", "FleetRunner"),
+        ("fleet/worker.py", "worker_state", "ExecutionContext"),
+        ("perf/context.py", "<module>", "ExecutionContext"),
+    }
+
+
+def test_gateway_uses_the_public_hub_api():
+    """The gateway reads hubs through their public API only.
+
+    ``hub.subjects``, ``hub.session()`` and ``hub.async_session()``
+    cover what the server needs; reaching into ``hub._...`` ties the
+    gateway to the hub's private bookkeeping.
+    """
+    import ast
+
+    service = REPO_ROOT / "src" / "repro" / "service"
+    found = []
+    for path in sorted(service.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and isinstance(node.value, (ast.Name, ast.Attribute))
+                and (
+                    getattr(node.value, "id", None) == "hub"
+                    or getattr(node.value, "attr", None) == "hub"
+                )
+            ):
+                found.append((path.name, node.lineno, node.attr))
+    assert found == []

@@ -432,19 +432,12 @@ class TestMalformedSpans:
 
     @staticmethod
     def _daemon_round_trip(times, values):
-        config = EngineConfig(provider="numpy")
-        resolved = config.resolve()
+        config = EngineConfig(provider="numpy").pinned()
         good = [(0, 150), (75, 240)]
         with WorkerDaemon() as daemon:
             daemon.start()
             worker = RemoteWorker(daemon.address, timeout=10.0)
-            worker.connect(
-                {
-                    "config": config.to_dict(),
-                    "provider": resolved.provider,
-                    "chunk_windows": resolved.chunk_windows,
-                }
-            )
+            worker.connect(config)
             try:
                 worker.ensure_array(0, times)
                 worker.ensure_array(1, values)
@@ -533,7 +526,7 @@ class TestHostileSamples:
         # Sample 700 lies in the last two of 16 spans, which the split
         # batch hands the second pool slice.
         spans = [(40 * k, 40 * k + 150) for k in range(16)]
-        with FleetRunner(n_jobs=2, provider="numpy") as runner:
+        with FleetRunner(EngineConfig(jobs=2, provider="numpy")) as runner:
             with pytest.raises(
                 SignalError,
                 match=r"span \d+ \(560, 710\): values contains non-finite",
@@ -543,18 +536,11 @@ class TestHostileSamples:
     @pytest.mark.slow
     def test_worker_daemon_returns_task_error(self, recording_920):
         times, values = _corrupt(*recording_920, "decreasing_time", 200)
-        config = EngineConfig(provider="numpy")
-        resolved = config.resolve()
+        config = EngineConfig(provider="numpy").pinned()
         with WorkerDaemon() as daemon:
             daemon.start()
             worker = RemoteWorker(daemon.address, timeout=10.0)
-            worker.connect(
-                {
-                    "config": config.to_dict(),
-                    "provider": resolved.provider,
-                    "chunk_windows": resolved.chunk_windows,
-                }
-            )
+            worker.connect(config)
             try:
                 worker.ensure_array(0, times)
                 worker.ensure_array(1, values)
@@ -602,19 +588,12 @@ class TestMismatchedSampleArrays:
 
     @staticmethod
     def _daemon_round_trip(times, values):
-        config = EngineConfig(provider="numpy")
-        resolved = config.resolve()
+        config = EngineConfig(provider="numpy").pinned()
         good = [(0, 150), (75, 240)]
         with WorkerDaemon() as daemon:
             daemon.start()
             worker = RemoteWorker(daemon.address, timeout=10.0)
-            worker.connect(
-                {
-                    "config": config.to_dict(),
-                    "provider": resolved.provider,
-                    "chunk_windows": resolved.chunk_windows,
-                }
-            )
+            worker.connect(config)
             try:
                 worker.ensure_array(0, times)
                 worker.ensure_array(1, values)

@@ -584,7 +584,11 @@ class TestAsyncTransport:
             for _ in range(50):
                 await asyncio.sleep(0)
             assert not feeder.done()  # wedged on the abandoned queue
+            assert hub.async_session("a") is session
             await session.aclose()  # never blocks; releases the feeder
+            # Ended: its full queue has no reader, so nothing (the
+            # gateway's shutdown drain included) may route to it.
+            assert hub.async_session("a") is None
             await asyncio.wait_for(feeder, timeout=10.0)
             return hub.finalize("a")  # supervisor still gets the result
 
