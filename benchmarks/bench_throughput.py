@@ -17,8 +17,11 @@ against the explicit oracle (must be ``np.allclose``) and whether the
 modelled operation counts match the oracle exactly (they must — counts
 are modelled, never measured).  Each system also records steady-state
 allocation churn per window (tracemalloc) with the workspace arena on
-vs off.  Results are written to ``BENCH_throughput.json`` at the
-repository root.
+vs off, and the batched path's per-stage host time in µs per window
+(``StageProfiler``, arena on: prepare, extirpolate, fft, lomb_combine,
+metrics).  The document's ``host`` block records the CPU count and the
+Python, NumPy and SciPy versions.  Results are written to
+``BENCH_throughput.json`` at the repository root.
 
 Run with:  python benchmarks/bench_throughput.py [--hours H] [--repeats R]
 
@@ -30,7 +33,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import platform
 import sys
 import time
 
@@ -48,6 +53,10 @@ from repro.ffts.pruning import PruningSpec  # noqa: E402
 from repro.perf import execution  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_throughput.json"
+
+#: The kernel and metrics stages the per-stage table reports, in
+#: pipeline order (``repro.perf.profiler`` span names).
+PROFILED_STAGES = ("prepare", "extirpolate", "fft", "lomb_combine", "metrics")
 
 
 def _time_analyze(welch, times, intervals, batched: bool, repeats: int) -> float:
@@ -154,6 +163,43 @@ def _steady_state_alloc(welch, times, intervals, n_windows) -> dict:
     }
 
 
+def _stage_profile(welch, times, intervals, n_windows, repeats: int) -> dict:
+    """Best-of-``repeats`` host µs per window of each profiled stage.
+
+    Runs the batched path inside a workspace arena, as an engine does;
+    a warm pass fills the arena's pools first.
+    """
+    from repro.perf.profiler import StageProfiler
+    from repro.perf.workspace import WorkspaceArena
+
+    best = dict.fromkeys(PROFILED_STAGES, float("inf"))
+    with execution(arena=WorkspaceArena()):
+        welch.analyze_windows(times, intervals, batched=True)  # warm
+        for _ in range(repeats):
+            profiler = StageProfiler()
+            with execution(profiler=profiler):
+                welch.analyze_windows(times, intervals, batched=True)
+            report = profiler.report()
+            for stage in PROFILED_STAGES:
+                us = report[stage]["seconds"] * 1e6 / n_windows
+                best[stage] = min(best[stage], us)
+    return best
+
+
+def _host() -> dict:
+    """CPU count and interpreter/library versions of the measuring host."""
+    try:
+        import scipy
+    except ImportError:  # optional: only the scipy provider needs it
+        scipy = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__ if scipy is not None else None,
+    }
+
+
 def run_throughput_benchmark(
     duration_hours: float = 24.0,
     repeats: int = 3,
@@ -215,9 +261,13 @@ def run_throughput_benchmark(
                 "steady_state_alloc": _steady_state_alloc(
                     welch, rr.times, rr.intervals, n_windows
                 ),
+                "stage_us_per_window": _stage_profile(
+                    welch, rr.times, rr.intervals, n_windows, repeats
+                ),
             }
     return {
         "benchmark": "batched vs sequential windowed-PSA throughput",
+        "host": _host(),
         "workload": {
             "duration_hours": duration_hours,
             "n_beats": int(rr.times.size),
@@ -264,6 +314,11 @@ def main(argv=None) -> None:
         print(
             f"  best provider: {sweep['best_provider']} "
             f"({sweep['best_speedup_vs_explicit']:.1f}x vs explicit batched)"
+        )
+        stages = entry["stage_us_per_window"]
+        print(
+            "  us/window: "
+            + ", ".join(f"{stage} {stages[stage]:.1f}" for stage in stages)
         )
 
 

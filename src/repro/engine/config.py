@@ -340,31 +340,37 @@ class EngineConfig:
         ):
             if key in data:
                 kwargs[key] = data[key]
-        if data.get("slo") is not None:
-            from .controller import SLOSpec
-
-            kwargs["slo"] = SLOSpec.from_dict(data["slo"])
-        if "pruning" in data:
-            kwargs["pruning"] = PruningSpec.from_dict(data["pruning"])
-        if "psa" in data:
-            psa = data["psa"]
-            if not isinstance(psa, dict):
-                raise ConfigurationError("psa must be a mapping")
-            kwargs["psa"] = PSAConfig(**psa)
-        if "workers" in data:
-            workers = data["workers"]
-            if isinstance(workers, str) or not hasattr(workers, "__iter__"):
-                raise ConfigurationError(
-                    "workers must be a list of 'host:port' strings"
-                )
-            kwargs["workers"] = tuple(workers)
-        if "bands" in data:
-            kwargs["bands"] = tuple(
-                FrequencyBand(**band) for band in data["bands"]
-            )
+        # The nested specs and the field checks raise TypeError or
+        # ValueError on a value of the wrong shape or type (an unknown
+        # nested key, bands that are not a list of mappings, a jobs
+        # count that is not a number): each is a malformed config.
         try:
+            if data.get("slo") is not None:
+                from .controller import SLOSpec
+
+                kwargs["slo"] = SLOSpec.from_dict(data["slo"])
+            if "pruning" in data:
+                kwargs["pruning"] = PruningSpec.from_dict(data["pruning"])
+            if "psa" in data:
+                psa = data["psa"]
+                if not isinstance(psa, dict):
+                    raise ConfigurationError("psa must be a mapping")
+                kwargs["psa"] = PSAConfig(**psa)
+            if "workers" in data:
+                workers = data["workers"]
+                if isinstance(workers, str) or not hasattr(
+                    workers, "__iter__"
+                ):
+                    raise ConfigurationError(
+                        "workers must be a list of 'host:port' strings"
+                    )
+                kwargs["workers"] = tuple(workers)
+            if "bands" in data:
+                kwargs["bands"] = tuple(
+                    FrequencyBand(**band) for band in data["bands"]
+                )
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"invalid engine config: {exc}") from None
 
     def to_json(self, indent: int | None = 2) -> str:

@@ -322,7 +322,12 @@ class WorkerDaemon:
                     if not self._handshake(stream, payload, state):
                         return
                 elif kind == "array":
-                    state["arrays"][int(payload["key"])] = payload["data"]
+                    key, data = payload.get("key"), payload.get("data")
+                    if type(key) is int and isinstance(data, np.ndarray):
+                        state["arrays"][key] = data
+                    else:
+                        message = "array frame needs an integer key and data"
+                        stream.send("error", {"message": message})
                 elif kind == "reset":
                     state["arrays"].clear()
                 elif kind == "task":

@@ -12,14 +12,25 @@ This is the "extrapolation (i.e., redistribution to the needed order
 the spiky half-filled workspace of Fig. 3(a): 117 RR intervals spread
 over the first ~256 cells of the 512-cell FFT workspace.
 
-Two execution paths share the same weights:
+Two execution paths share the same weights (:func:`_fractional_spread`):
 
 * :func:`extirpolate` — one window onto one workspace (the sequential
-  oracle),
+  oracle), scatter-added with ``np.add.at``;
 * :func:`extirpolate_batch` — many windows at once, scatter-added over a
-  flattened ``(window, cell)`` index space with one ``bincount``.  The
-  contribution ordering per cell matches the sequential path, so batched
-  workspaces are bit-identical per row.
+  flattened ``(window, cell)`` index space with one ``bincount``.  It
+  checks its inputs and runs :func:`scatter_rows`, the trusted entry the
+  Fast-Lomb kernel calls on positions it clipped itself.
+
+Batched workspaces are bit-identical per row to the sequential path
+because every cell sums the same addends in the same order.  Both
+scatters add in input order: first each exact (integer-position)
+sample's value, then each fractional sample's ``order`` contributions,
+sample by sample.  The batch gathers only each row's real samples;
+padding beyond a row's length (NaN and infinities included) is never
+read.  Dropping the padding, rather than scattering it as +0.0-valued
+samples at cell 0, changes no byte either: a cell starts at +0.0 and
+can never hold -0.0 (a sum is -0.0 only when both addends are), so
+adding +0.0 never changes it.
 
 The constant Lagrange denominator table is memoised in
 :func:`repro.ffts.plancache.lagrange_denominators` instead of being
@@ -39,6 +50,10 @@ __all__ = ["extirpolate", "extirpolate_batch", "extirpolation_weights"]
 
 #: Default interpolation order used by Numerical Recipes' ``fasper``.
 DEFAULT_ORDER = 4
+
+#: ``c`` as a float, for the offsets ``x - (ilo + c)`` of every order.
+_CELL_OFFSETS = np.arange(10.0)
+_CELL_OFFSETS.flags.writeable = False
 
 
 def extirpolation_weights(
@@ -100,85 +115,59 @@ def extirpolate(
 
     frac_pos = pos[~exact]
     frac_vals = vals[~exact]
-    ilo, weights = _fractional_spread(frac_pos, size, order)
+    ilo, weights = _fractional_spread(frac_pos, size, order, Scratch(None))
     cells = ilo[:, None] + np.arange(order)
-    np.add.at(out, cells, frac_vals[:, None] * weights)
+    np.add.at(out, cells, (weights * frac_vals).T)
     return out
 
 
 def _fractional_spread(
-    frac_pos: np.ndarray, size: int, order: int, ws: Scratch | None = None
+    frac_pos: np.ndarray, size: int, order: int, ws: Scratch
 ) -> tuple[np.ndarray, np.ndarray]:
     """First cell and reverse-Lagrange weights of non-integer positions.
 
     Returns ``(ilo, weights)``: sample ``j`` spreads onto cells
-    ``ilo[j] + 0 .. order-1`` with ``weights[j]``.  The weights
-    ``prod_{k != c}(x - j_k) / denom_c`` are built from prefix/suffix
-    products over the columns — one short multiply chain instead of a
-    strided row reduction plus a full elementwise division, which is
-    what makes the flattened batch path cheap.  Sequential and batched
-    extirpolation share this helper, so they perform identical
-    floating-point work per sample.
-
-    When *ws* is given, the order-4 temporaries (and the returned
-    arrays) are leased from it instead of freshly allocated; the
-    operations performed are identical either way, so the results are
-    bit-identical.
+    ``ilo[j] + c`` with weight ``weights[c, j]``, ``c = 0 .. order-1``.
+    The weights are ``prod_{k != c}(x - j_k) / denom_c``, built from
+    prefix and suffix products of ``d_k = x - j_k``: ``weights[c] =
+    prefix_c * suffix_c``, where a product of no factor is skipped
+    rather than multiplied by 1.0 (an exact no-op), so at order 4 the
+    chain is the six multiplies ``(d3*d2)*d1``, ``d0*(d3*d2)``,
+    ``(d0*d1)*d3`` and ``(d0*d1)*d2``.  Every weight is a contiguous
+    row, so each step is a plain pass over contiguous memory.
+    Sequential and batched extirpolation share this helper, so they
+    perform identical floating-point work per sample.  The returned
+    arrays are leased from *ws*.
     """
-    if ws is None:
-        ws = Scratch(None)
+    inverses = 1.0 / lagrange_denominators(order)  # checks the order
     n = frac_pos.size
-    if order == 4:
-        # Closed form of the prefix/suffix chain below, with the shared
-        # sub-products factored out — noticeably fewer array passes on
-        # the hottest path (order 4 is Numerical Recipes' and this
-        # repo's default).  The multiplication orders reproduce the
-        # generic chain exactly (prefix * suffix, commuted operand
-        # pairs only), so the weights are bit-identical to it.
-        shifted, d1, d2, d3, p01, p32, ilo, weights = carve(
-            ws.take((11 * n,)),
-            (n,),
-            (n,),
-            (n,),
-            (n,),
-            (n,),
-            (n,),
-            ((n,), np.int64),
-            (n, 4),
-        )
-        np.subtract(frac_pos, 0.5 * order, out=shifted)
-        np.add(shifted, 1.0, out=shifted)
-        np.copyto(ilo, shifted, casting="unsafe")  # astype truncation
-        np.clip(ilo, 0, size - order, out=ilo)
-        d0 = shifted  # storage reuse only; value fully overwritten
-        np.subtract(frac_pos, ilo, out=d0)
-        np.subtract(d0, 1.0, out=d1)
-        np.subtract(d0, 2.0, out=d2)
-        np.subtract(d0, 3.0, out=d3)
-        np.multiply(d0, d1, out=p01)
-        np.multiply(d3, d2, out=p32)
-        np.multiply(p32, d1, out=weights[:, 0])
-        np.multiply(d0, p32, out=weights[:, 1])
-        np.multiply(p01, d3, out=weights[:, 2])
-        np.multiply(p01, d2, out=weights[:, 3])
-        np.multiply(weights, 1.0 / lagrange_denominators(4), out=weights)
-        return ilo, weights
-    ilo = (frac_pos - 0.5 * order + 1.0).astype(np.int64)
-    ilo = np.clip(ilo, 0, size - order)
-    # diffs[:, c] = x - (ilo + c), computed from the relative offset so
-    # the cells matrix is never materialised in float.
-    diffs = (frac_pos - ilo)[:, None] - np.arange(order, dtype=np.float64)
-    weights = np.empty_like(diffs)
-    running = np.ones_like(frac_pos)
-    for c in range(order):  # prefix: prod_{k < c} diffs_k
-        weights[:, c] = running
-        running = running * diffs[:, c]
-    running = np.ones_like(frac_pos)
-    for c in range(order - 1, -1, -1):  # suffix: prod_{k > c} diffs_k
-        weights[:, c] *= running
-        running = running * diffs[:, c]
-    weights *= 1.0 / lagrange_denominators(order)
+    # Rows d_1 .. d_{order-2}, then the weights, whose first two rows
+    # start as d_{order-1} (the running suffix, which ends as suffix_0)
+    # and d_0 (prefix_1): d_1 .. d_{order-1} are one contiguous block.
+    ilo, block = carve(
+        ws.take(((2 * order - 1) * n,)), ((n,), np.int64), (2 * order - 2, n)
+    )
+    diffs, weights = block[: order - 1], block[order - 2 :]
+    d0 = weights[1]
+    np.subtract(frac_pos, 0.5 * order, out=d0)
+    np.add(d0, 1.0, out=d0)
+    np.copyto(ilo, d0, casting="unsafe")  # astype truncation
+    np.clip(ilo, 0, size - order, out=ilo)
+    np.subtract(frac_pos, ilo, out=d0)
+    np.subtract(d0, _CELL_OFFSETS[1:order, None], out=diffs)  # d_0 - c
+    for c in range(2, order):  # prefix_c = prefix_{c-1} * d_{c-1}
+        np.multiply(weights[c - 1], diffs[c - 2], out=weights[c])
+    for c in range(order - 2, 0, -1):
+        np.multiply(weights[c], weights[0], out=weights[c])
+        np.multiply(weights[0], diffs[c - 1], out=weights[0])
+    np.multiply(weights, inverses[:, None], out=weights)
     return ilo, weights
+
+
+def _row_cells(at: np.ndarray, width: int, size: int, out: np.ndarray) -> None:
+    """First flat cell ``row * size`` of each flat sample index *at*."""
+    np.floor_divide(at, width, out=out)
+    np.multiply(out, size, out=out)
 
 
 def extirpolate_batch(
@@ -197,6 +186,7 @@ def extirpolate_batch(
         ``(n_windows, max_samples)`` arrays.  Windows shorter than
         ``max_samples`` are right-padded; *lengths* marks how many leading
         entries of each row are real samples (``None`` means all of them).
+        Padding may hold anything, NaN and infinities included.
     size:
         Workspace length per window.
     order:
@@ -204,34 +194,27 @@ def extirpolate_batch(
     lengths:
         Optional ``(n_windows,)`` integer array of valid sample counts.
     out:
-        Optional ``(n_windows, size)`` float64 destination.  The scatter
-        itself runs through ``bincount`` (which always allocates its own
-        result); *out* receives a copy of it, so callers can keep the
-        batch workspace in a :class:`~repro.perf.WorkspaceArena` buffer.
+        Optional ``(n_windows, size)`` float64 destination, e.g. a
+        :class:`~repro.perf.WorkspaceArena` buffer.
 
-    The scatter-add runs over a flattened ``(window, cell)`` index space
-    with a single ``bincount`` — no per-window Python iteration.  Exact
-    (integer-position) contributions are accumulated before fractional
-    ones, sample-major within each group, which is the same per-cell
-    ordering the sequential :func:`extirpolate` uses; each row of the
-    result is therefore bit-identical to a sequential call on that
-    window.  All staging arrays (masks, gathered positions, flattened
-    cell indices and weights) are leased from the active workspace arena
-    when one is installed; every operation is performed identically with
-    or without an arena, so the results are bit-for-bit the same.
+    Raises the sequential :func:`extirpolate`'s :class:`SignalError` for
+    a non-finite value or position, or a position outside ``[0, size)``,
+    among each row's real samples.  Each row of the result is
+    bit-identical to a sequential call on that row's samples
+    (:func:`scatter_rows`).
     """
-    vals_in = np.asarray(values, dtype=np.float64)
-    pos_in = np.asarray(positions, dtype=np.float64)
-    if vals_in.ndim != 2 or pos_in.ndim != 2 or vals_in.shape != pos_in.shape:
+    vals = np.asarray(values, dtype=np.float64)
+    pos = np.asarray(positions, dtype=np.float64)
+    if vals.ndim != 2 or pos.ndim != 2 or vals.shape != pos.shape:
         raise SignalError(
             "values and positions must be matching 2-D arrays, got shapes "
-            f"{vals_in.shape} and {pos_in.shape}"
+            f"{vals.shape} and {pos.shape}"
         )
     if size < order:
         raise SignalError(f"workspace size {size} smaller than order {order}")
     if order < 2 or order > 10:
         raise SignalError(f"order must be in [2, 10], got {order}")
-    rows, width = vals_in.shape
+    rows, width = vals.shape
     if out is not None and (
         out.shape != (rows, size) or out.dtype != np.float64
     ):
@@ -239,8 +222,9 @@ def extirpolate_batch(
             f"out must be float64 with shape ({rows}, {size}), got "
             f"{out.dtype} {out.shape}"
         )
-    counts = None
-    if lengths is not None:
+    if lengths is None:
+        real = np.ones((rows, width), dtype=bool)
+    else:
         counts = np.asarray(lengths, dtype=np.int64)
         if counts.shape != (rows,):
             raise SignalError(
@@ -248,95 +232,101 @@ def extirpolate_batch(
             )
         if np.any(counts < 0) or np.any(counts > width):
             raise SignalError(f"lengths must lie in [0, {width}]")
+        real = np.arange(width) < counts[:, None]
+    # NaN and infinite positions fail the range test too; which check a
+    # rejected sample fails is sorted out, in the oracle's order, only
+    # once one is found.
+    ok = np.isfinite(vals) & (pos >= 0.0) & (pos < size)
+    if np.any(np.less(ok, real, out=ok)):  # real and not ok
+        for name, arr in (("values", vals), ("positions", pos)):
+            if not np.isfinite(arr[real]).all():
+                raise SignalError(f"{name} contains non-finite values")
+        raise SignalError(f"positions must lie in [0, {size})")
+    return scatter_rows(vals, pos, real, size, order, out)
 
+
+def scatter_rows(
+    values: np.ndarray,
+    positions: np.ndarray,
+    real: np.ndarray,
+    size: int,
+    order: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """:func:`extirpolate_batch` on inputs its caller already checked.
+
+    The trusted entry of the batch scatter, as
+    :class:`~repro._validation.SpanBounds` is of the span check: the
+    Fast-Lomb kernel calls it on positions it clipped into
+    ``[0, size)`` itself, so neither the check nor an input copy runs
+    again.  *values* and *positions* are float64 ``(rows, width)``
+    arrays and *real* is the boolean mask of their real samples, each
+    with a finite value and a finite position inside the workspace;
+    the other entries are never read.  Nothing is written to the
+    inputs.
+
+    The scatter-add runs over a flattened ``(row, cell)`` index space
+    with a single ``bincount`` — no per-row Python iteration.  Only the
+    real samples are gathered, by their flat indices: exact
+    (integer-position) samples first, then the fractional ones, each
+    group in row-major sample order.  The fractional samples' weights
+    and contributions are computed as contiguous columns and written
+    once into the sample-major ``(n_frac, order)`` tail of the flat
+    cell and weight arrays.  So every cell sums its addends in the
+    order the sequential :func:`extirpolate` does, and each row of the
+    result is bit-identical to a sequential call on that row.  All
+    temporaries are leased from the active workspace arena when one is
+    installed; every operation is the same with or without one.
+    """
+    rows, width = positions.shape
+    flat_pos, flat_vals = positions.ravel(), values.ravel()
     with scratch() as ws:
-        shape = (rows, width)
-        # Working copies: masking and gathers must not disturb inputs.
-        # One flat lease carved into every same-itemsize staging array
-        # (int64 views over float64 storage — bit reinterpretation, not
-        # conversion) keeps the arena round-trips per call to three.
-        pos, vals, floors, row_offsets, cells = carve(
-            ws.take((5 * rows * width,)),
-            shape,
-            shape,
-            shape,
-            (shape, np.int64),
-            (shape, np.int64),
-        )
-        valid, bad, oob, exact = ws.take_block(4, shape, np.bool_)
-        np.copyto(pos, pos_in)
-        np.copyto(vals, vals_in)
-
-        if counts is None:
-            valid.fill(True)
-        else:
-            np.less(np.arange(width)[None, :], counts[:, None], out=valid)
-        np.less(pos, 0.0, out=bad)
-        np.greater_equal(pos, size, out=oob)
-        np.logical_or(bad, oob, out=bad)
-        np.logical_and(bad, valid, out=bad)
-        if np.any(bad):
-            raise SignalError(f"positions must lie in [0, {size})")
-
-        # Padding entries become zero-valued samples at cell 0: they land
-        # in the bincount but add exactly 0.0, leaving every row untouched.
-        if counts is not None:
-            invalid = oob  # storage reuse; value fully overwritten
-            np.logical_not(valid, out=invalid)
-            np.copyto(pos, 0.0, where=invalid)
-            np.copyto(vals, 0.0, where=invalid)
-
-        np.floor(pos, out=floors)
-        np.equal(pos, floors, out=exact)
-        n_exact = int(np.count_nonzero(exact))
-        n_frac = rows * width - n_exact
-
-        # Flattened (window, cell) indices of the exact contributions:
-        # row * size + integer cell, gathered row-major like the boolean
-        # fancy indexing of the sequential formulation.
-        row_offsets[:] = (np.arange(rows, dtype=np.int64) * size)[:, None]
-        np.copyto(cells, floors, casting="unsafe")  # astype truncation
-        np.add(cells, row_offsets, out=cells)
+        floors = ws.take((rows, width))
+        exact, frac = ws.take_block(2, (rows, width), np.bool_)
+        np.floor(positions, out=floors)
+        np.equal(positions, floors, out=exact)
+        np.logical_and(exact, real, out=exact)
+        np.greater(real, exact, out=frac)  # real and not exact
+        exact_at = np.flatnonzero(exact)
+        frac_at = np.flatnonzero(frac)
+        n_exact, n_frac = exact_at.size, frac_at.size
 
         n_flat = n_exact + n_frac * order
-        flat, flat_weights = carve(
-            ws.take((2 * n_flat,)), ((n_flat,), np.int64), (n_flat,)
+        flat, flat_weights, frac_pos, frac_vals, base = carve(
+            ws.take((2 * n_flat + 3 * n_frac,)),
+            ((n_flat,), np.int64),
+            (n_flat,),
+            (n_frac,),
+            (n_frac,),
+            ((n_frac,), np.int64),
         )
-        exact_mask = exact.ravel()
-        np.compress(exact_mask, cells.ravel(), out=flat[:n_exact])
-        np.compress(exact_mask, vals.ravel(), out=flat_weights[:n_exact])
+        # Exact samples: one addend each, at row * size + position (the
+        # positions, integers here, pass through the weights' slots).
+        exact_cells, exact_weights = flat[:n_exact], flat_weights[:n_exact]
+        np.take(flat_pos, exact_at, out=exact_weights, mode="clip")
+        _row_cells(exact_at, width, size, exact_cells)
+        np.add(exact_cells, exact_weights, out=exact_cells, casting="unsafe")
+        np.take(flat_vals, exact_at, out=exact_weights, mode="clip")
 
-        if n_frac:
-            frac = exact  # storage reuse; value fully overwritten
-            np.logical_not(exact, out=frac)
-            frac_mask = frac.ravel()
-            frac_pos, frac_vals, base = carve(
-                ws.take((3 * n_frac,)),
-                (n_frac,),
-                (n_frac,),
-                ((n_frac,), np.int64),
-            )
-            np.compress(frac_mask, pos.ravel(), out=frac_pos)
-            np.compress(frac_mask, vals.ravel(), out=frac_vals)
-            np.compress(frac_mask, row_offsets.ravel(), out=base)
-            ilo, weights = _fractional_spread(frac_pos, size, order, ws=ws)
-            np.add(base, ilo, out=base)
-            # The tails of flat/flat_weights, viewed (n_frac, order), are
-            # exactly where the ravel()ed fractional blocks of the
-            # sequential formulation land after concatenation.
-            frac_cells = flat[n_exact:].reshape(n_frac, order)
-            np.add(base[:, None], np.arange(order), out=frac_cells)
-            frac_weights = flat_weights[n_exact:].reshape(n_frac, order)
-            np.multiply(frac_vals[:, None], weights, out=frac_weights)
+        # Fractional samples: ``order`` addends each, one sample per row
+        # of the (n_frac, order) tails, written one column at a time.
+        np.take(flat_pos, frac_at, out=frac_pos, mode="clip")
+        np.take(flat_vals, frac_at, out=frac_vals, mode="clip")
+        ilo, weights = _fractional_spread(frac_pos, size, order, ws)
+        _row_cells(frac_at, width, size, base)
+        np.add(base, ilo, out=base)
+        frac_cells = flat[n_exact:].reshape(n_frac, order)
+        frac_weights = flat_weights[n_exact:].reshape(n_frac, order)
+        for c in range(order):
+            np.add(base, c, out=frac_cells[:, c])
+            np.multiply(frac_vals, weights[c], out=frac_weights[:, c])
 
         # bincount is by far the fastest exact scatter-add numpy offers
-        # but always allocates its result; this is the one unavoidable
-        # fresh allocation of the batch path.
+        # but always allocates its result: the one fresh allocation.
         binned = np.bincount(
             flat, weights=flat_weights, minlength=rows * size
-        )
-    result = binned.reshape(rows, size)
+        ).reshape(rows, size)
     if out is None:
-        return result
-    np.copyto(out, result)
+        return binned
+    np.copyto(out, binned)
     return out

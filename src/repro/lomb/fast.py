@@ -70,7 +70,7 @@ from ..ffts.plancache import split_radix_plan
 from ..perf.context import current_execution
 from ..perf.profiler import span as _profile_span
 from ..perf.workspace import carve, scratch
-from .extirpolation import DEFAULT_ORDER, extirpolate, extirpolate_batch
+from .extirpolation import DEFAULT_ORDER, extirpolate, scatter_rows
 
 __all__ = [
     "FastLomb",
@@ -893,7 +893,10 @@ class FastLomb:
         with scratch() as ws:
             with _profile_span("prepare"):
                 _row_means(x_pad, ns, means)
-                valid, invalid = ws.take_block(2, (rows, max_n), np.bool_)
+                # ``real`` marks the samples of both workspaces' rows.
+                masks = ws.take((3 * rows, max_n), np.bool_)
+                real, invalid = masks[: 2 * rows], masks[2 * rows :]
+                valid = real[:rows]
                 # Both workspaces' sample values and positions, stacked
                 # so that one scatter extirpolates them: rows of
                 # ``values`` are [centered; valid_f], of ``positions``
@@ -918,8 +921,7 @@ class FastLomb:
                     raise SignalError("window has zero variance")
                 # Padded slots hold whatever samples follow the span (NaN
                 # and infinities included), so their positions are
-                # meaningless; the lengths mask keeps them out of the
-                # workspaces.
+                # meaningless; the scatter reads only ``real`` samples.
                 np.subtract(t_pad, t_pad[:, :1], out=pos_data)
                 np.multiply(pos_data, (ndim * dfs)[:, None], out=pos_data)
                 np.clip(
@@ -929,9 +931,9 @@ class FastLomb:
                 np.multiply(pos_data, 2.0, out=pos_window)
                 np.mod(pos_window, float(ndim), out=pos_window)
                 np.copyto(valid_f, valid)
+                np.copyto(real[rows:], valid)
             workspaces = ws.take((2 * rows, ndim))
             wk1, wk2 = workspaces[:rows], workspaces[rows:]
-            lengths = np.concatenate((ns, ns))
             # Both workspaces of a chunk go through one scatter of at
             # most a chunk's worth of rows: a small batch saves a whole
             # call's fixed cost, while a full chunk scattered at twice
@@ -944,12 +946,12 @@ class FastLomb:
             with _profile_span("extirpolate"):
                 for lo in range(0, 2 * rows, step):
                     hi = lo + step
-                    extirpolate_batch(
+                    scatter_rows(
                         values[lo:hi],
                         positions[lo:hi],
+                        real[lo:hi],
                         ndim,
                         self.order,
-                        lengths=lengths[lo:hi],
                         out=workspaces[lo:hi],
                     )
 

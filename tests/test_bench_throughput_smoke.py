@@ -28,6 +28,9 @@ def test_throughput_benchmark_smoke(tmp_path):
     bench = _load_module()
     document = bench.run_throughput_benchmark(duration_hours=0.2, repeats=1)
     assert document["workload"]["n_windows"] >= 3
+    host = document["host"]
+    assert host["cpu_count"] >= 1
+    assert {"python", "numpy", "scipy"} <= set(host)
     systems = document["systems"]
     assert set(systems) == {
         "conventional_split_radix",
@@ -57,6 +60,11 @@ def test_throughput_benchmark_smoke(tmp_path):
         assert alloc["no_arena_alloc_bytes_per_window"] > 0
         # The arena must cut batched-analysis allocation churn.
         assert alloc["alloc_reduction_factor"] > 1.0
+        stages = entry["stage_us_per_window"]
+        assert list(stages) == [
+            "prepare", "extirpolate", "fft", "lomb_combine", "metrics",
+        ]
+        assert all(0.0 < us < float("inf") for us in stages.values())
     # document must round-trip through JSON (what main() writes)
     out = tmp_path / "BENCH_throughput.json"
     out.write_text(json.dumps(document, indent=2))

@@ -98,6 +98,25 @@ class TestEngineConfigSerialization:
         with pytest.raises(ConfigurationError, match="pruning"):
             EngineConfig.from_dict({"pruning": [True, 0.2]})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"psa": {"bogus": 1}},
+            {"pruning": {"x": 1}},
+            {"bands": [{"nm": 1}]},
+            {"bands": 3},
+            {"bands": [3]},
+            {"jobs": "abc"},
+            {"chunk_windows": "abc"},
+            {"psa": {"fft_size": "abc"}},
+        ],
+        ids=repr,
+    )
+    def test_malformed_value_is_configuration_error(self, data):
+        """A value of the wrong shape or type is a typed config error."""
+        with pytest.raises(ConfigurationError, match="invalid engine config"):
+            EngineConfig.from_dict(data)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError, match="JSON"):
             EngineConfig.from_json("{not json")

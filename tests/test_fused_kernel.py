@@ -240,8 +240,8 @@ class TestOnePassStructure:
         )
         monkeypatch.setattr(
             fast_module,
-            "extirpolate_batch",
-            counting("extirpolate", fast_module.extirpolate_batch),
+            "scatter_rows",
+            counting("extirpolate", fast_module.scatter_rows),
         )
         monkeypatch.setattr(
             wavelet_module,

@@ -504,6 +504,102 @@ class TestWorkerDaemon:
         assert len(spectra) == 1
         assert uncaught == []
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"psa": {"bogus": 1}},
+            {"pruning": {"x": 1}},
+            {"bands": [{"nm": 1}]},
+            {"bands": 3},
+            {"jobs": "abc"},
+        ],
+        ids=repr,
+    )
+    def test_malformed_hello_config_is_refused(self, monkeypatch, config):
+        """A well-framed hello with a malformed config gets an error frame.
+
+        The serving thread ends its session without an uncaught
+        exception, and the daemon goes on serving the next connection.
+        """
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        times = np.arange(8.0)
+        with WorkerDaemon() as daemon:
+            daemon.start()
+            sock = socket.create_connection(
+                (daemon.host, daemon.port), timeout=5.0
+            )
+            stream = FrameStream(sock)
+            stream.settimeout(5.0)
+            try:
+                stream.send(
+                    "hello", {"version": PROTOCOL_VERSION, "config": config}
+                )
+                kind, payload = stream.recv()
+                assert kind == "error"
+                assert "invalid engine config" in payload["message"]
+                assert sock.recv(1) == b""  # the daemon hung up
+            finally:
+                stream.close()
+            worker = RemoteWorker(daemon.address, timeout=10.0)
+            worker.connect(EngineConfig().pinned())
+            worker.ensure_array(0, times)
+            worker.ensure_array(1, np.cos(times))
+            spectra, _ = worker.run_task(SpanTask(0, 0, 1, ((0, 8),), False))
+            worker.close()
+        assert len(spectra) == 1
+        assert uncaught == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"data": np.arange(8.0)},
+            {"key": "0", "data": np.arange(8.0)},
+            {"key": [0], "data": np.arange(8.0)},
+            {"key": 0},
+            {"key": 0, "data": "samples"},
+        ],
+        ids=["no-key", "string-key", "list-key", "no-data", "non-array"],
+    )
+    def test_malformed_array_frame_is_answered(self, monkeypatch, payload):
+        """An array frame without an integer key or data is an error frame.
+
+        The connection stays usable: a well-formed upload and a task on
+        it still run, and no serving thread dies.
+        """
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        times = np.arange(8.0)
+        with WorkerDaemon() as daemon:
+            daemon.start()
+            sock = socket.create_connection(
+                (daemon.host, daemon.port), timeout=5.0
+            )
+            stream = FrameStream(sock)
+            stream.settimeout(5.0)
+            try:
+                config = EngineConfig().pinned().to_dict()
+                stream.send(
+                    "hello", {"version": PROTOCOL_VERSION, "config": config}
+                )
+                assert stream.recv()[0] == "ready"
+                stream.send("array", payload)
+                kind, reply = stream.recv()
+                assert kind == "error"
+                assert "array frame" in reply["message"]
+                stream.send("array", {"key": 0, "data": times})
+                stream.send("array", {"key": 1, "data": np.cos(times)})
+                stream.send(
+                    "task", task_to_wire(SpanTask(0, 0, 1, ((0, 8),), False))
+                )
+                kind, _ = stream.recv()
+                while kind == "heartbeat":
+                    kind, _ = stream.recv()
+                assert kind == "result"
+            finally:
+                stream.close()
+        assert uncaught == []
+
     def test_unreachable_worker_is_connection_error(self):
         # Bind-then-close guarantees a dead port.
         probe = socket.socket()
