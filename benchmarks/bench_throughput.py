@@ -50,9 +50,16 @@ from repro.core.system import ConventionalPSA, QualityScalablePSA  # noqa: E402
 from repro.ecg.rr_synthesis import TachogramSpec, generate_tachogram  # noqa: E402
 from repro.ffts.providers import registry  # noqa: E402
 from repro.ffts.pruning import PruningSpec  # noqa: E402
+from repro.lomb.fast import BATCH_CHUNK_WINDOWS  # noqa: E402
 from repro.perf import execution  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_throughput.json"
+
+#: The windows-per-sub-batch every run uses: the kernel's fallback chunk
+#: size and the one ``perfbench`` pins.  A tuning probe picks 64, 128 or
+#: 256 from run to run on a shared host (their timings overlap), which
+#: would make two runs of this benchmark time different work.
+CHUNK_WINDOWS = BATCH_CHUNK_WINDOWS
 
 #: The kernel and metrics stages the per-stage table reports, in
 #: pipeline order (``repro.perf.profiler`` span names).
@@ -210,8 +217,6 @@ def run_throughput_benchmark(
     Returns the result document (also see :func:`main`, which writes it
     to ``BENCH_throughput.json``).
     """
-    from repro.fleet.tuning import measure_chunk_windows
-
     config = PSAConfig()
     rr = generate_tachogram(
         TachogramSpec(seed=seed), duration_hours * 3600.0
@@ -222,12 +227,8 @@ def run_throughput_benchmark(
             config, pruning=PruningSpec.paper_mode(3)
         ),
     }
-    # Benchmark at the host's *measured* operating point: the cheap
-    # cache-model fallback mistrusts virtualised sysfs readings, and a
-    # mis-sized chunk costs the fast providers ~25 % — every system and
-    # provider below runs under this one pinned production chunk.
-    chunk_tuning = measure_chunk_windows(workspace_size=config.fft_size)
-    with execution(chunk_windows=chunk_tuning.chunk_windows):
+    # Every system and provider below runs under one pinned chunk.
+    with execution(chunk_windows=CHUNK_WINDOWS):
         results: dict[str, dict] = {}
         n_windows = None
         for name, system in systems.items():
@@ -275,8 +276,8 @@ def run_throughput_benchmark(
             "window_seconds": config.window_seconds,
             "overlap": config.overlap,
             "workspace_size": config.fft_size,
-            "chunk_windows": chunk_tuning.chunk_windows,
-            "chunk_source": chunk_tuning.source,
+            "chunk_windows": CHUNK_WINDOWS,
+            "chunk_source": "pinned",
             "repeats": repeats,
             "seed": seed,
         },

@@ -17,6 +17,7 @@ __all__ = [
     "as_1d_float_array",
     "as_1d_complex_array",
     "as_2d_complex_array",
+    "require_integer",
     "require_power_of_two",
     "require_positive",
     "require_in_range",
@@ -31,9 +32,16 @@ def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def require_integer(value, name: str = "value") -> int:
+    """Return a Python or numpy integer as int; refuse bools, floats, text."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def require_power_of_two(n: int, name: str = "n") -> int:
     """Validate that *n* is a positive power of two and return it as int."""
-    n = int(n)
+    n = require_integer(n, name)
     if not is_power_of_two(n):
         raise ConfigurationError(f"{name} must be a positive power of two, got {n}")
     return n

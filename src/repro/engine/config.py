@@ -38,6 +38,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 
+from .._validation import require_integer
 from ..core.config import PSAConfig
 from ..errors import ConfigurationError
 from ..ffts.pruning import PruningSpec
@@ -189,18 +190,20 @@ class EngineConfig:
 
             object.__setattr__(self, "provider", require_known(self.provider))
         if self.chunk_windows is not None:
-            if int(self.chunk_windows) < 1:
+            chunk = require_integer(self.chunk_windows, "chunk_windows")
+            if chunk < 1:
                 raise ConfigurationError(
-                    f"chunk_windows must be >= 1, got {self.chunk_windows}"
+                    f"chunk_windows must be >= 1, got {chunk}"
                 )
-            object.__setattr__(self, "chunk_windows", int(self.chunk_windows))
+            object.__setattr__(self, "chunk_windows", chunk)
         if self.jobs is not None:
-            if int(self.jobs) < 1:
+            jobs = require_integer(self.jobs, "jobs")
+            if jobs < 1:
                 raise ConfigurationError(
                     f"jobs must be >= 1 (or None for one per CPU), "
-                    f"got {self.jobs}"
+                    f"got {jobs}"
                 )
-            object.__setattr__(self, "jobs", int(self.jobs))
+            object.__setattr__(self, "jobs", jobs)
         workers = tuple(self.workers)
         for address in workers:
             if not isinstance(address, str):
@@ -214,6 +217,8 @@ class EngineConfig:
         object.__setattr__(self, "workers", workers)
         if self.worker_timeout is not None:
             try:
+                if isinstance(self.worker_timeout, bool):
+                    raise TypeError
                 timeout = float(self.worker_timeout)
             except (TypeError, ValueError):
                 raise ConfigurationError(
@@ -340,10 +345,11 @@ class EngineConfig:
         ):
             if key in data:
                 kwargs[key] = data[key]
-        # The nested specs and the field checks raise TypeError or
-        # ValueError on a value of the wrong shape or type (an unknown
-        # nested key, bands that are not a list of mappings, a jobs
-        # count that is not a number): each is a malformed config.
+        # The nested specs and the field checks raise TypeError,
+        # ValueError or ConfigurationError on a value of the wrong shape
+        # or type (an unknown nested key, bands that are not a list of
+        # mappings, a jobs count that is not an integer): each is a
+        # malformed config.
         try:
             if data.get("slo") is not None:
                 from .controller import SLOSpec
@@ -370,7 +376,7 @@ class EngineConfig:
                     FrequencyBand(**band) for band in data["bands"]
                 )
             return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ConfigurationError) as exc:
             raise ConfigurationError(f"invalid engine config: {exc}") from None
 
     def to_json(self, indent: int | None = 2) -> str:

@@ -25,9 +25,14 @@ per-row Python iteration, in two halves.  The *sub-band* half
 depends only on the geometry — ``n``, basis, ``levels`` and
 ``sub_backend`` — so every pruning mode of one geometry shares it, and
 the Fast-Lomb kernel runs it once over the rows of all the quality
-levels in a batch.  The *butterfly* half
-(:meth:`WaveletFFT.butterflies_batch`: the static keep-masks or the
-per-row dynamic pruning thresholds) is the plan's own.
+levels in a batch (the detail band only for rows that keep it).  The
+*butterfly* half (:meth:`WaveletFFT.butterflies_batch`: twiddle rows
+masked at planning, or per-row dynamic thresholds) is the plan's own; it
+computes only the bins its caller reads, bin ``k`` from sub-band index
+``k mod N/2`` (output pruning, Sorensen & Burrus, IEEE TSP 1993), with
+the full-width stage's IEEE operations: the Fast-Lomb kernel asks for
+the ``2 * nout`` bins it unpacks, :meth:`WaveletFFT.transform_batch` for
+all ``N``.  Temporaries are leased from the current workspace arena.
 :meth:`WaveletFFT.transform_batch_with_counts` reports executed
 :class:`OpCounts` **per row** (identical to what the sequential path
 would have counted for that row).  Design-time data (twiddle pairs,
@@ -44,6 +49,7 @@ from .._validation import (
     require_power_of_two,
 )
 from ..errors import ConfigurationError, TransformError
+from ..perf.workspace import Scratch, scratch
 from ..wavelets.dwt import dwt_level, dwt_level_batch
 from ..wavelets.filters import WaveletFilter, get_filter
 from . import plancache
@@ -210,6 +216,19 @@ class WaveletFFT:
                 sub_backend=sub_backend,
             )
 
+        # Batched butterflies: the static masks' twiddle rows, dynamic
+        # pruning's candidate columns and a static row's executed count.
+        hl_live = self._hl_codes != _FACTOR_ZERO
+        hh_live = self._hh_codes != _FACTOR_ZERO
+        hl_active, hh_active = self._hl_keep & hl_live, self._hh_keep & hh_live
+        self._hl_twiddles = np.where(hl_active, hl, 0.0)
+        self._hh_twiddles = np.where(hh_active, hh, 0.0)
+        self._hl_cand = np.flatnonzero(~self._hl_keep & hl_live)
+        self._hh_cand = np.flatnonzero(~self._hh_keep & hh_live)
+        self._static_executed = sum(
+            self._count_stages(hl_active, hh_active, 0).values(), OpCounts()
+        )
+
     # ------------------------------------------------------------------
     # Numerics
     # ------------------------------------------------------------------
@@ -235,10 +254,14 @@ class WaveletFFT:
             return self._child.transform(x)
         return self._sub_engine().fft(x)
 
-    def _sub_transform_batch(self, x: np.ndarray) -> np.ndarray:
+    def _sub_transform_batch(self, x, out: np.ndarray) -> np.ndarray:
+        """Sub-DFTs of ``x``'s rows, in ``out`` where the engine writes it."""
         if self._child is not None:
-            return self._child.transform_batch(x)
-        return self._sub_engine().fft_batch(x)
+            return self._child._execute_batch(x, False, out)[0]
+        engine = self._sub_engine()
+        if getattr(engine, "supports_out", False):
+            return engine.fft_batch(x, out=out)
+        return engine.fft_batch(x)
 
     def _runtime_keep_masks(
         self, l_tiled: np.ndarray, h_tiled: np.ndarray | None
@@ -352,54 +375,54 @@ class WaveletFFT:
         return self._execute_batch(x, count=True)
 
     def _runtime_keep_masks_batch(
-        self, l_tiled: np.ndarray, h_tiled: np.ndarray | None
+        self, sub_l: np.ndarray, sub_h: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Per-row dynamic keep-masks over a batch.
+        """Per-row dynamic keep-masks over a batch of sub-bands.
 
         Vectorised version of :meth:`_runtime_keep_masks`: the candidate
         set is static (shared by all rows) while the data threshold is
         the per-row quantile of that row's candidate magnitudes, so every
-        row prunes exactly as the sequential path would have.
+        row prunes exactly as the sequential path would have.  Candidate
+        ``k`` is read from sub-band index ``k mod N/2``.
         """
         spec = self.pruning
-        rows = l_tiled.shape[0]
-        hl_cand = (~self._hl_keep) & (self._hl_codes != _FACTOR_ZERO)
-        proxy_l = np.abs(l_tiled.real) + np.abs(l_tiled.imag)
-        pieces = [proxy_l[:, hl_cand]]
-        if h_tiled is not None:
-            hh_cand = (~self._hh_keep) & (self._hh_codes != _FACTOR_ZERO)
-            proxy_h = np.abs(h_tiled.real) + np.abs(h_tiled.imag)
-            pieces.append(proxy_h[:, hh_cand])
-        else:
-            hh_cand = np.zeros(self.n, dtype=bool)
-        proxies = np.concatenate(pieces, axis=1)
-        checks = int(proxies.shape[1])
+        rows = sub_l.shape[0]
+        static = (self._hl_keep, self._hh_keep)
+        keeps = [np.tile(keep, (rows, 1)) for keep in static]
+        bands = [(sub_l, self._hl_cand)]
+        if self._hh_active:
+            bands.append((sub_h, self._hh_cand))
+        proxies = []
+        for band, cand in bands:
+            taken = np.take(band, cand, axis=1, mode="wrap")
+            proxies.append(np.abs(taken.real) + np.abs(taken.imag))
+        proxy = np.concatenate(proxies, axis=1)
+        checks = int(proxy.shape[1])
         if spec.dynamic_threshold is not None:
             threshold = np.full(rows, spec.dynamic_threshold)
         elif checks:
-            threshold = np.quantile(proxies, DYNAMIC_DATA_FRACTION, axis=1)
+            threshold = np.quantile(proxy, DYNAMIC_DATA_FRACTION, axis=1)
         else:
             threshold = np.zeros(rows)
-        hl_keep = self._hl_keep[None, :] | (
-            hl_cand[None, :] & (proxy_l >= threshold[:, None])
-        )
-        if h_tiled is not None:
-            hh_keep = self._hh_keep[None, :] | (
-                hh_cand[None, :] & (proxy_h >= threshold[:, None])
-            )
-        else:
-            hh_keep = np.zeros((rows, self.n), dtype=bool)
-        return hl_keep, hh_keep, checks
+        for keep, (_, cand), magnitude in zip(keeps, bands, proxies):
+            keep[:, cand] |= magnitude >= threshold[:, None]
+        return keeps[0], keeps[1], checks
 
     def _execute_batch(
-        self, x, count: bool
+        self, x, count: bool, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, tuple[OpCounts, ...]]:
-        detail_rows = None if self._hh_active else 0
-        sub_l, sub_h = self.subbands_batch(x, detail_rows)
-        return self.butterflies_batch(sub_l, sub_h, count)
+        """All ``n`` bins of every row, into ``out`` (default: fresh)."""
+        with scratch() as ws:
+            detail_rows = None if self._hh_active else 0
+            sub_l, sub_h = self.subbands_batch(x, detail_rows, ws)
+            if out is None:
+                out = np.empty((sub_l.shape[0], self.n), np.complex128)
+            bins = np.arange(self.n)
+            counts = self.butterflies_batch(sub_l, sub_h, bins, out, count)
+        return out, counts
 
     def subbands_batch(
-        self, x, detail_rows: int | None = None
+        self, x, detail_rows: int | None, ws: Scratch
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """The sub-band half of the batched transform.
 
@@ -411,64 +434,69 @@ class WaveletFFT:
         band's of the first ``detail_rows`` rows (``None``: of every
         row; ``sub_h`` is ``None`` when ``detail_rows`` is 0).  A batch
         whose leading rows keep the HH channel and whose other rows
-        drop it thus skips the detail transform of the dropped rows.
+        drop it thus skips the detail filter and transform of the
+        dropped rows.  The bands and sub-DFTs are taken from ``ws``, a
+        :class:`~repro.perf.Scratch` the caller closes after reading them.
         """
         arr = as_2d_complex_array(x, "x", width=self.n)
-        xl, xh = dwt_level_batch(arr, self.bank)
-        sub_l = self._sub_transform_batch(xl)
+        rows = arr.shape[0]
+        detail_rows = rows if detail_rows is None else detail_rows
+        shape = (rows + detail_rows, self.n // 2)
+        xl, xh = dwt_level_batch(
+            arr, self.bank, detail_rows, out=ws.take(shape, np.complex128)
+        )
+        subs = ws.take(shape, np.complex128)
+        sub_l = self._sub_transform_batch(xl, subs[:rows])
         sub_h = None
-        if detail_rows is None or detail_rows > 0:
-            sub_h = self._sub_transform_batch(xh[:detail_rows])
+        if detail_rows:
+            sub_h = self._sub_transform_batch(xh, subs[rows:])
         return sub_l, sub_h
 
     def butterflies_batch(
-        self, sub_l: np.ndarray, sub_h: np.ndarray | None, count: bool = False
-    ) -> tuple[np.ndarray, tuple[OpCounts, ...]]:
-        """The pruning half: eq. 6's modified butterflies over sub-bands.
+        self,
+        sub_l: np.ndarray,
+        sub_h: np.ndarray | None,
+        bins: np.ndarray,
+        out: np.ndarray,
+        count: bool = False,
+    ) -> tuple[OpCounts, ...]:
+        """The pruning half: eq. 6's modified butterflies at chosen bins.
 
         ``sub_l`` / ``sub_h`` are :meth:`subbands_batch` output of any
         plan with this plan's :attr:`subband_key`; ``sub_h`` is read
         only when the plan keeps the detail band (:attr:`keeps_detail`).
-        Static pruning applies one keep-mask to every row, dynamic
-        pruning calibrates each row's data threshold.  Returns the
-        ``(rows, n)`` spectra and, when ``count``, each row's executed
-        :class:`OpCounts` (else ``()``).
+        Column ``j`` of the complex ``(rows, len(bins))`` ``out`` gets
+        spectrum bin ``bins[j]`` of every row, read from sub-band index
+        ``bins[j] mod N/2``.  Static pruning multiplies the plan's
+        masked twiddle rows, dynamic pruning calibrates each row's data
+        threshold.  Returns each row's executed :class:`OpCounts` (from
+        the full keep-masks) when ``count``, else ``()``.
         """
-        spec = self.pruning
         rows = sub_l.shape[0]
-        l_tiled = np.concatenate([sub_l, sub_l], axis=1)
-        if self._hh_active:
-            h_tiled = np.concatenate([sub_h, sub_h], axis=1)
-        else:
-            h_tiled = None
-
-        if spec.dynamic and not spec.is_exact:
+        np.take(sub_l, bins, axis=1, out=out, mode="wrap")
+        if self.pruning.dynamic and not self.pruning.is_exact:
             hl_keep, hh_keep, checks = self._runtime_keep_masks_batch(
-                l_tiled, h_tiled
+                sub_l, sub_h
             )
             hl_active = hl_keep & (self._hl_codes != _FACTOR_ZERO)[None, :]
             hh_active = hh_keep & (self._hh_codes != _FACTOR_ZERO)[None, :]
-            out = np.where(hl_active, self._hl[None, :], 0.0) * l_tiled
-            if h_tiled is not None:
-                out = out + np.where(hh_active, self._hh[None, :], 0.0) * h_tiled
-            per_row: tuple[OpCounts, ...] = ()
+            tw_l = np.where(hl_active[:, bins], self._hl[bins], 0.0)
+            tw_h = np.where(hh_active[:, bins], self._hh[bins], 0.0)
+            per_row = ()
             if count:
                 per_row = self._count_rows(hl_active, hh_active, checks)
-            return out, per_row
-
-        # Static masks: every row shares one mask and therefore one count.
-        hl_active = self._hl_keep & (self._hl_codes != _FACTOR_ZERO)
-        hh_active = self._hh_keep & (self._hh_codes != _FACTOR_ZERO)
-        out = np.where(hl_active, self._hl, 0.0) * l_tiled
-        if h_tiled is not None:
-            out = out + np.where(hh_active, self._hh, 0.0) * h_tiled
-        per_row = ()
-        if count:
-            one = sum(
-                self._count_stages(hl_active, hh_active, 0).values(), OpCounts()
-            )
-            per_row = (one,) * rows
-        return out, per_row
+        else:
+            # Static masks: every row shares one mask and one count.
+            tw_l, tw_h = self._hl_twiddles[bins], self._hh_twiddles[bins]
+            per_row = (self._static_executed,) * rows if count else ()
+        np.multiply(tw_l, out, out=out)
+        if self._hh_active:
+            with scratch() as ws:
+                detail = ws.take(out.shape, np.complex128)
+                np.take(sub_h, bins, axis=1, out=detail, mode="wrap")
+                np.multiply(tw_h, detail, out=detail)
+                np.add(out, detail, out=out)
+        return per_row
 
     def _count_rows(
         self, hl_active: np.ndarray, hh_active: np.ndarray, checks: int

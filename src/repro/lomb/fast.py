@@ -50,6 +50,7 @@ pack/complex-FFT/unpack stage entirely.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
 
@@ -367,6 +368,15 @@ def _packed(ws, wk1: np.ndarray, wk2: np.ndarray) -> np.ndarray:
     return packed
 
 
+@functools.lru_cache(maxsize=1024)
+def _read_bins(ndim: int, nout: int) -> np.ndarray:
+    """Bins ``1..nout``, then ``ndim-1`` down to ``ndim-nout``: the unpack's."""
+    low = np.arange(1, nout + 1)
+    bins = np.concatenate([low, ndim - low])
+    bins.flags.writeable = False
+    return bins
+
+
 def _subband_rows(
     ws,
     group: list[tuple],
@@ -382,28 +392,34 @@ def _subband_rows(
     that keep the detail band first (:meth:`FastLomb._owner_ranks`).
     The group's rows are packed once and go through the sub-band half
     (the DWT and the approximation sub-FFT) together; the detail
-    sub-FFT covers only the rows of owners that keep the band.  Each
-    owner then runs its butterflies, band-drop gains and unpacking
-    over its own rows.  Returns the per-row FFT counts (empty unless
-    counting).
+    filter and sub-FFT cover only the rows of owners that keep the
+    band.  Each owner then runs its butterflies over its own rows, at
+    the ``2 * nout`` bins the unpack reads, into the packed input's
+    storage (the DWT was its last reader), and unpacks them.  Returns
+    the per-row FFT counts (empty unless counting).
     """
     base, top = group[0][1], group[-1][2]
     detail_rows = sum(
         hi - lo for owner, lo, hi in group if owner.backend.keeps_detail
     )
-    sub_l, sub_h = group[0][0].backend.subbands_batch(
-        _packed(ws, wk1[base:top], wk2[base:top]), detail_rows
-    )
+    packed = _packed(ws, wk1[base:top], wk2[base:top])
+    sub_l, sub_h = group[0][0].backend.subbands_batch(packed, detail_rows, ws)
+    bins = _read_bins(wk1.shape[1], data_ft.shape[1])
+    spectra = packed.reshape(-1)[: (top - base) * bins.size]
+    spectra = spectra.reshape(top - base, bins.size)
     counts: list[OpCounts] = []
     for owner, lo, hi in group:
         rows = slice(lo - base, hi - base)
-        spectrum, per_row = owner.backend.butterflies_batch(
-            sub_l[rows],
-            sub_h[rows] if owner.backend.keeps_detail else None,
-            count_ops,
+        counts.extend(
+            owner.backend.butterflies_batch(
+                sub_l[rows],
+                sub_h[rows] if owner.backend.keeps_detail else None,
+                bins,
+                spectra[rows],
+                count_ops,
+            )
         )
-        owner._unpack_rows(ws, spectrum, data_ft[lo:hi], win_ft[lo:hi])
-        counts.extend(per_row)
+        owner._unpack_rows(spectra[rows], data_ft[lo:hi], win_ft[lo:hi])
     return counts
 
 
@@ -439,10 +455,11 @@ class FastLomb:
     is true): the two real workspaces go through ``rfft`` instead of
     being packed into one complex FFT and unpacked — algebraically the
     same spectra (``np.allclose``) at roughly half the complex work.
-    Pruned wavelet backends equalise the full packed spectrum, so they
-    keep the packed path.  Modelled operation counts are the same
-    either way: the sensor node is costed on the paper's packed
-    pipeline.
+    Pruned wavelet backends equalise the packed spectrum before it is
+    unpacked, so they keep the packed path, where their butterflies
+    compute only the ``2 * nout`` bins the unpack reads.  Modelled
+    operation counts are the same either way: the sensor node is costed
+    on the paper's packed pipeline.
     """
 
     def __init__(
@@ -1099,37 +1116,28 @@ class FastLomb:
             )
         else:
             spectrum = self.backend.transform_batch(packed)
-        self._unpack_rows(ws, spectrum, data_ft, win_ft)
+        spectra = ws.take((rows, 2 * nout), np.complex128)
+        bins = _read_bins(ndim, nout)
+        np.take(spectrum, bins, axis=1, out=spectra, mode="clip")
+        self._unpack_rows(spectra, data_ft, win_ft)
         return fft_counts
 
     def _unpack_rows(
-        self,
-        ws,
-        spectrum: np.ndarray,
-        data_ft: np.ndarray,
-        win_ft: np.ndarray,
+        self, spectra: np.ndarray, data_ft: np.ndarray, win_ft: np.ndarray
     ) -> None:
-        """Data and window spectra from packed ``(rows, N)`` spectra.
+        """Data and window spectra from the packed spectra's read bins.
 
-        Bins ``1..nout`` of each, after this analyser's band-drop
-        equalisation gains (see :meth:`periodogram`).
+        ``spectra`` holds each row's :func:`_read_bins`, ``z_pos`` then
+        ``z_neg``; this analyser's band-drop equalisation gains (see
+        :meth:`periodogram`) and the conjugation are applied in place.
         """
-        rows, nout = data_ft.shape
-        ndim = self.workspace_size
-        # z_pos covers bins 1..nout; z_neg their mirrors ndim-1 down to
-        # ndim-nout — both as views.
-        z_pos = spectrum[:, 1 : nout + 1]
-        z_neg = spectrum[:, ndim - 1 : ndim - nout - 1 : -1]
+        nout = data_ft.shape[1]
         gains = self._backend_gains()
         if gains is not None:
-            zp, zn = ws.take_block(2, (rows, nout), np.complex128)
-            np.multiply(z_pos, gains[1 : nout + 1], out=zp)
-            np.multiply(
-                z_neg, gains[ndim - 1 : ndim - nout - 1 : -1], out=zn
-            )
-            z_pos, z_neg = zp, zn
-        conj_neg = ws.take((rows, nout), np.complex128)
-        np.conjugate(z_neg, out=conj_neg)
+            bins = _read_bins(self.workspace_size, nout)
+            np.multiply(spectra, gains[bins], out=spectra)
+        z_pos, z_neg = spectra[:, :nout], spectra[:, nout:]
+        conj_neg = np.conjugate(z_neg, out=z_neg)
         np.add(z_pos, conj_neg, out=data_ft)
         np.multiply(data_ft, 0.5, out=data_ft)
         np.subtract(z_pos, conj_neg, out=win_ft)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TransformError
+from ..perf.workspace import scratch
 from .filters import WaveletFilter, get_filter
 
 __all__ = [
@@ -50,32 +51,42 @@ def _filter_downsample(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _filter_downsample_batch(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _filter_downsample_batch(
+    x: np.ndarray, taps: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
     """Row-wise :func:`_filter_downsample` over a ``(rows, m)`` batch.
 
-    The tap loop and per-row accumulation order match the 1-D routine
-    exactly, so batched rows are bit-identical to sequential calls.  The
-    first two taps never wrap (``2n + j < m``), so they read strided
-    views instead of gathering ``(2n + j) mod m``; the values read are
-    the same, and so is every operation on them.
+    Writes into ``out``, with ``tmp`` (same shape) holding each tap's
+    product.  The tap loop and per-row accumulation order match the 1-D
+    routine exactly, so batched rows are bit-identical to sequential
+    calls; the first product is added to zero as there (``0 + -0.0`` is
+    ``+0.0``).  The first two taps never wrap (``2n + j < m``), so they
+    read strided views; later taps gather ``(2n + j) mod m`` into ``tmp``.
     """
-    m = x.shape[-1]
-    base = 2 * np.arange(m // 2)
-    acc = np.zeros(
-        x.shape[:-1] + (m // 2,), dtype=np.result_type(x.dtype, np.float64)
-    )
+    base = 2 * np.arange(x.shape[-1] // 2)
     for j, tap in enumerate(taps):
-        taken = x[..., j::2] if j < 2 else x[..., (base + j) % m]
-        acc = acc + tap * taken
-    return acc
+        if j < 2:
+            np.multiply(tap, x[..., j::2], out=tmp)
+        else:
+            np.take(x, base + j, axis=-1, out=tmp, mode="wrap")
+            np.multiply(tap, tmp, out=tmp)
+        np.add(out if j else 0.0, tmp, out=out)
+    return out
 
 
-def dwt_level_batch(x, basis="haar") -> tuple[np.ndarray, np.ndarray]:
+def dwt_level_batch(
+    x, basis="haar", detail_rows: int | None = None, out=None
+) -> tuple[np.ndarray, np.ndarray]:
     """One periodic DWT level applied row-wise to a ``(rows, m)`` batch.
 
     Batched counterpart of :func:`dwt_level`, used by the batched
-    wavelet-FFT execution path; returns ``(approx, detail)`` arrays of
-    shape ``(rows, m // 2)``.
+    wavelet-FFT execution path.  Returns ``(approx, detail)``: every
+    row's approximation band and the detail band of the first
+    ``detail_rows`` rows (``None``: of every row), the only rows the
+    highpass filter runs over.  Both are written to ``out`` when given,
+    a ``(rows + detail_rows, m // 2)`` array of the result dtype,
+    approximation rows first.  The filter temporary is leased from the
+    current workspace arena.
     """
     bank = _resolve(basis)
     arr = np.asarray(x)
@@ -87,8 +98,21 @@ def dwt_level_batch(x, basis="haar") -> tuple[np.ndarray, np.ndarray]:
         raise TransformError(
             f"dwt_level_batch expects even row length >= 2, got {arr.shape[1]}"
         )
-    approx = _filter_downsample_batch(arr, bank.lowpass)
-    detail = _filter_downsample_batch(arr, bank.highpass)
+    rows, half = arr.shape[0], arr.shape[1] // 2
+    detail_rows = rows if detail_rows is None else int(detail_rows)
+    if not 0 <= detail_rows <= rows:
+        raise TransformError(f"detail_rows must be in [0, {rows}]")
+    if out is None:
+        dtype = np.result_type(arr.dtype, np.float64)
+        out = np.empty((rows + detail_rows, half), dtype=dtype)
+    approx, detail = out[:rows], out[rows:]
+    with scratch() as ws:
+        tmp = ws.take((rows, half), out.dtype)
+        _filter_downsample_batch(arr, bank.lowpass, approx, tmp)
+        if detail_rows:
+            _filter_downsample_batch(
+                arr[:detail_rows], bank.highpass, detail, tmp[:detail_rows]
+            )
     return approx, detail
 
 

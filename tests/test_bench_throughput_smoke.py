@@ -28,6 +28,9 @@ def test_throughput_benchmark_smoke(tmp_path):
     bench = _load_module()
     document = bench.run_throughput_benchmark(duration_hours=0.2, repeats=1)
     assert document["workload"]["n_windows"] >= 3
+    # One pinned chunk size, never a per-run tuning probe's choice.
+    assert document["workload"]["chunk_windows"] == 256
+    assert document["workload"]["chunk_source"] == "pinned"
     host = document["host"]
     assert host["cpu_count"] >= 1
     assert {"python", "numpy", "scipy"} <= set(host)

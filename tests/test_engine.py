@@ -154,6 +154,47 @@ class TestEngineConfigValidation:
         with pytest.raises(ConfigurationError, match="jobs"):
             EngineConfig(jobs=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"jobs": 2.5},
+            {"jobs": True},
+            {"jobs": "2"},
+            {"chunk_windows": True},
+            {"chunk_windows": 64.0},
+        ],
+        ids=repr,
+    )
+    def test_non_integer_count_is_refused(self, fields):
+        """A fractional, boolean or text count is refused, not truncated."""
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            EngineConfig(**fields)
+
+    def test_from_dict_refuses_fractional_jobs(self):
+        with pytest.raises(
+            ConfigurationError, match="invalid engine config: jobs must be an"
+        ):
+            EngineConfig.from_dict({"jobs": 1.9})
+
+    def test_boolean_worker_timeout_is_refused(self):
+        with pytest.raises(ConfigurationError, match="worker_timeout"):
+            EngineConfig(worker_timeout=True)
+
+    def test_fractional_fft_size_is_refused(self):
+        with pytest.raises(ConfigurationError, match="fft_size must be an"):
+            PSAConfig(fft_size=512.7)
+
+    @pytest.mark.parametrize(
+        "value", [256, np.int64(256), np.int32(256), np.uint16(256)], ids=repr
+    )
+    def test_python_and_numpy_integers_pass(self, value):
+        config = EngineConfig(
+            jobs=value, chunk_windows=value, psa=PSAConfig(fft_size=value)
+        )
+        assert (config.jobs, config.chunk_windows) == (256, 256)
+        assert type(config.jobs) is int and type(config.chunk_windows) is int
+        assert config.psa.fft_size == 256
+
     def test_empty_bands_rejected(self):
         with pytest.raises(ConfigurationError, match="bands"):
             EngineConfig(bands=())

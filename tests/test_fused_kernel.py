@@ -224,7 +224,9 @@ class TestOnePassStructure:
     def calls(self, monkeypatch):
         # The package re-exports a function under the module's name.
         wavelet_module = importlib.import_module("repro.ffts.wavelet_fft")
-        calls = {"dense": 0, "extirpolate": 0, "dwt": 0, "sub_fft": []}
+        calls = {
+            "dense": 0, "extirpolate": 0, "dwt": 0, "highpass": 0, "sub_fft": []
+        }
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -250,12 +252,24 @@ class TestOnePassStructure:
         )
         sub_transform = wavelet_module.WaveletFFT._sub_transform_batch
 
-        def recording(plan, x):
+        def recording(plan, x, out):
             calls["sub_fft"].append(np.array(x))
-            return sub_transform(plan, x)
+            return sub_transform(plan, x, out)
 
         monkeypatch.setattr(
             wavelet_module.WaveletFFT, "_sub_transform_batch", recording
+        )
+        dwt_module = importlib.import_module("repro.wavelets.dwt")
+        filtering = dwt_module._filter_downsample_batch
+        highpass = OWNERS[1].backend.bank.highpass
+
+        def counting_highpass(x, taps, *args):
+            hit = int(np.array_equal(taps, highpass))
+            calls["highpass"] = calls.get("highpass", 0) + hit
+            return filtering(x, taps, *args)
+
+        monkeypatch.setattr(
+            dwt_module, "_filter_downsample_batch", counting_highpass
         )
         return calls
 
@@ -271,6 +285,8 @@ class TestOnePassStructure:
                 OWNERS[0], TIMES, VALUES, spans, count_ops, owners=owners
             )
             approx, *detail = calls.pop("sub_fft")
+            # Only a rung that keeps the HH band runs the highpass filter.
+            assert calls.pop("highpass") == top
             assert calls == {"dense": 1, "extirpolate": 1, "dwt": 1}
             assert approx.shape[0] == (10 if top else 8)
             if not top:

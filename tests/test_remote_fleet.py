@@ -512,6 +512,7 @@ class TestWorkerDaemon:
             {"bands": [{"nm": 1}]},
             {"bands": 3},
             {"jobs": "abc"},
+            {"jobs": 1.9},
         ],
         ids=repr,
     )
