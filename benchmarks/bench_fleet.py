@@ -22,7 +22,7 @@ quantifying serialization/framing overhead per window.
 The sharded spectrograms must be **bit-identical** to the batched ones
 (``max_rel_diff_spectrogram == 0.0``) and the per-recording operation
 counts equal; both are verified on every run.  Results — including the
-host's CPU count, start method and tuned chunk size, which bound what
+host's CPU count, start method and chunk size, which bound what
 sharding can deliver, and the Python, NumPy and SciPy versions — are
 written to ``BENCH_fleet.json`` at the repository root.
 
@@ -267,7 +267,7 @@ def run_fleet_benchmark(
             psa=config,
         ),
     }
-    chunk_windows = get_batch_chunk_windows(config.fft_size)
+    chunk_windows = get_batch_chunk_windows()
     results: dict[str, dict] = {}
     distributed: dict[str, dict] = {}
     n_windows_total = None

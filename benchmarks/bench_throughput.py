@@ -18,10 +18,13 @@ modelled operation counts match the oracle exactly (they must — counts
 are modelled, never measured).  Each system also records steady-state
 allocation churn per window (tracemalloc) with the workspace arena on
 vs off, and the batched path's per-stage host time in µs per window
-(``StageProfiler``, arena on: prepare, extirpolate, fft, lomb_combine,
-metrics).  The document's ``host`` block records the CPU count and the
-Python, NumPy and SciPy versions.  Results are written to
-``BENCH_throughput.json`` at the repository root.
+(``StageProfiler``: prepare, extirpolate, fft, lomb_combine, metrics).
+Every timed call runs inside one warmed workspace arena per system, as
+an engine's calls do, under the FFT provider the process resolves
+(``numpy`` unless ``REPRO_FFT_PROVIDER`` pins another); the document's
+``workload`` block records both.  Its ``host`` block records the CPU
+count and the Python, NumPy and SciPy versions.  Results are written
+to ``BENCH_throughput.json`` at the repository root.
 
 Run with:  python benchmarks/bench_throughput.py [--hours H] [--repeats R]
 
@@ -51,14 +54,14 @@ from repro.ecg.rr_synthesis import TachogramSpec, generate_tachogram  # noqa: E4
 from repro.ffts.providers import registry  # noqa: E402
 from repro.ffts.pruning import PruningSpec  # noqa: E402
 from repro.lomb.fast import BATCH_CHUNK_WINDOWS  # noqa: E402
-from repro.perf import execution  # noqa: E402
+from repro.perf import WorkspaceArena, execution  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_throughput.json"
 
-#: The windows-per-sub-batch every run uses: the kernel's fallback chunk
-#: size and the one ``perfbench`` pins.  A tuning probe picks 64, 128 or
-#: 256 from run to run on a shared host (their timings overlap), which
-#: would make two runs of this benchmark time different work.
+#: The windows-per-sub-batch every run uses: the kernel's default chunk
+#: size and the one ``perfbench`` pins, so that a
+#: ``REPRO_BATCH_CHUNK_WINDOWS`` pin cannot make two runs of this
+#: benchmark time different work.
 CHUNK_WINDOWS = BATCH_CHUNK_WINDOWS
 
 #: The kernel and metrics stages the per-stage table reports, in
@@ -144,8 +147,6 @@ def _steady_state_alloc(welch, times, intervals, n_windows) -> dict:
     """
     import tracemalloc
 
-    from repro.perf.workspace import WorkspaceArena
-
     def churn(arena) -> int:
         with execution(arena=arena):
             welch.analyze_windows(times, intervals, batched=True)  # warm
@@ -171,25 +172,18 @@ def _steady_state_alloc(welch, times, intervals, n_windows) -> dict:
 
 
 def _stage_profile(welch, times, intervals, n_windows, repeats: int) -> dict:
-    """Best-of-``repeats`` host µs per window of each profiled stage.
-
-    Runs the batched path inside a workspace arena, as an engine does;
-    a warm pass fills the arena's pools first.
-    """
+    """Best-of-``repeats`` host µs per window of each profiled stage."""
     from repro.perf.profiler import StageProfiler
-    from repro.perf.workspace import WorkspaceArena
 
     best = dict.fromkeys(PROFILED_STAGES, float("inf"))
-    with execution(arena=WorkspaceArena()):
-        welch.analyze_windows(times, intervals, batched=True)  # warm
-        for _ in range(repeats):
-            profiler = StageProfiler()
-            with execution(profiler=profiler):
-                welch.analyze_windows(times, intervals, batched=True)
-            report = profiler.report()
-            for stage in PROFILED_STAGES:
-                us = report[stage]["seconds"] * 1e6 / n_windows
-                best[stage] = min(best[stage], us)
+    for _ in range(repeats):
+        profiler = StageProfiler()
+        with execution(profiler=profiler):
+            welch.analyze_windows(times, intervals, batched=True)
+        report = profiler.report()
+        for stage in PROFILED_STAGES:
+            us = report[stage]["seconds"] * 1e6 / n_windows
+            best[stage] = min(best[stage], us)
     return best
 
 
@@ -229,43 +223,53 @@ def run_throughput_benchmark(
     }
     # Every system and provider below runs under one pinned chunk.
     with execution(chunk_windows=CHUNK_WINDOWS):
+        provider = registry.resolve_provider_name()
         results: dict[str, dict] = {}
         n_windows = None
         for name, system in systems.items():
             welch = system.welch
-            # Warm caches and touch both paths once before timing.
-            reference = welch.analyze_windows(rr.times, rr.intervals, batched=False)
-            batched_result = welch.analyze_windows(rr.times, rr.intervals, batched=True)
-            n_windows = reference.n_windows
-            max_rel_diff = float(
-                np.max(
-                    np.abs(batched_result.spectrogram - reference.spectrogram)
-                    / np.maximum(np.abs(reference.spectrogram), 1e-30)
+            # One warmed arena per system, as each engine owns one: the
+            # first sequential and batched passes fill its pools and the
+            # plan caches before anything is timed.
+            with execution(arena=WorkspaceArena()):
+                reference = welch.analyze_windows(
+                    rr.times, rr.intervals, batched=False
                 )
-            )
-            seq_seconds = _time_analyze(
-                welch, rr.times, rr.intervals, batched=False, repeats=repeats
-            )
-            batch_seconds = _time_analyze(
-                welch, rr.times, rr.intervals, batched=True, repeats=repeats
-            )
-            results[name] = {
-                "sequential_seconds": seq_seconds,
-                "batched_seconds": batch_seconds,
-                "sequential_windows_per_sec": n_windows / seq_seconds,
-                "batched_windows_per_sec": n_windows / batch_seconds,
-                "speedup": seq_seconds / batch_seconds,
-                "max_rel_diff_spectrogram": max_rel_diff,
-                "providers": _sweep_providers(
-                    welch, rr.times, rr.intervals, n_windows, repeats
-                ),
-                "steady_state_alloc": _steady_state_alloc(
-                    welch, rr.times, rr.intervals, n_windows
-                ),
-                "stage_us_per_window": _stage_profile(
-                    welch, rr.times, rr.intervals, n_windows, repeats
-                ),
-            }
+                batched_result = welch.analyze_windows(
+                    rr.times, rr.intervals, batched=True
+                )
+                n_windows = reference.n_windows
+                max_rel_diff = float(
+                    np.max(
+                        np.abs(
+                            batched_result.spectrogram - reference.spectrogram
+                        )
+                        / np.maximum(np.abs(reference.spectrogram), 1e-30)
+                    )
+                )
+                seq_seconds = _time_analyze(
+                    welch, rr.times, rr.intervals, False, repeats
+                )
+                batch_seconds = _time_analyze(
+                    welch, rr.times, rr.intervals, True, repeats
+                )
+                results[name] = {
+                    "sequential_seconds": seq_seconds,
+                    "batched_seconds": batch_seconds,
+                    "sequential_windows_per_sec": n_windows / seq_seconds,
+                    "batched_windows_per_sec": n_windows / batch_seconds,
+                    "speedup": seq_seconds / batch_seconds,
+                    "max_rel_diff_spectrogram": max_rel_diff,
+                    "providers": _sweep_providers(
+                        welch, rr.times, rr.intervals, n_windows, repeats
+                    ),
+                    "steady_state_alloc": _steady_state_alloc(
+                        welch, rr.times, rr.intervals, n_windows
+                    ),
+                    "stage_us_per_window": _stage_profile(
+                        welch, rr.times, rr.intervals, n_windows, repeats
+                    ),
+                }
     return {
         "benchmark": "batched vs sequential windowed-PSA throughput",
         "host": _host(),
@@ -278,6 +282,8 @@ def run_throughput_benchmark(
             "workspace_size": config.fft_size,
             "chunk_windows": CHUNK_WINDOWS,
             "chunk_source": "pinned",
+            "provider": provider,
+            "arena": True,
             "repeats": repeats,
             "seed": seed,
         },

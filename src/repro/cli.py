@@ -23,8 +23,9 @@ code:
   engine configuration (:class:`repro.engine.EngineConfig`),
 * ``energy``      — energy report of a pruning mode on the node model,
 * ``complexity``  — the Fig. 5 operation-count table for a given N,
-* ``tune``        — per-host batch chunk-size probe (fleet auto-tuner),
-* ``providers``   — list/probe the FFT execution provider registry,
+* ``tune``        — timing report of candidate batch chunk sizes,
+* ``providers``   — list the FFT execution providers (``--probe`` adds
+  a timing report),
 * ``profile``     — per-stage timing (and optional allocation) profile
   of a streaming workload (:mod:`repro.perf`).
 
@@ -40,6 +41,7 @@ import argparse
 
 import numpy as np
 
+from ._validation import is_power_of_two
 from .analysis.reporting import format_percent, format_table
 from .core.system import QualityScalablePSA
 from .ecg.database import make_cohort
@@ -96,7 +98,7 @@ def _config_from_args(args, default_mode: str = "set3") -> EngineConfig:
     ``--config FILE`` loads the declarative base; explicit flags
     (``--mode``, ``--provider``, ``--jobs``) override its fields —
     the CLI layer of the documented explicit → config → env →
-    auto-probe precedence chain.
+    default precedence chain.
     """
     if getattr(args, "config", None):
         config = EngineConfig.from_file(args.config)
@@ -395,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     engine_cmd.add_argument(
         "--resolve",
         action="store_true",
-        help="resolve execution settings (may run the autoselect probe)",
+        help="resolve execution settings (config, then environment, "
+        "then defaults)",
     )
 
     energy = sub.add_parser("energy", help="energy report for a pruning mode")
@@ -410,14 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     complexity.add_argument("--n", type=int, default=512)
 
     tune = sub.add_parser(
-        "tune", help="probe this host's batched-execution chunk size"
+        "tune",
+        help="time candidate batched-execution chunk sizes on this host "
+        "(a report: sets nothing)",
     )
     tune.add_argument("--workspace", type=int, default=512)
-    tune.add_argument(
-        "--measure",
-        action="store_true",
-        help="time candidate chunk sizes instead of using the cache model",
-    )
 
     providers = sub.add_parser(
         "providers", help="list or probe the FFT execution providers"
@@ -426,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     providers.add_argument(
         "--probe",
         action="store_true",
-        help="run the autoselect micro-benchmark and show per-provider "
-        "timings",
+        help="time one batch FFT per available fast provider (a report: "
+        "sets nothing)",
     )
 
     profile = sub.add_parser(
@@ -994,73 +994,78 @@ def _cmd_complexity(args) -> int:
     return 0
 
 
+def _require_workspace(workspace: int) -> int:
+    """The ``--workspace`` of ``tune`` and ``providers``."""
+    if workspace < 8 or not is_power_of_two(workspace):
+        raise ConfigurationError(
+            f"--workspace must be a power of two >= 8, got {workspace}"
+        )
+    return workspace
+
+
 def _cmd_tune(args) -> int:
-    from .fleet.tuning import autotune_chunk_windows, measure_chunk_windows
+    from .fleet.tuning import measure_chunk_windows
     from .lomb.fast import BATCH_CHUNK_WINDOWS
 
-    if args.measure:
-        tuning = measure_chunk_windows(workspace_size=args.workspace)
-    else:
-        tuning = autotune_chunk_windows(args.workspace)
-    cache = (
-        f"{tuning.cache_bytes / 1024:.0f} KiB"
-        if tuning.cache_bytes
-        else "undetected"
-    )
+    tuning = measure_chunk_windows(_require_workspace(args.workspace))
     rows = [
         ["workspace size", str(tuning.workspace_size)],
-        ["last-level cache", cache],
-        ["chunk windows", str(tuning.chunk_windows)],
-        ["source", tuning.source],
+        ["fastest chunk windows", str(tuning.chunk_windows)],
         ["fixed default", str(BATCH_CHUNK_WINDOWS)],
-        ["fft provider", tuning.provider or "--"],
+        ["fft provider", tuning.provider],
     ]
-    if tuning.timings:
-        for candidate, seconds in sorted(tuning.timings.items()):
-            rows.append([f"  probe {candidate}", f"{seconds * 1e3:.1f} ms"])
+    for candidate, seconds in sorted(tuning.timings.items()):
+        rows.append([f"  probe {candidate}", f"{seconds * 1e3:.1f} ms"])
     print(format_table(["quantity", "value"], rows, title="chunk tuning"))
     return 0
 
 
 def _cmd_providers(args) -> int:
+    import time
+
     from .envpins import provider_env_pin
-    from .errors import ConfigurationError
     from .ffts.providers import registry
 
+    workspace = _require_workspace(args.workspace)
     availability = registry.available_providers()
     descriptions = registry.provider_descriptions()
-    probe = registry.autoselect(args.workspace) if args.probe else None
-    # Report the resolution state without side effects: the plain
-    # listing must neither run the timing probe nor die on a bad env
-    # pin — only --probe pays for the micro-benchmark.
+    timings: dict[str, float] = {}
+    if args.probe:
+        # The explicit oracle is left out: it is orders of magnitude
+        # slower than any pocketfft engine.
+        rng = np.random.default_rng(2014)
+        batch = rng.standard_normal((64, workspace)) + 1j * (
+            rng.standard_normal((64, workspace))
+        )
+        for name, available in availability.items():
+            if name == "explicit" or not available:
+                continue
+            provider = registry.get_provider(name)
+            provider.fft_batch(batch)  # warm plans untimed
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                provider.fft_batch(batch)
+                best = min(best, time.perf_counter() - start)
+            timings[name] = best
+    # The listing reports a bad env pin instead of dying on it.
     env_value = provider_env_pin()
-    if env_value is not None and env_value != "auto":
-        try:
-            active = registry.host_provider_name(args.workspace)
-        except ConfigurationError:
-            active = f"invalid env pin {env_value!r}"
-    else:
-        cached = registry.autoselect_cached(args.workspace)
-        active = cached.provider if cached is not None else "auto (unprobed)"
+    try:
+        active = registry.host_provider_name()
+    except ConfigurationError:
+        active = f"invalid env pin {env_value!r}"
     rows = []
     for name in registry.provider_names():
         status = "yes" if availability[name] else "missing dependency"
-        marks = []
-        if name == active:
-            marks.append("active")
-        if probe is not None and probe.provider == name:
-            marks.append("probe winner")
-        timing = ""
-        if probe is not None and probe.timings and name in probe.timings:
-            timing = f"{probe.timings[name] * 1e3:.2f} ms"
+        timing = f"{timings[name] * 1e3:.2f} ms" if name in timings else "--"
         rows.append(
-            [name, status, ", ".join(marks) or "--", timing or "--",
+            [name, status, "active" if name == active else "--", timing,
              descriptions[name]]
         )
     print(format_table(
         ["provider", "available", "state", "probe", "description"],
         rows,
-        title=f"FFT execution providers (workspace {args.workspace})",
+        title=f"FFT execution providers (workspace {workspace})",
     ))
     env = registry.PROVIDER_ENV_VAR
     print(f"\nresolution: {env}="

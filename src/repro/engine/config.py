@@ -15,18 +15,21 @@ environment):
 
 ====================  =================================================
 provider              config field → ``REPRO_FFT_PROVIDER`` env pin →
-                      autoselect probe
+                      ``numpy``
 chunk_windows         config field → ``REPRO_BATCH_CHUNK_WINDOWS`` env
-                      pin → per-host auto-tuner
+                      pin → 256
+                      (:data:`~repro.lomb.fast.BATCH_CHUNK_WINDOWS`)
 jobs                  config field → one per CPU
 workers               config field → none (local only)
 worker_timeout        config field → ``REPRO_WORKER_TIMEOUT`` env pin →
                       15 s default
 ====================  =================================================
 
+The provider and chunk-size chains end in constants, so a process's
+provider and chunk size depend only on its config and environment.
 The current :class:`~repro.perf.ExecutionContext` is not a layer: an
-engine's settings come from its config, the environment and the
-probes, wherever it is built.  To fix a setting, set its field;
+engine's settings come from its config and the environment, wherever
+it is built.  To fix a setting, set its field;
 :meth:`EngineConfig.pinned` fixes all of them to one resolution, which
 is how an engine hands its settings to its fleet runner and the runner
 to its pool workers and worker daemons.
@@ -66,11 +69,11 @@ class ResolvedExecution:
         Resolved FFT execution provider name (always concrete).
     provider_source:
         Which precedence layer decided: ``"config"``, ``"env"`` or
-        ``"autoselect"``.
+        ``"default"``.
     chunk_windows:
         Resolved windows-per-sub-batch of the batched execution path.
     chunk_source:
-        ``"config"``, ``"env"`` or ``"autotuned"``.
+        ``"config"``, ``"env"`` or ``"default"``.
     jobs:
         Concrete worker-process count for cohort runs (>= 1).
     jobs_source:
@@ -116,10 +119,10 @@ class EngineConfig:
         wavelet basis, scaling).
     provider:
         FFT execution provider name to pin, or ``None`` to fall through
-        the resolution chain (env pin → autoselect).
+        the resolution chain (env pin → ``numpy``).
     chunk_windows:
         Batched-execution sub-batch size to pin, or ``None`` to fall
-        through (env pin → per-host auto-tuner).
+        through (env pin → 256).
     jobs:
         Worker processes for cohort runs; ``None`` means one per CPU.
     workers:
@@ -415,8 +418,8 @@ class EngineConfig:
 
         The config field first, then the environment pins (read through
         :mod:`repro.envpins` — the env vars are folded in *here*, at
-        resolve time, never stored in the config), then the automatic
-        probes.  An env-pinned provider that is unavailable on this
+        resolve time, never stored in the config), then a constant
+        default.  An env-pinned provider that is unavailable on this
         host falls back to ``"numpy"`` (the documented
         optional-dependency fallback); a config field must name an
         available provider.
@@ -427,41 +430,27 @@ class EngineConfig:
             worker_timeout_env_pin,
         )
         from ..ffts.providers import registry
+        from ..lomb.fast import BATCH_CHUNK_WINDOWS
 
-        workspace = self.psa.fft_size
         if self.provider is not None:
             provider_name, provider_source = (
-                registry.resolve_provider_name(self.provider, workspace),
+                registry.resolve_provider_name(self.provider),
                 "config",
             )
-        elif provider_env_pin() is not None:
-            # Delegate to the registry so "auto" and the
-            # unavailable-provider fallback behave exactly as documented
-            # there.
-            provider_name, provider_source = (
-                registry.host_provider_name(workspace),
-                "env",
-            )
         else:
+            # The registry owns the env pin's unknown-name error and the
+            # unavailable-provider fallback.
             provider_name, provider_source = (
-                registry.autoselect(workspace).provider,
-                "autoselect",
+                registry.host_provider_name(),
+                "default" if provider_env_pin() is None else "env",
             )
-
-        from ..lomb.fast import host_chunk_windows
 
         if self.chunk_windows is not None:
             chunk, chunk_source = self.chunk_windows, "config"
         elif chunk_env_pin() is not None:
             chunk, chunk_source = chunk_env_pin(), "env"
         else:
-            # host_chunk_windows owns the memoised per-host probe (the
-            # env pin is None here, so it falls through to the tuner) —
-            # one cache, never re-probed per resolve.
-            chunk, chunk_source = (
-                host_chunk_windows(workspace),
-                "autotuned",
-            )
+            chunk, chunk_source = BATCH_CHUNK_WINDOWS, "default"
 
         if self.jobs is not None:
             n_jobs, jobs_source = self.jobs, "config"

@@ -2,11 +2,10 @@
 
 :class:`Engine` is the single public entry point over everything the
 performance PRs built — the batched Welch-Lomb driver, the FFT execution
-provider registry, the per-host chunk tuner and the sharded fleet
-runner.  It is constructed from one declarative
-:class:`~repro.engine.config.EngineConfig`, resolves every execution
-knob exactly once (provider, chunk size, jobs), warms the plan caches
-for the resolved provider, and builds one
+provider registry and the sharded fleet runner.  It is constructed from
+one declarative :class:`~repro.engine.config.EngineConfig`, resolves
+every execution knob exactly once (provider, chunk size, jobs), warms
+the plan caches for the resolved provider, and builds one
 :class:`~repro.perf.ExecutionContext` from the resolved provider and
 chunk size, its workspace arena and its profiler.  It enters that
 context around every call of the four workloads it serves (the context

@@ -3,12 +3,9 @@
 Three environment variables tune execution without touching code:
 
 * :data:`PROVIDER_ENV_VAR` (``REPRO_FFT_PROVIDER``) — pins the FFT
-  execution provider (a registered name, or ``"auto"`` to force the
-  autoselect probe),
+  execution provider (a registered name),
 * :data:`CHUNK_ENV_VAR` (``REPRO_BATCH_CHUNK_WINDOWS``) — pins the
   batched execution path's windows-per-sub-batch size,
-* :data:`CACHE_DIR_ENV_VAR` (``REPRO_CACHE_DIR``) — overrides the
-  directory of the persistent provider-autoselect cache,
 * :data:`WORKER_TIMEOUT_ENV_VAR` (``REPRO_WORKER_TIMEOUT``) — pins the
   remote fleet worker connect/heartbeat timeout in seconds.
 
@@ -17,8 +14,8 @@ chunk resolver in :mod:`repro.lomb.fast`, the CLI's state reporting and
 :meth:`repro.engine.EngineConfig.resolve` — reads the pins through
 these accessors; no other module touches ``os.environ``.  That keeps
 the documented precedence chain (explicit argument → config → env pin →
-auto-probe) auditable in one file, and gives the pins one consistent
-parsing rule: unset *or empty/whitespace* means "no pin".
+constant default) auditable in one file, and gives the pins one
+consistent parsing rule: unset *or empty/whitespace* means "no pin".
 """
 
 from __future__ import annotations
@@ -28,24 +25,19 @@ import os
 from .errors import ConfigurationError
 
 __all__ = [
-    "CACHE_DIR_ENV_VAR",
     "CHUNK_ENV_VAR",
     "PROVIDER_ENV_VAR",
     "WORKER_TIMEOUT_ENV_VAR",
-    "cache_dir_env_pin",
     "chunk_env_pin",
     "provider_env_pin",
     "worker_timeout_env_pin",
 ]
 
-#: Environment pin naming the FFT execution provider (or ``"auto"``).
+#: Environment pin naming the FFT execution provider.
 PROVIDER_ENV_VAR = "REPRO_FFT_PROVIDER"
 
 #: Environment pin fixing the batched windows-per-sub-batch size.
 CHUNK_ENV_VAR = "REPRO_BATCH_CHUNK_WINDOWS"
-
-#: Environment pin relocating the persistent autoselect cache directory.
-CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 
 #: Environment pin fixing the remote worker connect/heartbeat timeout.
 WORKER_TIMEOUT_ENV_VAR = "REPRO_WORKER_TIMEOUT"
@@ -71,7 +63,7 @@ def chunk_env_pin() -> int | None:
 
     Raises :class:`~repro.errors.ConfigurationError` for non-integer or
     non-positive values — a present-but-broken pin must fail loudly, not
-    silently fall through to the auto-tuner.
+    silently fall through to the default.
     """
     raw = os.environ.get(CHUNK_ENV_VAR)
     if raw is None or not raw.strip():
@@ -85,21 +77,6 @@ def chunk_env_pin() -> int | None:
     if value < 1:
         raise ConfigurationError(f"{CHUNK_ENV_VAR} must be >= 1, got {value}")
     return value
-
-
-def cache_dir_env_pin() -> str | None:
-    """The ``REPRO_CACHE_DIR`` override; ``None`` when unset.
-
-    Names the directory the provider registry persists its autoselect
-    probe results under (:mod:`repro.ffts.providers.registry`).  Unlike
-    the other pins the value is a filesystem path, so only surrounding
-    whitespace is stripped — no case normalisation.
-    """
-    raw = os.environ.get(CACHE_DIR_ENV_VAR)
-    if raw is None:
-        return None
-    raw = raw.strip()
-    return raw or None
 
 
 def worker_timeout_env_pin() -> float | None:

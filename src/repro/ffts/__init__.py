@@ -9,12 +9,7 @@ the numerical engine running it.
 """
 
 from .backends import FFTBackend, SplitRadixFFT
-from .providers import (
-    FFTProvider,
-    autoselect,
-    available_providers,
-    get_provider,
-)
+from .providers import FFTProvider, available_providers, get_provider
 from .dft import direct_dft, direct_dft_counts
 from .opcount import (
     COMPLEX_ADD,
@@ -49,7 +44,6 @@ __all__ = [
     "OpCounts",
     "SplitRadixFFT",
     "PruningSpec",
-    "autoselect",
     "available_providers",
     "get_provider",
     "TWIDDLE_SETS",

@@ -90,7 +90,7 @@ class SplitRadixFFT:
     provider:
         Optional per-kernel provider pin (a registry name).  ``None``
         defers to the registry's resolution chain (the current
-        execution context, ``REPRO_FFT_PROVIDER``, lazy autoselect) on
+        execution context, ``REPRO_FFT_PROVIDER``, then ``numpy``) on
         every call, so a long-lived plan follows the context it runs
         under.
     """
@@ -111,7 +111,7 @@ class SplitRadixFFT:
     def _engine(self) -> FFTProvider:
         if self.provider is not None:
             return get_provider(self.provider)
-        return active_provider(self.n)
+        return active_provider()
 
     def transform(self, x) -> np.ndarray:
         arr = as_1d_complex_array(x, "x")

@@ -404,11 +404,6 @@ def provider_plan(name: str) -> "FFTProvider":
     return plan
 
 
-def invalidate_provider_plan(name: str) -> None:
-    """Drop one cached provider handle (re-registration hook)."""
-    _PROVIDER_PLANS.pop(name, None)
-
-
 # ----------------------------------------------------------------------
 # Pre-fork warm-up
 # ----------------------------------------------------------------------

@@ -8,41 +8,33 @@ it on the host*.  Three providers ship:
   oracle every other provider is tested against;
 * ``numpy``    — ``numpy.fft`` pocketfft, the always-available default;
 * ``scipy``    — ``scipy.fft`` pocketfft with multi-threaded batches,
-  auto-skipped when the optional dependency is missing.
+  available as a pin when the optional dependency is installed.
 
 Selection goes through :mod:`~repro.ffts.providers.registry`: an
 explicit pin, the current execution context
 (:func:`repro.perf.execution`), the ``REPRO_FFT_PROVIDER`` environment
-variable, or a lazy micro-benchmark probe (:func:`autoselect`).  See
-``python -m repro providers`` for the live view of this registry.
+variable, then ``numpy``.  See ``python -m repro providers`` for the
+live view of this registry (``--probe`` adds a timing report).
 """
 
 from .base import FFTProvider
 from .registry import (
     PROVIDER_ENV_VAR,
-    ProviderChoice,
     active_provider,
-    autoselect,
     available_providers,
-    clear_provider_state,
     get_provider,
     provider_descriptions,
     provider_names,
-    register_provider,
     resolve_provider_name,
 )
 
 __all__ = [
     "FFTProvider",
     "PROVIDER_ENV_VAR",
-    "ProviderChoice",
     "active_provider",
-    "autoselect",
     "available_providers",
-    "clear_provider_state",
     "get_provider",
     "provider_descriptions",
     "provider_names",
-    "register_provider",
     "resolve_provider_name",
 ]

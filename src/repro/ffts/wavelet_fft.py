@@ -236,15 +236,16 @@ class WaveletFFT:
     def _sub_engine(self):
         """The execution provider behind the innermost sub-DFTs.
 
-        ``"auto"`` defers to the registry's resolution chain on every
-        call (so long-lived cached plans follow the current execution
-        context's provider);
+        ``"auto"`` defers to the registry's resolution chain (the
+        current execution context, ``REPRO_FFT_PROVIDER``, then
+        ``numpy``) on every call, so long-lived cached plans follow the
+        context they run under;
         ``"split-radix"`` maps to the explicit oracle provider and any
         other value is a pinned provider name (validated at planning,
         availability included).
         """
         if self.sub_backend == "auto":
-            return registry.active_provider(self.n // 2)
+            return registry.active_provider()
         if self.sub_backend == "split-radix":
             return registry.get_provider("explicit")
         return registry.get_provider(self.sub_backend)

@@ -4,9 +4,9 @@ This package turns the single-process batched Welch-Lomb pipeline into
 a cohort runner: recordings (or window shards of one huge recording)
 spread across a pool of worker processes — and, via the socket
 transport, across worker daemons on other machines — RR arrays travel
-through shared memory (or the wire, once per connection), plan caches
-are warmed before the pool forks, and the per-host batch chunk size is
-auto-tuned instead of hard-coded.
+through shared memory (or the wire, once per connection), and plan
+caches are warmed before the pool forks.  Every process of one run
+uses the provider and batch chunk size of the runner's pinned config.
 
 Entry points:
 
@@ -20,9 +20,8 @@ Entry points:
   worker (``python -m repro worker --listen HOST:PORT``);
 * :class:`~repro.fleet.remote.RemoteWorker` — the scheduler-side
   handle to one daemon;
-* :func:`~repro.fleet.tuning.autotune_chunk_windows` /
-  :func:`~repro.fleet.tuning.measure_chunk_windows` — per-host chunk
-  tuning;
+* :func:`~repro.fleet.tuning.measure_chunk_windows` — a timing
+  report of candidate chunk sizes (``python -m repro tune``);
 * :func:`~repro.fleet.sharding.plan_shards` — the work decomposition.
 """
 
@@ -31,13 +30,7 @@ from .runner import FleetReport, FleetRunner
 from .sharding import WindowShard, plan_shards
 from .shm import SharedArrayRef, SharedRecordingStore, attach_array
 from .transport import FrameStream, format_address, parse_address
-from .tuning import (
-    ChunkTuning,
-    autotune_chunk_windows,
-    chunk_windows_for_cache,
-    detect_cache_bytes,
-    measure_chunk_windows,
-)
+from .tuning import ChunkTuning, measure_chunk_windows
 
 __all__ = [
     "ChunkTuning",
@@ -51,9 +44,6 @@ __all__ = [
     "WindowShard",
     "WorkerDaemon",
     "attach_array",
-    "autotune_chunk_windows",
-    "chunk_windows_for_cache",
-    "detect_cache_bytes",
     "format_address",
     "measure_chunk_windows",
     "parse_address",

@@ -11,8 +11,8 @@ boundary; this module carries the fleet's one task shape,
   scheduler resolved; the daemon builds the identical execution state
   from it with :func:`~repro.fleet.worker.worker_state`, the builder
   every pool process runs (same system geometry, same provider and
-  chunk size — never re-resolved, because two hosts may auto-probe
-  differently — plan caches warmed), once per connection, and then serves
+  chunk size — never re-resolved, because two hosts may pin different
+  environments — plan caches warmed), once per connection, and then serves
   ``task`` messages: it decodes each into a ``SpanTask`` over its
   uploaded arrays, runs :func:`~repro.fleet.worker.execute_task`, the
   executor every pool and in-process slot runs, and sends back the

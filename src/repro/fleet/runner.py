@@ -284,7 +284,7 @@ class FleetRunner:
     config:
         The :class:`~repro.engine.EngineConfig` to run.  It is resolved
         once, here, like an engine's (config field, then environment,
-        then probe — never the current execution context), and the
+        then default — never the current execution context), and the
         pinned copy (:meth:`EngineConfig.pinned`) is :attr:`config`:
         the system it describes is :attr:`welch`, its ``jobs`` are the
         pool processes (1 runs in this process), its ``workers`` the

@@ -104,9 +104,10 @@ def worker_state(config, arena: WorkspaceArena | None = None):
     (:class:`~repro.fleet.remote.WorkerDaemon`).  ``config`` is the
     scheduler's :class:`~repro.engine.EngineConfig`, pinned
     (:meth:`~repro.engine.EngineConfig.pinned`): its provider and chunk
-    size are used as they are, never re-resolved — two hosts may probe
-    differently, and results depend on the provider (different engines
-    round differently), so one fleet must round one way.  An unpinned
+    size are used as they are, never re-resolved — two hosts may pin
+    different environments, and results depend on the provider
+    (different engines round differently), so one fleet must round one
+    way.  An unpinned
     config is a :class:`~repro.errors.ConfigurationError`.
 
     Builds the config's system, warms the provider's plan caches and

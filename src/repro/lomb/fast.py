@@ -62,7 +62,6 @@ from .._validation import (
     require_power_of_two,
     span_bounds,
 )
-from ..envpins import CHUNK_ENV_VAR as _CHUNK_ENV_VAR
 from ..envpins import chunk_env_pin
 from ..errors import ConfigurationError, SignalError
 from ..ffts.backends import FFTBackend
@@ -79,51 +78,32 @@ __all__ = [
     "LombSpectrum",
     "BLOCK_COSTS",
     "get_batch_chunk_windows",
-    "host_chunk_windows",
 ]
 
-#: Fallback windows-per-sub-batch of the batched execution path when the
-#: host cannot be probed (the PR 1 value, measured on one development
-#: machine).  The effective value is resolved per host by
-#: :func:`get_batch_chunk_windows`; chunking keeps the ``(rows, N)``
-#: workspaces and extirpolation intermediates cache-resident — a 24 h
-#: Holter run in one monolithic batch is ~35 % slower than chunks of
-#: this size.
+#: Windows per sub-batch of the batched execution path wherever neither
+#: a config, the execution context nor ``REPRO_BATCH_CHUNK_WINDOWS``
+#: pins one (``perfbench`` pins the same value).  Chunking keeps the
+#: ``(rows, N)`` workspaces and extirpolation intermediates
+#: cache-resident: a 24 h Holter run in one monolithic batch is ~35 %
+#: slower than chunks of this size, and chunks of 512 or 1024 rows read
+#: 25–40 % slower on a 2-CPU host, where 64 and 128 fell inside this
+#: size's run-to-run spread.
 BATCH_CHUNK_WINDOWS = 256
 
-_chunk_tuned: dict[int, int] = {}
 
-
-def get_batch_chunk_windows(workspace_size: int = 512) -> int:
-    """Effective windows-per-sub-batch for this host and workspace size.
+def get_batch_chunk_windows() -> int:
+    """Windows per sub-batch the batched kernel runs right now.
 
     The current execution context's ``chunk_windows``
-    (:func:`repro.perf.execution`), else :func:`host_chunk_windows`.
+    (:func:`repro.perf.execution`), then the
+    ``REPRO_BATCH_CHUNK_WINDOWS`` environment variable, then
+    :data:`BATCH_CHUNK_WINDOWS`.
     """
     pinned = current_execution().chunk_windows
     if pinned is not None:
         return pinned
-    return host_chunk_windows(workspace_size)
-
-
-def host_chunk_windows(workspace_size: int = 512) -> int:
-    """Windows-per-sub-batch this host resolves to outside any pin.
-
-    The ``REPRO_BATCH_CHUNK_WINDOWS`` environment variable, then the
-    lazily-run per-host auto-tuner
-    (:func:`repro.fleet.tuning.autotune_chunk_windows`, memoised per
-    workspace size), falling back to :data:`BATCH_CHUNK_WINDOWS`.
-    """
     env = chunk_env_pin()
-    if env is not None:
-        return env
-    tuned = _chunk_tuned.get(workspace_size)
-    if tuned is None:
-        from ..fleet.tuning import autotune_chunk_windows
-
-        tuned = autotune_chunk_windows(workspace_size).chunk_windows
-        _chunk_tuned[workspace_size] = tuned
-    return tuned
+    return BATCH_CHUNK_WINDOWS if env is None else env
 
 
 #: Per-unit operation costs of the non-FFT pipeline blocks.  Divisions and
@@ -817,7 +797,7 @@ class FastLomb:
             np.empty(lo.size), np.empty(lo.size), ns, durations,
             np.empty((lo.size, 3), np.int64) if count_ops else None,
         )
-        chunk_windows = get_batch_chunk_windows(self.workspace_size)
+        chunk_windows = get_batch_chunk_windows()
         # Bounded sub-batches keep the dense intermediates inside the
         # CPU caches; one monolithic multi-hour batch is measurably
         # slower than cache-sized chunks (rows are independent, so
@@ -959,7 +939,7 @@ class FastLomb:
             # Each cell belongs to one row of one workspace and sums its
             # contributions in that row's own order, so any split gives
             # the same workspaces.
-            step = get_batch_chunk_windows(ndim)
+            step = get_batch_chunk_windows()
             with _profile_span("extirpolate"):
                 for lo in range(0, 2 * rows, step):
                     hi = lo + step

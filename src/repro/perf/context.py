@@ -26,6 +26,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from .._validation import require_integer
 from ..errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -49,11 +50,11 @@ class ExecutionContext:
     provider:
         FFT execution provider name (validated: registered and
         available on this host), or ``None`` for the
-        ``REPRO_FFT_PROVIDER`` pin, then the autoselect probe.
+        ``REPRO_FFT_PROVIDER`` pin, then ``numpy``.
     chunk_windows:
-        Windows per sub-batch of the batched kernel (>= 1), or
-        ``None`` for the ``REPRO_BATCH_CHUNK_WINDOWS`` pin, then the
-        per-host tuner.
+        Windows per sub-batch of the batched kernel (an integer >= 1),
+        or ``None`` for the ``REPRO_BATCH_CHUNK_WINDOWS`` pin, then
+        :data:`~repro.lomb.fast.BATCH_CHUNK_WINDOWS`.
     arena:
         :class:`~repro.perf.workspace.WorkspaceArena` kernel
         temporaries lease from, or ``None`` for plain allocation.
@@ -79,7 +80,7 @@ class ExecutionContext:
                 )
             object.__setattr__(self, "provider", name)
         if self.chunk_windows is not None:
-            chunk = int(self.chunk_windows)
+            chunk = require_integer(self.chunk_windows, "batch chunk size")
             if chunk < 1:
                 raise ConfigurationError(
                     f"batch chunk size must be >= 1, got {chunk}"

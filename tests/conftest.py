@@ -14,26 +14,6 @@ def pytest_configure(config):
     )
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_cache_dir(tmp_path_factory):
-    """Point the persistent autoselect cache at a per-run temp dir.
-
-    Keeps the suite hermetic: no test run reads another run's (or the
-    developer's) measured provider choices, and nothing is written under
-    the real ``~/.cache``.
-    """
-    import os
-
-    path = tmp_path_factory.mktemp("repro-cache")
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(path)
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = previous
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator for reproducible tests."""

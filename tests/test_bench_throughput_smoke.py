@@ -24,13 +24,18 @@ def _load_module():
     return module
 
 
-def test_throughput_benchmark_smoke(tmp_path):
+def test_throughput_benchmark_smoke(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_FFT_PROVIDER", raising=False)
     bench = _load_module()
     document = bench.run_throughput_benchmark(duration_hours=0.2, repeats=1)
     assert document["workload"]["n_windows"] >= 3
     # One pinned chunk size, never a per-run tuning probe's choice.
     assert document["workload"]["chunk_windows"] == 256
     assert document["workload"]["chunk_source"] == "pinned"
+    # Timed inside a warmed arena under the provider the process
+    # resolves, as an engine runs.
+    assert document["workload"]["arena"] is True
+    assert document["workload"]["provider"] == "numpy"
     host = document["host"]
     assert host["cpu_count"] >= 1
     assert {"python", "numpy", "scipy"} <= set(host)

@@ -117,6 +117,24 @@ class TestEngineCommand:
         resolution = "resolution: REPRO_FFT_PROVIDER=explicit, active=explicit"
         assert resolution in out
 
+    def test_providers_probe_reports_timings(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_FFT_PROVIDER", raising=False)
+        assert main(["providers", "--probe", "--workspace", "64"]) == 0
+        out = capsys.readouterr().out
+        assert "workspace 64" in out
+        assert " ms " in out
+        assert "resolution: REPRO_FFT_PROVIDER=--, active=numpy" in out
+
+    @pytest.mark.parametrize("workspace", ["3", "4", "500"])
+    @pytest.mark.parametrize("command", [["providers", "--probe"], ["tune"]])
+    def test_workspace_must_be_a_power_of_two_of_at_least_8(
+        self, command, workspace
+    ):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="power of two >= 8"):
+            main([*command, "--workspace", workspace])
+
     def test_engine_resolve_reports_sources(self, capsys):
         assert main(
             ["engine", "--provider", "numpy", "--jobs", "2", "--resolve"]

@@ -4,9 +4,9 @@ Covers the PR 4 redesign contract:
 
 * :class:`EngineConfig` round-trips losslessly through dict and JSON,
 * :meth:`EngineConfig.resolve` follows the documented precedence chain
-  — explicit argument → config field → (process pin →) env pin →
-  auto-probe — with one test per layer and no ``os.environ`` reads
-  outside :mod:`repro.envpins`,
+  — explicit argument → config field → env pin → constant default —
+  with one test per layer, and two fresh interpreters with different
+  ``HOME`` directories resolve alike and write nothing,
 * :class:`Engine` produces results identical to the legacy entry
   points, owns a persistent fleet pool, and pins its resolved
   provider/chunk only for the duration of its own calls.
@@ -29,10 +29,8 @@ from repro.envpins import (
     provider_env_pin,
 )
 from repro.errors import ConfigurationError, SignalError
-from repro.ffts.providers import registry
 from repro.ffts.pruning import PruningSpec
 from repro.fleet.runner import FleetRunner
-from repro.fleet.tuning import autotune_chunk_windows
 from repro.hrv.bands import STANDARD_BANDS, FrequencyBand
 from repro.perf import current_execution
 
@@ -241,23 +239,67 @@ class TestResolvePrecedence:
         )
         assert (resolved.chunk_windows, resolved.chunk_source) == (96, "env")
 
-    def test_env_auto_runs_probe(self, monkeypatch):
+    def test_env_auto_is_an_unknown_provider(self, monkeypatch):
         monkeypatch.setenv(PROVIDER_ENV_VAR, "auto")
-        resolved = EngineConfig().resolve()
-        assert resolved.provider_source == "env"
-        assert resolved.provider == registry.autoselect(512).provider
+        with pytest.raises(ConfigurationError, match="unknown FFT provider"):
+            EngineConfig().resolve()
 
-    def test_autoprobe_is_the_last_layer(self, monkeypatch):
+    def test_default_is_the_last_layer(self, monkeypatch):
         monkeypatch.delenv(PROVIDER_ENV_VAR, raising=False)
         monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)
         resolved = EngineConfig().resolve()
-        assert resolved.provider_source == "autoselect"
-        assert resolved.provider == registry.autoselect(512).provider
-        assert resolved.chunk_source == "autotuned"
-        assert (
-            resolved.chunk_windows
-            == autotune_chunk_windows(512).chunk_windows
+        assert (resolved.provider, resolved.provider_source) == (
+            "numpy", "default",
         )
+        assert (resolved.chunk_windows, resolved.chunk_source) == (
+            256, "default",
+        )
+
+    def test_fresh_processes_resolve_from_config_and_environment(
+        self, tmp_path
+    ):
+        """Two interpreters with different homes resolve alike, writing
+        nothing: no host state enters the resolution."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import json\n"
+            "from repro import EngineConfig\n"
+            "from repro.ffts.providers.registry import resolve_provider_name\n"
+            "from repro.lomb.fast import get_batch_chunk_windows\n"
+            "r = EngineConfig().resolve()\n"
+            "print(json.dumps([r.provider, r.provider_source,"
+            " r.chunk_windows, r.chunk_source, resolve_provider_name(),"
+            " get_batch_chunk_windows()]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        seen = []
+        for name in ("home-a", "home-b"):
+            home = tmp_path / name
+            home.mkdir()
+            env = {
+                key: value
+                for key, value in os.environ.items()
+                if not key.startswith("REPRO_")
+            }
+            env.update(HOME=str(home), PYTHONPATH=str(src))
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            seen.append(json.loads(done.stdout))
+            assert list(home.rglob("*")) == []
+        assert seen[0] == seen[1] == [
+            "numpy", "default", 256, "default", "numpy", 256,
+        ]
 
     def test_jobs_cpu_count_layer(self):
         import os
@@ -325,19 +367,6 @@ class TestEnvPins:
         monkeypatch.setenv(CHUNK_ENV_VAR, "-3")
         with pytest.raises(ConfigurationError):
             chunk_env_pin()
-
-    def test_no_other_module_reads_environ(self):
-        """Source-level guard: os.environ only appears in envpins."""
-        from pathlib import Path
-
-        src = Path(__file__).resolve().parent.parent / "src" / "repro"
-        offenders = [
-            str(path.relative_to(src))
-            for path in src.rglob("*.py")
-            if path.name != "envpins.py"
-            and "os.environ" in path.read_text(encoding="utf-8")
-        ]
-        assert offenders == []
 
 
 class TestBuildSystem:

@@ -138,6 +138,14 @@ class TestScope:
                 pass
         assert current_execution() == ExecutionContext()
 
+    @pytest.mark.parametrize("chunk", [2.5, True, "64"])
+    def test_chunk_windows_must_be_an_integer(self, chunk):
+        with pytest.raises(ConfigurationError, match="integer"):
+            ExecutionContext(chunk_windows=chunk)
+        with pytest.raises(ConfigurationError, match="integer"):
+            with execution(chunk_windows=chunk):
+                pass
+
     def test_engine_settings_ignore_the_ambient_context(self, monkeypatch):
         monkeypatch.delenv(PROVIDER_ENV_VAR, raising=False)
         monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)

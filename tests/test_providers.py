@@ -1,7 +1,7 @@
 """Tests for the multi-provider FFT execution layer.
 
 Covers the registry (env pin, explicit pin, unknown-provider errors,
-scipy-missing fallback, autoselect memoisation), numerical equivalence
+scipy-missing fallback, the numpy default), numerical equivalence
 of every provider against the explicit split-radix oracle (ragged
 windows, both scalings, all wavelet pruning modes — with identical
 modelled operation counts), the fused real-input path, uniform window
@@ -83,10 +83,15 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown FFT provider"):
             registry.resolve_provider_name()
 
-    def test_env_auto_runs_probe(self, monkeypatch):
+    def test_env_auto_is_an_unknown_provider(self, monkeypatch):
         monkeypatch.setenv(registry.PROVIDER_ENV_VAR, "auto")
-        name = registry.resolve_provider_name(None, 64)
-        assert name in AVAILABLE
+        with pytest.raises(ConfigurationError, match="unknown FFT provider"):
+            registry.resolve_provider_name()
+
+    def test_unpinned_resolves_to_numpy(self, monkeypatch):
+        monkeypatch.delenv(registry.PROVIDER_ENV_VAR, raising=False)
+        assert registry.resolve_provider_name() == "numpy"
+        assert isinstance(registry.active_provider(), NumpyFFTProvider)
 
     def test_explicit_pin_beats_env(self, monkeypatch):
         monkeypatch.setenv(registry.PROVIDER_ENV_VAR, "numpy")
@@ -112,65 +117,15 @@ class TestRegistry:
         monkeypatch.setenv(registry.PROVIDER_ENV_VAR, "scipy")
         assert registry.resolve_provider_name() == "numpy"
 
-    def test_autoselect_memoised(self):
-        first = registry.autoselect(64)
-        assert registry.autoselect(64) is first
-        assert first.provider in AVAILABLE
-        # The explicit oracle is never a probe candidate (it could only
-        # win through timing noise, and timing it dominates probe cost).
-        assert first.provider != "explicit"
-        if first.source == "measured":
-            assert set(first.timings) == set(AVAILABLE) - {"explicit"}
-
-    def test_autoselect_rounds_odd_workspace_sizes(self):
-        # The explicit provider only transforms powers of two; an odd
-        # probe size (the CLI accepts any integer) must not crash it.
-        choice = registry.autoselect(500)
-        assert choice.workspace_size == 256
-        assert choice.provider in AVAILABLE
-
     def test_pinned_unavailable_provider_fails_at_planning(self, monkeypatch):
         from repro.ffts.providers import scipy_fft
 
         monkeypatch.setattr(scipy_fft, "scipy_available", lambda: False)
-        plancache.invalidate_provider_plan("scipy")
+        plancache.clear_plan_caches()
         with pytest.raises(ConfigurationError, match="not available"):
             SplitRadixFFT(64, provider="scipy")
         with pytest.raises(ConfigurationError, match="not available"):
             WaveletFFT(64, sub_backend="scipy")
-
-    def test_register_provider_extension_point(self):
-        registry.register_provider(
-            "dummy",
-            factory=NumpyFFTProvider,
-            available=lambda: True,
-            description="test double",
-        )
-        try:
-            assert "dummy" in registry.provider_names()
-            assert registry.resolve_provider_name("dummy") == "dummy"
-            assert isinstance(registry.get_provider("dummy"), NumpyFFTProvider)
-        finally:
-            del registry._REGISTRY["dummy"]
-            registry.clear_provider_state()
-            plancache.clear_plan_caches()
-
-    def test_register_provider_normalises_and_replaces(self):
-        registry.register_provider(
-            " Dummy ", factory=NumpyFFTProvider, available=lambda: True
-        )
-        try:
-            assert "dummy" in registry.provider_names()
-            assert isinstance(registry.get_provider("DUMMY"), NumpyFFTProvider)
-            # re-registration must evict the cached handle
-            registry.register_provider(
-                "dummy", factory=ExplicitProvider, available=lambda: True
-            )
-            assert isinstance(registry.get_provider("dummy"), ExplicitProvider)
-        finally:
-            del registry._REGISTRY["dummy"]
-            registry.clear_provider_state()
-            plancache.clear_plan_caches()
 
 
 class TestProviderNumerics:
@@ -459,69 +414,3 @@ class TestFleetProviderPinning:
         with Engine(wavelet_config) as engine:
             wavelet = engine.analyze_cohort([rr])
         assert len(wavelet) == 1
-
-
-class TestAutoselectDiskCache:
-    """Persistence of measured autoselect choices across processes."""
-
-    @pytest.fixture(autouse=True)
-    def _isolated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        registry.clear_provider_state()
-        yield
-        registry.clear_provider_state()
-
-    def test_measured_choice_is_persisted_and_read_back(self, tmp_path):
-        import json
-        import os
-
-        first = registry.autoselect(512)
-        if first.source != "measured":
-            pytest.skip("only one provider available: nothing persisted")
-        path = registry.autoselect_cache_path()
-        assert os.path.exists(path)
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        assert first.provider in data.values()
-        # A "new process" (cleared memo) resolves from disk, no probe.
-        registry.clear_provider_state()
-        second = registry.autoselect(512)
-        assert second.source == "disk-cache"
-        assert second.provider == first.provider
-        assert second.timings is None
-
-    def test_env_auto_bypasses_disk_cache(self, monkeypatch):
-        first = registry.autoselect(512)
-        if first.source != "measured":
-            pytest.skip("only one provider available: nothing persisted")
-        registry.clear_provider_state()
-        monkeypatch.setenv("REPRO_FFT_PROVIDER", "auto")
-        forced = registry.autoselect(512)
-        assert forced.source == "measured"
-
-    def test_corrupt_cache_file_is_tolerated(self):
-        import os
-
-        path = registry.autoselect_cache_path()
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("not json{")
-        choice = registry.autoselect(512)
-        assert choice.source in ("measured", "fallback")
-
-    def test_clear_disk_cache_removes_file(self):
-        import os
-
-        first = registry.autoselect(512)
-        if first.source != "measured":
-            pytest.skip("only one provider available: nothing persisted")
-        assert os.path.exists(registry.autoselect_cache_path())
-        registry.clear_autoselect_disk_cache()
-        assert not os.path.exists(registry.autoselect_cache_path())
-
-    def test_key_carries_machine_identity(self):
-        from repro.ffts.providers.registry import _disk_cache_key
-
-        key = _disk_cache_key(512)
-        assert f"numpy{np.__version__}" in key
-        assert key.endswith("|ws512")

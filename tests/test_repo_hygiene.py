@@ -227,3 +227,33 @@ def test_gateway_uses_the_public_hub_api():
             ):
                 found.append((path.name, node.lineno, node.attr))
     assert found == []
+
+
+def test_only_envpins_reads_the_environment():
+    """``repro.envpins`` is the one module that reads the environment.
+
+    A process's execution settings come from its config, then the pins
+    that module reads, then constants; an ``os.environ`` or
+    ``os.getenv`` read anywhere else would be a knob the documented
+    precedence chains do not show.
+    """
+    import ast
+
+    names = {"environ", "environb", "getenv", "getenvb"}
+    package = REPO_ROOT / "src" / "repro"
+    readers = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in names
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and names & {alias.name for alias in node.names}
+            ):
+                readers.add(path.relative_to(package).as_posix())
+    assert readers == {"envpins.py"}
