@@ -125,6 +125,22 @@ class TestEngineCommand:
         assert " ms " in out
         assert "resolution: REPRO_FFT_PROVIDER=--, active=numpy" in out
 
+    def test_providers_probe_writes_nothing_under_home(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("REPRO_FFT_PROVIDER", raising=False)
+        assert main(["providers", "--probe", "--workspace", "64"]) == 0
+        capsys.readouterr()
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_tune_has_no_measure_option(self, capsys):
+        """``tune`` always times; the flag that used to opt in is gone."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tune", "--measure"])
+        assert exit_info.value.code == 2
+        assert "--measure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workspace", ["3", "4", "500"])
     @pytest.mark.parametrize("command", [["providers", "--probe"], ["tune"]])
     def test_workspace_must_be_a_power_of_two_of_at_least_8(

@@ -244,6 +244,21 @@ class TestResolvePrecedence:
         with pytest.raises(ConfigurationError, match="unknown FFT provider"):
             EngineConfig().resolve()
 
+    def test_env_pinned_unavailable_provider_falls_back_to_numpy(
+        self, monkeypatch
+    ):
+        """Only the env layer falls back; a config field must be runnable."""
+        from repro.ffts.providers import scipy_fft
+
+        monkeypatch.setattr(scipy_fft, "scipy_available", lambda: False)
+        monkeypatch.setenv(PROVIDER_ENV_VAR, "scipy")
+        resolved = EngineConfig().resolve()
+        assert (resolved.provider, resolved.provider_source) == (
+            "numpy", "env",
+        )
+        with pytest.raises(ConfigurationError, match="not available"):
+            EngineConfig(provider="scipy").resolve()
+
     def test_default_is_the_last_layer(self, monkeypatch):
         monkeypatch.delenv(PROVIDER_ENV_VAR, raising=False)
         monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)

@@ -71,6 +71,20 @@ class TestMeasuredTuning:
             assert current_execution() is context
             assert current_execution().chunk_windows == 123
 
+    def test_probe_records_the_resolved_provider(self, monkeypatch):
+        """Candidates run under the context's provider, else numpy."""
+        monkeypatch.delenv("REPRO_FFT_PROVIDER", raising=False)
+        probe = dict(
+            workspace_size=256,
+            candidates=(16,),
+            n_windows=32,
+            beats_per_window=40,
+            repeats=1,
+        )
+        assert measure_chunk_windows(**probe).provider == "numpy"
+        with execution(provider="explicit"):
+            assert measure_chunk_windows(**probe).provider == "explicit"
+
     def test_probe_validates_candidates(self):
         with pytest.raises(ConfigurationError):
             measure_chunk_windows(candidates=())
